@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -199,23 +197,6 @@ class BenchReport:
         return all(r.passed for r in self.rows if r.passed is not None)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("UNISEARCH_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
-def _map_cases(worker, cases: Sequence[BenchmarkCase]) -> list:
-    threads = min(_thread_count(), len(cases)) or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, cases))   # map() keeps input order
-    return [worker(c) for c in cases]
-
-
 def _sorted_methods(methods: Iterable[Method | str]) -> list[Method]:
     return sorted({Method(m) for m in methods}, key=_RANK.__getitem__)
 
@@ -229,8 +210,8 @@ def run_table1(
     wanted = set(case_ids) if case_ids is not None else None
     cases = [c for c in _TABLE1 if wanted is None or c.id in wanted]
 
-    def worker(case: BenchmarkCase) -> list[ReportRow]:
-        rows = []
+    rows = []
+    for case in cases:
         gated = FLAG_GARBLED not in case.flags
         for method in chosen:
             expected = case.ref_counts.get(method) if case.ref_counts else None
@@ -248,9 +229,6 @@ def run_table1(
             deviation = measured - expected
             passed = abs(deviation) <= TABLE1_COUNT_TOLERANCE if gated else None
             rows.append(ReportRow(case.id, method, None, measured, expected, passed, deviation))
-        return rows
-
-    rows = [row for case_rows in _map_cases(worker, cases) for row in case_rows]
     return BenchReport("table1", tuple(rows))
 
 
@@ -258,8 +236,8 @@ def run_table2(methods: Iterable[Method | str] | None = None) -> BenchReport:
     """Run the fixed-budget cases and compare achieved errors."""
     chosen = _sorted_methods(methods or (Method.HALVING, Method.TRICHOTOMY, Method.FIBONACCI))
 
-    def worker(case: BenchmarkCase) -> list[ReportRow]:
-        rows = []
+    rows = []
+    for case in _TABLE2:
         for method in chosen:
             for n in case.budgets or TABLE2_BUDGETS:
                 expected = (case.ref_errors or {}).get((method, n))
@@ -285,9 +263,6 @@ def run_table2(methods: Iterable[Method | str] | None = None) -> BenchReport:
                     passed = passed and measured <= bound
                 rows.append(ReportRow(case.id, method, n, measured, expected, passed,
                                       measured - expected))
-        return rows
-
-    rows = [row for case_rows in _map_cases(worker, _TABLE2) for row in case_rows]
     return BenchReport("table2", tuple(rows))
 
 
@@ -329,10 +304,10 @@ def run_verify(grid_points: int = 1_000_001, tol: float = 1e-6,
     )
     threshold = max(agreement, 2 * worst_resolution)
 
-    def worker(case: BenchmarkCase) -> list[VerifyRow]:
+    rows = []
+    for case in cases:
         grid = GridSpec(points=grid_points, inset=case.interval.length() * 1e-9)
         x_oracle, _ = brute_force_minimum(case.fn, case.interval, grid)
-        rows = []
         for method in METHOD_ORDER:
             if method is Method.FIBONACCI:
                 budget = fibonacci_budget_for(case.interval.length(), tol)
@@ -343,9 +318,7 @@ def run_verify(grid_points: int = 1_000_001, tol: float = 1e-6,
             diff = abs(res.x_min - x_oracle)
             rows.append(VerifyRow(case.id, method, res.x_min, x_oracle, diff,
                                   threshold, diff <= threshold))
-        return rows
-
-    return [row for case_rows in _map_cases(worker, cases) for row in case_rows], threshold
+    return rows, threshold
 
 
 def _fmt(value, sig17: bool) -> str:

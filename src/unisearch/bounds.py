@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _check_count
 from .solvers import Method
 
 
@@ -87,8 +88,7 @@ def accuracy_bound(method: Method | str, length: float, n_evals: int) -> Accurac
     method = _check_method(method)
     if not (math.isfinite(length) and length > 0):
         raise DomainError(f"length must be positive and finite, got {length!r}")
-    if not isinstance(n_evals, int) or isinstance(n_evals, bool) or n_evals < 1:
-        raise DomainError(f"n_evals must be an integer >= 1, got {n_evals!r}")
+    _check_count(n_evals, 1, "n_evals", DomainError)
     base = _SHRINK_BASE[method]
     exponent = (n_evals - 1) / 2 if method is Method.HALVING else (n_evals - 1) / 4
     return AccuracyBound(

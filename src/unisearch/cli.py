@@ -22,7 +22,14 @@ from .bench import (
     run_verify,
 )
 from .bounds import DomainError, accuracy_bound, iteration_bound
-from .core import IncompatibleStopRule, Interval, NonFiniteValue, Objective, StopRule
+from .core import (
+    IncompatibleStopRule,
+    Interval,
+    NonFiniteValue,
+    Objective,
+    StopRule,
+    _check_count,
+)
 from .solvers import Method, minimize
 
 _FORMATS = ("markdown", "csv", "json")
@@ -43,8 +50,7 @@ def _budget_int(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"budget must be at least 2: {text!r}")
+    _check_count(value, 2, "budget", argparse.ArgumentTypeError)
     return value
 
 

@@ -34,18 +34,26 @@ class IncompatibleStopRule(ValueError):
     """The requested method cannot run under the given stop rule."""
 
 
+def _check_count(value, minimum: int, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an int, not a bool, and >= ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
-    """A non-degenerate closed interval [lo, hi] with finite endpoints."""
+    """A non-degenerate closed interval [lo, hi] with a finite length."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+        # a positive finite length implies lo < hi and finite endpoints, and
+        # keeps probes at lo + t*(hi - lo) finite; NaN fails the comparison
+        if not 0.0 < self.hi - self.lo < math.inf:
+            raise ValueError(
+                f"interval requires lo < hi and a finite length, got [{self.lo}, {self.hi}]"
+            )
 
     def length(self) -> float:
         return self.hi - self.lo
@@ -77,8 +85,8 @@ class Objective:
     """
 
     def __init__(self, fn: Callable[[float], float], budget: int | None = None):
-        if budget is not None and budget < 0:
-            raise ValueError("budget must be non-negative")
+        if budget is not None:
+            _check_count(budget, 0, "budget")
         self.fn = fn
         self.budget = budget
         self.count = 0
@@ -114,10 +122,7 @@ class StopRule:
         if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be a positive finite float, got {self.epsilon!r}")
         if self.budget is not None:
-            if not isinstance(self.budget, int) or isinstance(self.budget, bool):
-                raise ValueError(f"budget must be an int, got {self.budget!r}")
-            if self.budget < 2:
-                raise ValueError(f"budget must be at least 2, got {self.budget}")
+            _check_count(self.budget, 2, "budget")
 
     @property
     def is_budget(self) -> bool:

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Interval, NonFiniteValue
+from .core import Interval, NonFiniteValue, _check_count
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class GridSpec:
     inset: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.points, int) or isinstance(self.points, bool) or self.points < 3:
-            raise ValueError(f"grid needs at least 3 points, got {self.points!r}")
+        _check_count(self.points, 3, "grid points")
         if not self.inset >= 0:
             raise ValueError(f"inset must be non-negative, got {self.inset!r}")
 

@@ -7,11 +7,38 @@ ties always take the left/lower branch, and every run returns a
 evaluation.  Interval-halving and trichotomy keep their estimate pinned to
 the exact midpoint of the bracket; golden-section and Fibonacci carry the
 best evaluated interior point instead.
+
+One private engine, :func:`_drive`, runs the iterations of every method and
+owns all they share: the trace (one event per iteration, with probes that
+end a run folded into the last event), the collapse guard that keeps the
+bracket non-empty at the float64 floor, the stop rules checked between
+iterations (half-width or length against epsilon, the evaluation budget,
+and a bracket that no longer shrinks), and the handling of a hard cap on the
+Objective (:class:`BudgetExhausted` ends the run cleanly) and of a
+non-finite value (:class:`NonFiniteValue` leaves with the partial trace).
+
+Each method supplies only its step rule, ``step(a, b, state) -> (a, b,
+state)``: it pays for its probes and returns the bracket it keeps with the
+state it carries into the next iteration.
+
+* halving and trichotomy open with a probe at the midpoint; the state is
+  that evaluated midpoint, the incumbent and the estimate;
+* golden section and Fibonacci open with the lower probe and share one
+  two-probe step that differs only in its ``(t_low, t_high)`` schedule,
+  ``(1 - 1/phi, 1/phi)`` repeated or ``(F(m-2)/F(m), F(m-1)/F(m))`` for
+  m = N+1, ..., 3; the state is the surviving probe and the side on which
+  the next one goes;
+* dichotomous search probes a pair around the midpoint; the state is the
+  better probe of the last pair.
+
+Dichotomous search, and golden section under an epsilon stop, end with one
+answer probe at the midpoint of the final bracket, also made by the engine.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import chain, repeat
 
 from .core import (
     BudgetExhausted,
@@ -22,6 +49,7 @@ from .core import (
     RunResult,
     StopRule,
     TraceEvent,
+    _check_count,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi = 0.6180339887498949
@@ -41,21 +69,15 @@ class Method(str, Enum):
 class _Run:
     """Per-run bookkeeping: probe accounting, trace assembly, best point."""
 
-    def __init__(self, obj: Objective, limit: int | None):
+    def __init__(self, obj: Objective):
         self.obj = obj
-        self.limit = limit          # run-local evaluation budget (StopRule.budget)
         self.evals = 0
         self.pending: list[tuple[float, float]] = []
         self.events: list[TraceEvent] = []
         self.best_x = math.nan
         self.best_f = math.inf
 
-    def affordable(self, n: int = 1) -> bool:
-        return self.limit is None or self.evals + n <= self.limit
-
     def probe(self, x: float) -> float:
-        if not self.affordable(1):
-            raise BudgetExhausted(f"next evaluation would exceed budget of {self.limit}")
         y = self.obj.evaluate(x)
         self.evals += 1
         self.pending.append((x, y))
@@ -74,7 +96,8 @@ class _Run:
             self.flush(interval)
 
     def fold_pending_into_last(self, interval: Interval) -> None:
-        """Attach pending probes to the most recent event (answer probes)."""
+        """Attach pending probes to the most recent event (an answer probe, or
+        the probes of an iteration undone at the FP floor)."""
         if not self.events:
             self.flush(interval)
             return
@@ -87,11 +110,6 @@ class _Run:
         )
         self.pending.clear()
 
-    def fail(self, exc: NonFiniteValue, interval: Interval):
-        self.flush_partial(interval)
-        exc.partial_trace = list(self.events)
-        return exc
-
     def result(self, x: float, f: float, interval: Interval) -> RunResult:
         return RunResult(
             x_min=x,
@@ -103,8 +121,57 @@ class _Run:
         )
 
 
-def _half_width_reached(stop: StopRule, a: float, b: float) -> bool:
-    return stop.epsilon is not None and (b - a) / 2 <= stop.epsilon
+def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
+           budget: int | None, *, halve: bool = True, floor: bool = True,
+           answer: bool = False):
+    """Run ``step`` from ``iv`` until a stop rule holds; see the module docstring.
+
+    After each iteration the loop stops when (b - a)/2 (or b - a, with
+    ``halve`` false) is at most ``epsilon``, when at least ``budget``
+    evaluations are spent, or, with ``floor``, when the bracket did not
+    shrink.  An iteration that would leave an empty bracket is undone, its
+    probes joining the previous event.  With ``answer``, and at most
+    ``budget`` evaluations spent, the midpoint of the final bracket is then
+    evaluated as the estimate: that probe joins the last event and the
+    state becomes ``(midpoint, f(midpoint))``.
+
+    Returns ``(a, b, state, end)`` with ``end`` one of "epsilon", "budget",
+    "floor", "collapse" or, when the objective's hard cap refused a probe,
+    "exhausted"; then [a, b] and ``state`` are those before that probe.
+    """
+    a, b = iv.lo, iv.hi
+    divisor = 2 if halve else 1
+    try:
+        while True:
+            na, nb, state = step(a, b, state)
+            length = nb - na
+            if not length > 0.0:    # bracket collapsed at the FP floor
+                r.fold_pending_into_last(Interval(a, b))
+                end = "collapse"
+                break
+            r.flush(Interval(na, nb))
+            span, a, b = b - a, na, nb
+            if epsilon is not None and length / divisor <= epsilon:
+                end = "epsilon"
+                break
+            if budget is not None and r.evals >= budget:
+                end = "budget"
+                break
+            if floor and not length < span:   # numerical resolution floor
+                end = "floor"
+                break
+        if answer and (budget is None or r.evals <= budget):
+            xm = (a + b) / 2
+            state = (xm, r.probe(xm))
+            r.fold_pending_into_last(Interval(a, b))
+    except BudgetExhausted:
+        r.flush_partial(Interval(a, b))
+        return a, b, state, "exhausted"
+    except NonFiniteValue as e:
+        r.flush_partial(Interval(a, b))
+        e.partial_trace = list(r.events)
+        raise
+    return a, b, state, end
 
 
 def minimize_interval_halving(obj: Objective, iv: Interval, stop: StopRule) -> RunResult:
@@ -121,43 +188,23 @@ def minimize_interval_halving(obj: Objective, iv: Interval, stop: StopRule) -> R
     evaluations.  A hard cap belongs on the Objective itself, which refuses
     the overshooting probe and ends the run mid-iteration.
     """
-    a, b = iv.lo, iv.hi
-    r = _Run(obj, None)
-    try:
-        x2 = (a + b) / 2
-        f2 = r.probe(x2)
-    except NonFiniteValue as e:
-        raise r.fail(e, iv)
-    try:
-        while True:
-            pa, pb = a, b
-            span = b - a
-            x1 = (a + x2) / 2
-            f1 = r.probe(x1)
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-            else:
-                x3 = (x2 + b) / 2
-                f3 = r.probe(x3)
-                if f2 <= f3:
-                    a, b = x1, x3
-                else:
-                    a, x2, f2 = x2, x3, f3
-            if not (b - a) > 0.0:    # bracket collapsed at the FP floor
-                a, b = pa, pb
-                r.fold_pending_into_last(Interval(a, b))
-                break
-            r.flush(Interval(a, b))
-            if _half_width_reached(stop, a, b):
-                break
-            if stop.budget is not None and r.evals >= stop.budget:
-                break
-            if not (b - a) < span:   # numerical resolution floor
-                break
-    except BudgetExhausted:
-        r.flush_partial(Interval(a, b))
-    except NonFiniteValue as e:
-        raise r.fail(e, Interval(a, b))
+    r = _Run(obj)
+    probe = r.probe
+
+    def step(a, b, state):
+        x2, f2 = state
+        x1 = (a + x2) / 2
+        f1 = probe(x1)
+        if f1 <= f2:
+            return a, x2, (x1, f1)
+        x3 = (x2 + b) / 2
+        f3 = probe(x3)
+        if f2 <= f3:
+            return x1, x3, state
+        return x2, b, (x3, f3)
+
+    x2 = (iv.lo + iv.hi) / 2
+    a, b, (x2, f2), _ = _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)
     return r.result(x2, f2, Interval(a, b))
 
 
@@ -176,53 +223,31 @@ def minimize_trichotomy(obj: Objective, iv: Interval, stop: StopRule) -> RunResu
     budget of N lets the iteration in progress finish (N to N+2 evaluations
     spent); a hard cap on the Objective ends the run mid-iteration.
     """
-    a, b = iv.lo, iv.hi
-    r = _Run(obj, None)
-    try:
-        x3 = (a + b) / 2
-        f3 = r.probe(x3)
-    except NonFiniteValue as e:
-        raise r.fail(e, iv)
-    try:
-        while True:
-            pa, pb = a, b
-            span = b - a
-            x2 = (a + 2 * x3) / 3
-            f2 = r.probe(x2)
-            if f2 <= f3:
-                x1 = (a + x2) / 2
-                f1 = r.probe(x1)
-                if f1 <= f2:
-                    b, x3, f3 = x2, x1, f1          # keep [a, x2]
-                else:
-                    a, b, x3, f3 = x1, x3, x2, f2   # keep [x1, x3]
-            else:
-                x4 = (b + 2 * x3) / 3
-                f4 = r.probe(x4)
-                if f4 <= f3:
-                    x5 = (2 * b + x3) / 3
-                    f5 = r.probe(x5)
-                    if f5 <= f4:
-                        a, x3, f3 = x4, x5, f5          # keep [x4, b]
-                    else:
-                        a, b, x3, f3 = x3, x5, x4, f4   # keep [x3, x5]
-                else:
-                    a, b = x2, x4                        # keep [x2, x4], x3 stays
-            if not (b - a) > 0.0:    # bracket collapsed at the FP floor
-                a, b = pa, pb
-                r.fold_pending_into_last(Interval(a, b))
-                break
-            r.flush(Interval(a, b))
-            if _half_width_reached(stop, a, b):
-                break
-            if stop.budget is not None and r.evals >= stop.budget:
-                break
-            if not (b - a) < span:
-                break
-    except BudgetExhausted:
-        r.flush_partial(Interval(a, b))
-    except NonFiniteValue as e:
-        raise r.fail(e, Interval(a, b))
+    r = _Run(obj)
+    probe = r.probe
+
+    def step(a, b, state):
+        x3, f3 = state
+        x2 = (a + 2 * x3) / 3
+        f2 = probe(x2)
+        if f2 <= f3:
+            x1 = (a + x2) / 2
+            f1 = probe(x1)
+            if f1 <= f2:
+                return a, x2, (x1, f1)        # keep [a, x2]
+            return x1, x3, (x2, f2)           # keep [x1, x3]
+        x4 = (b + 2 * x3) / 3
+        f4 = probe(x4)
+        if f4 <= f3:
+            x5 = (2 * b + x3) / 3
+            f5 = probe(x5)
+            if f5 <= f4:
+                return x4, b, (x5, f5)        # keep [x4, b]
+            return x3, x5, (x4, f4)           # keep [x3, x5]
+        return x2, x4, state                  # keep [x2, x4], x3 stays
+
+    x3 = (iv.lo + iv.hi) / 2
+    a, b, (x3, f3), _ = _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)
     return r.result(x3, f3, Interval(a, b))
 
 
@@ -246,61 +271,67 @@ def minimize_dichotomous(
     bracket).  Budget affordability is checked per pair, so a trailing odd
     evaluation funds the answer probe rather than half a pair.
     """
-    a, b = iv.lo, iv.hi
     if delta is None:
         delta = default_dichotomous_delta(iv, stop)
     if not (0 < delta < iv.length() / 4):
         raise ValueError(
             f"dichotomous delta must satisfy 0 < delta < length/4, got {delta!r}"
         )
-    r = _Run(obj, stop.budget)
-    pair_best: tuple[float, float] | None = None
-    try:
-        while True:
-            if not r.affordable(2):
-                break
-            pa, pb = a, b
-            span = b - a
-            m = (a + b) / 2
-            xl, xr = m - delta / 2, m + delta / 2
-            f_l = r.probe(xl)
-            f_r = r.probe(xr)
-            if f_l <= f_r:
-                b = xr
-                pair_best = (xl, f_l)
-            else:
-                a = xl
-                pair_best = (xr, f_r)
-            if not (b - a) > 0.0:    # bracket collapsed at the FP floor
-                a, b = pa, pb
-                r.fold_pending_into_last(Interval(a, b))
-                break
-            r.flush(Interval(a, b))
-            if _half_width_reached(stop, a, b):
-                break
-            if not (b - a) < span:
-                break
-    except BudgetExhausted:
-        r.flush_partial(Interval(a, b))
-    except NonFiniteValue as e:
-        raise r.fail(e, Interval(a, b))
+    r = _Run(obj)
+    probe = r.probe
 
-    final = Interval(a, b)
-    if r.affordable(1):
-        xm = (a + b) / 2
-        try:
-            fm = r.probe(xm)
-        except BudgetExhausted:
-            pass   # objective's own budget refused the answer probe
-        except NonFiniteValue as e:
-            raise r.fail(e, final)
-        else:
-            r.fold_pending_into_last(final)
-            return r.result(xm, fm, final)
-    # budget exactly consumed by the pairs: fall back to the better last probe
-    if pair_best is None:
+    def step(a, b, state):
+        m = (a + b) / 2
+        xl, xr = m - delta / 2, m + delta / 2
+        f_l = probe(xl)
+        f_r = probe(xr)
+        if f_l <= f_r:
+            return a, xr, (xl, f_l)
+        return xl, b, (xr, f_r)
+
+    # another pair is affordable while at most budget - 2 evaluations are
+    # spent, and the answer probe while at most budget - 1 are
+    budget = None if stop.budget is None else stop.budget - 1
+    a, b, best, _ = _drive(r, iv, step, None, stop.epsilon, budget, answer=True)
+    if best is None:      # the objective's own budget refused the first pair
         raise BudgetExhausted("budget too small for a single probe pair")
-    return r.result(pair_best[0], pair_best[1], final)
+    # the answer probe, or else the better probe of the last pair
+    return r.result(*best, Interval(a, b))
+
+
+def _two_probe(r: _Run, iv: Interval, ratios):
+    """The step rule of golden section and Fibonacci, and its opening state.
+
+    ``ratios`` yields one ``(t_low, t_high)`` per iteration.  The run opens
+    with a probe at a + t_low*(b - a) of the first pair; each iteration
+    probes the missing one of a + t_low*(b - a) and a + t_high*(b - a),
+    compares the two, and keeps [a, x_high] or [x_low, b].  The probe kept
+    inside is the survivor, and the next probe goes on the other side of it:
+    the state is ``(survivor, f(survivor), low)``.  The opening probe is
+    paid here.
+    """
+    probe = r.probe
+    ratios = iter(ratios)
+    first = next(ratios)
+    ratios = chain((first,), ratios)    # the opening and the first step share it
+
+    def step(a, b, state):
+        x, fx, low = state
+        t_low, t_high = next(ratios)
+        if low:
+            xl = a + t_low * (b - a)
+            f_l = probe(xl)
+            xh, f_h = x, fx
+        else:
+            xh = a + t_high * (b - a)
+            f_h = probe(xh)
+            xl, f_l = x, fx
+        if f_l <= f_h:
+            return a, xh, (xl, f_l, True)
+        return xl, b, (xh, f_h, False)
+
+    xl = iv.lo + first[0] * (iv.hi - iv.lo)
+    return step, (xl, probe(xl), False)
 
 
 def minimize_golden_section(obj: Objective, iv: Interval, stop: StopRule) -> RunResult:
@@ -314,62 +345,13 @@ def minimize_golden_section(obj: Objective, iv: Interval, stop: StopRule) -> Run
     answer probe.  Under a budget the method spends everything on shrink
     steps and returns the best evaluated interior point.
     """
-    a, b = iv.lo, iv.hi
-    r = _Run(obj, stop.budget)
-    length_stop = stop.epsilon  # full-length threshold, see docstring
-    try:
-        span0 = b - a
-        xl = a + (1 - _INVPHI) * span0
-        xh = a + _INVPHI * span0
-        f_l = r.probe(xl)
-        f_h = r.probe(xh)
-        while True:
-            pa, pb = a, b
-            span = b - a
-            if f_l <= f_h:            # keep [a, xh]
-                b = xh
-                xh, f_h = xl, f_l
-                new_low = True
-            else:                     # keep [xl, b]
-                a = xl
-                xl, f_l = xh, f_h
-                new_low = False
-            if not (b - a) > 0.0:    # bracket collapsed at the FP floor
-                a, b = pa, pb
-                r.fold_pending_into_last(Interval(a, b))
-                break
-            r.flush(Interval(a, b))
-            if length_stop is not None and (b - a) <= length_stop:
-                break
-            if not (b - a) < span:
-                break
-            cur = b - a
-            if new_low:
-                xl = a + (1 - _INVPHI) * cur
-                f_l = r.probe(xl)
-            else:
-                xh = a + _INVPHI * cur
-                f_h = r.probe(xh)
-    except BudgetExhausted:
-        if r.evals == 0:
-            raise
-        r.flush_partial(Interval(a, b))
-        return r.result(r.best_x, r.best_f, Interval(a, b))
-    except NonFiniteValue as e:
-        raise r.fail(e, Interval(a, b))
-
-    final = Interval(a, b)
-    if length_stop is None:
-        return r.result(r.best_x, r.best_f, final)
-    xm = (a + b) / 2
-    try:
-        fm = r.probe(xm)
-    except BudgetExhausted:
-        return r.result(r.best_x, r.best_f, final)
-    except NonFiniteValue as e:
-        raise r.fail(e, final)
-    r.fold_pending_into_last(final)
-    return r.result(xm, fm, final)
+    r = _Run(obj)
+    step, state = _two_probe(r, iv, repeat((1 - _INVPHI, _INVPHI)))
+    answer = stop.epsilon is not None
+    a, b, state, end = _drive(r, iv, step, state, stop.epsilon, stop.budget,
+                              halve=False, answer=answer)
+    x, fx = state if answer and end != "exhausted" else (r.best_x, r.best_f)
+    return r.result(x, fx, Interval(a, b))
 
 
 def _fibonacci_numbers(n: int) -> list[int]:
@@ -377,6 +359,12 @@ def _fibonacci_numbers(n: int) -> list[int]:
     while len(fib) <= n:
         fib.append(fib[-1] + fib[-2])
     return fib
+
+
+_FIB = _fibonacci_numbers(1401)    # stages up to m = 1401, for budgets up to 1400
+# (t_low, t_high) = (F(m-2)/F(m), F(m-1)/F(m)) of the stage with index m >= 2
+_FIB_STAGES = [None, None] + [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
+                              for m in range(2, len(_FIB))]
 
 
 def minimize_fibonacci(obj: Objective, iv: Interval, n_evals: int) -> RunResult:
@@ -390,63 +378,17 @@ def minimize_fibonacci(obj: Objective, iv: Interval, n_evals: int) -> RunResult:
     most length/F(n_evals + 1) -- no tie-breaking offset probe is needed.
     Requires a budget stop rule: there is no epsilon-driven variant.
     """
-    if not isinstance(n_evals, int) or isinstance(n_evals, bool) or n_evals < 2:
-        raise ValueError(f"fibonacci search needs an integer budget >= 2, got {n_evals!r}")
+    _check_count(n_evals, 2, "fibonacci search budget")
     if n_evals > 1400:
         raise ValueError("budget too large: Fibonacci ratios overflow float64 beyond 1400")
-    a, b = iv.lo, iv.hi
-    fib = _fibonacci_numbers(n_evals + 1)
-    r = _Run(obj, n_evals)
-    try:
-        m = n_evals + 1
-        span = b - a
-        xl = a + (fib[m - 2] / fib[m]) * span
-        xh = a + (fib[m - 1] / fib[m]) * span
-        f_l = r.probe(xl)
-        f_h = r.probe(xh)
-        while m > 3:
-            pa, pb = a, b
-            if f_l <= f_h:
-                b = xh
-                xh, f_h = xl, f_l
-                new_low = True
-            else:
-                a = xl
-                xl, f_l = xh, f_h
-                new_low = False
-            if not (b - a) > 0.0:    # bracket collapsed at the FP floor
-                a, b = pa, pb
-                r.fold_pending_into_last(Interval(a, b))
-                return r.result(r.best_x, r.best_f, Interval(a, b))
-            r.flush(Interval(a, b))
-            m -= 1
-            span = b - a
-            if new_low:
-                xl = a + (fib[m - 2] / fib[m]) * span
-                f_l = r.probe(xl)
-            else:
-                xh = a + (fib[m - 1] / fib[m]) * span
-                f_h = r.probe(xh)
-        # the stage-3 comparison leaves the surviving probe at the midpoint
-        # of the final bracket, two lattice units wide
-        pa, pb = a, b
-        if f_l <= f_h:
-            b, c, fc = xh, xl, f_l
-        else:
-            a, c, fc = xl, xh, f_h
-        if not (b - a) > 0.0:
-            a, b = pa, pb
-            r.fold_pending_into_last(Interval(a, b))
-            return r.result(r.best_x, r.best_f, Interval(a, b))
-        r.flush(Interval(a, b))
-    except BudgetExhausted:
-        if r.evals == 0:
-            raise
-        r.flush_partial(Interval(a, b))
-        return r.result(r.best_x, r.best_f, Interval(a, b))
-    except NonFiniteValue as e:
-        raise r.fail(e, Interval(a, b))
-    return r.result(c, fc, Interval(a, b))
+    ladder = _FIB_STAGES[n_evals + 1:2:-1]    # stages m = n_evals + 1, ..., 3
+    r = _Run(obj)
+    step, state = _two_probe(r, iv, ladder)
+    # no floor stop: the ladder spends its whole budget even at the FP floor
+    a, b, (x, fx, _), end = _drive(r, iv, step, state, None, n_evals, floor=False)
+    if end != "budget":       # collapsed or capped before the ladder finished
+        x, fx = r.best_x, r.best_f
+    return r.result(x, fx, Interval(a, b))
 
 
 _DISPATCH = {

@@ -191,15 +191,6 @@ class TestEmitReport:
             emit_report(run_table1(case_ids=["t1_01"]), "yaml")
 
 
-class TestThreading:
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        baseline = emit_report(run_table1(), "csv")
-        monkeypatch.setenv("UNISEARCH_THREADS", "4")
-        assert emit_report(run_table1(), "csv") == baseline
-        monkeypatch.setenv("UNISEARCH_THREADS", "not-a-number")
-        assert emit_report(run_table1(), "csv") == baseline
-
-
 class TestVerify:
     def test_coarse_grid_agreement(self):
         rows, threshold = run_verify(grid_points=10_001, tol=1e-6)

@@ -32,8 +32,9 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(lo, hi)
 
+    # the last: finite endpoints, but the length overflows to inf
     @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.inf),
-                                       (-math.inf, 0.0)])
+                                       (-math.inf, 0.0), (-1e308, 1e308)])
     def test_rejects_non_finite(self, lo, hi):
         with pytest.raises(ValueError):
             Interval(lo, hi)
@@ -78,6 +79,11 @@ class TestObjective:
             obj(2.0)
         assert calls == [1.0]       # the refused evaluation never ran
         assert obj.count == 1
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.5])
+    def test_budget_validation(self, bad):
+        with pytest.raises(ValueError):
+            Objective(lambda x: x, budget=bad)
 
     def test_zero_budget_refuses_immediately(self):
         obj = Objective(lambda x: x, budget=0)

@@ -7,7 +7,7 @@ the solvers were written.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from unisearch.core import (
     BudgetExhausted,
@@ -388,6 +388,66 @@ class TestSharedInvariants:
             res = solver(obj, iv, StopRule(budget=n))
             assert res.n_evals == obj.count
             assert res.n_evals == sum(ev.evals_this_iter for ev in res.trace)
+
+
+def check_trace(iv, trace):
+    """Numbered iterations, nested brackets, and every probe strictly inside
+    the bracket its iteration started from."""
+    assert [ev.iteration for ev in trace] == list(range(1, len(trace) + 1))
+    before = iv
+    for ev in trace:
+        for x, _ in ev.probes:
+            assert before.lo < x < before.hi
+        after = ev.interval_after
+        assert before.lo <= after.lo and after.hi <= before.hi
+        before = after
+
+
+class TestEngineInvariants:
+    """What the shared iteration engine guarantees for every method and stop.
+
+    Brackets, tolerances and budgets stay well above the float64 floor.
+    """
+
+    @given(
+        interval_and_quadratic(),
+        st.sampled_from(list(Method)),
+        st.floats(1e-9, 1e-1) | st.integers(2, 50),    # epsilon or budget stop
+        st.none() | st.integers(0, 40),                 # hard cap on the Objective
+        st.none() | st.integers(1, 40),                 # first call returning NaN
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_accounting_nesting_and_interior_probes(self, case, method, limit, cap, nan_at):
+        iv, f, _ = case
+        if isinstance(limit, int):
+            stop = StopRule(budget=limit)
+        else:
+            assume(method is not Method.FIBONACCI)
+            stop = StopRule(epsilon=limit)
+        calls = [0]
+
+        def fn(x):
+            calls[0] += 1
+            return math.nan if calls[0] == nan_at else f(x)
+
+        obj = Objective(fn, budget=cap)
+        try:
+            res = minimize(method, obj, iv, stop)
+        except NonFiniteValue as e:
+            assert obj.count == nan_at
+            # the failing call counts but is not a probe of the trace
+            assert sum(ev.evals_this_iter for ev in e.partial_trace) == obj.count - 1
+            check_trace(iv, e.partial_trace)
+            return
+        except BudgetExhausted:
+            # only a cap that refuses the first probe (pair, for dichotomous)
+            assert cap is not None and cap < (2 if method is Method.DICHOTOMOUS else 1)
+            return
+        assert res.n_evals == obj.count == sum(ev.evals_this_iter for ev in res.trace)
+        assert res.n_iters == len(res.trace)
+        check_trace(iv, res.trace)
+        assert res.final_interval == res.trace[-1].interval_after
+        assert res.final_interval.contains(res.x_min)
 
 
 class TestHardObjectiveBudget:
