@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .bounds import accuracy_bound
-from .core import Interval, NonFiniteValue, Objective, StopRule
+from .core import Interval, NonFiniteValue, Objective, StopRule, _check_count
 from .oracle import GridSpec, brute_force_minimum
 from .solvers import Method, minimize
 
@@ -33,15 +33,10 @@ FLAG_GARBLED = "garbled"             # reference row is corrupt; report, don't g
 TABLE1_COUNT_TOLERANCE = 2
 TABLE2_ERROR_FACTOR = 2.0
 TABLE2_BUDGETS = (10, 20, 30)
+VERIFY_TOL = 1e-6          # half-width every solver runs at in verify
+VERIFY_AGREEMENT = 1e-4    # solver-oracle distance verify accepts on a fine grid
 
-METHOD_ORDER = (
-    Method.HALVING,
-    Method.TRICHOTOMY,
-    Method.DICHOTOMOUS,
-    Method.GOLDEN,
-    Method.FIBONACCI,
-)
-_RANK = {m: i for i, m in enumerate(METHOD_ORDER)}
+METHOD_ORDER = tuple(Method)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +193,25 @@ class BenchReport:
 
 
 def _sorted_methods(methods: Iterable[Method | str]) -> list[Method]:
-    return sorted({Method(m) for m in methods}, key=_RANK.__getitem__)
+    return sorted({Method(m) for m in methods}, key=METHOD_ORDER.index)
+
+
+def _row(case, method, n, stop, expected, measure, judge) -> ReportRow:
+    """Run ``method`` on ``case`` under ``stop`` and report one row.
+
+    ``measure`` maps the run to the measured value and ``judge(measured,
+    expected)`` to its verdict; ``judge=None`` marks a garbled row, reported
+    without one.  A row without a reference is reported unjudged, and a
+    non-finite objective value fails the row.
+    """
+    try:
+        measured = measure(minimize(method, Objective(case.fn), case.interval, stop))
+    except NonFiniteValue:
+        return ReportRow(case.id, method, n, None, expected, None if judge is None else False, None)
+    if expected is None:
+        return ReportRow(case.id, method, n, measured, None, None, None)
+    passed = None if judge is None else judge(measured, expected)
+    return ReportRow(case.id, method, n, measured, expected, passed, measured - expected)
 
 
 def run_table1(
@@ -208,28 +221,16 @@ def run_table1(
     """Run the fixed-tolerance cases and compare evaluation counts."""
     chosen = _sorted_methods(methods or (Method.HALVING, Method.TRICHOTOMY, Method.GOLDEN))
     wanted = set(case_ids) if case_ids is not None else None
-    cases = [c for c in _TABLE1 if wanted is None or c.id in wanted]
 
-    rows = []
-    for case in cases:
-        gated = FLAG_GARBLED not in case.flags
-        for method in chosen:
-            expected = case.ref_counts.get(method) if case.ref_counts else None
-            try:
-                res = minimize(method, Objective(case.fn), case.interval,
-                               StopRule(epsilon=case.tol))
-                measured = res.n_evals
-            except NonFiniteValue:
-                rows.append(ReportRow(case.id, method, None, None, expected,
-                                      False if gated else None, None))
-                continue
-            if expected is None:
-                rows.append(ReportRow(case.id, method, None, measured, None, None, None))
-                continue
-            deviation = measured - expected
-            passed = abs(deviation) <= TABLE1_COUNT_TOLERANCE if gated else None
-            rows.append(ReportRow(case.id, method, None, measured, expected, passed, deviation))
-    return BenchReport("table1", tuple(rows))
+    def judge(measured, expected):
+        return abs(measured - expected) <= TABLE1_COUNT_TOLERANCE
+
+    return BenchReport("table1", tuple(
+        _row(case, method, None, StopRule(epsilon=case.tol), case.ref_counts.get(method),
+             lambda res: res.n_evals, None if FLAG_GARBLED in case.flags else judge)
+        for case in _TABLE1 if wanted is None or case.id in wanted
+        for method in chosen
+    ))
 
 
 def run_table2(methods: Iterable[Method | str] | None = None) -> BenchReport:
@@ -239,30 +240,20 @@ def run_table2(methods: Iterable[Method | str] | None = None) -> BenchReport:
     rows = []
     for case in _TABLE2:
         for method in chosen:
-            for n in case.budgets or TABLE2_BUDGETS:
-                expected = (case.ref_errors or {}).get((method, n))
-                try:
-                    # The published Fibonacci errors are finer than any
-                    # N-evaluation lattice allows; they correspond to one
-                    # uncharged stage on top of the nominal budget, matching
-                    # how the iterative methods get to finish the iteration
-                    # that crosses the budget.  Reproduce that convention.
-                    run_n = n + 1 if method is Method.FIBONACCI else n
-                    res = minimize(method, Objective(case.fn), case.interval,
-                                   StopRule(budget=run_n))
-                    measured = abs(res.x_min - case.x_star)
-                except NonFiniteValue:
-                    rows.append(ReportRow(case.id, method, n, None, expected, False, None))
-                    continue
-                if expected is None:
-                    rows.append(ReportRow(case.id, method, n, measured, None, None, None))
-                    continue
-                passed = measured <= TABLE2_ERROR_FACTOR * expected
-                if method in (Method.HALVING, Method.TRICHOTOMY):
-                    bound = accuracy_bound(method, case.interval.length(), n).epsilon_bound
-                    passed = passed and measured <= bound
-                rows.append(ReportRow(case.id, method, n, measured, expected, passed,
-                                      measured - expected))
+            for n in case.budgets:
+                bound = (accuracy_bound(method, case.interval.length(), n).epsilon_bound
+                         if method in (Method.HALVING, Method.TRICHOTOMY) else math.inf)
+                # The published Fibonacci errors are finer than any
+                # N-evaluation lattice allows; they correspond to one
+                # uncharged stage on top of the nominal budget, matching
+                # how the iterative methods get to finish the iteration
+                # that crosses the budget.  Reproduce that convention.
+                stop = StopRule(budget=n + 1 if method is Method.FIBONACCI else n)
+                rows.append(_row(
+                    case, method, n, stop, case.ref_errors.get((method, n)),
+                    lambda res: abs(res.x_min - case.x_star),
+                    lambda measured, expected: measured <= min(TABLE2_ERROR_FACTOR * expected, bound),
+                ))
     return BenchReport("table2", tuple(rows))
 
 
@@ -290,19 +281,20 @@ def fibonacci_budget_for(length: float, tol: float) -> int:
     return n
 
 
-def run_verify(grid_points: int = 1_000_001, tol: float = 1e-6,
-               agreement: float = 1e-4) -> tuple[list[VerifyRow], float]:
+def run_verify(grid_points: int = 1_000_001) -> tuple[list[VerifyRow], float]:
     """Check every solver against the grid oracle on every non-garbled case.
 
-    Returns the per-(case, method) rows and the agreement threshold used:
-    ``agreement``, widened to twice the grid resolution when the grid is too
-    coarse to certify at ``agreement``.
+    Each solver runs at half-width ``VERIFY_TOL`` (Fibonacci at the budget
+    that guarantees it).  Returns the per-(case, method) rows and the
+    agreement threshold used: ``VERIFY_AGREEMENT``, widened to twice the grid
+    resolution when the grid is too coarse to certify at ``VERIFY_AGREEMENT``.
     """
+    _check_count(grid_points, 3, "grid points")
     cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
     worst_resolution = max(
         (c.interval.length() - 2e-9 * c.interval.length()) / (grid_points - 1) for c in cases
     )
-    threshold = max(agreement, 2 * worst_resolution)
+    threshold = max(VERIFY_AGREEMENT, 2 * worst_resolution)
 
     rows = []
     for case in cases:
@@ -310,10 +302,10 @@ def run_verify(grid_points: int = 1_000_001, tol: float = 1e-6,
         x_oracle, _ = brute_force_minimum(case.fn, case.interval, grid)
         for method in METHOD_ORDER:
             if method is Method.FIBONACCI:
-                budget = fibonacci_budget_for(case.interval.length(), tol)
+                budget = fibonacci_budget_for(case.interval.length(), VERIFY_TOL)
                 stop = StopRule(budget=budget)
             else:
-                stop = StopRule(epsilon=tol)
+                stop = StopRule(epsilon=VERIFY_TOL)
             res = minimize(method, Objective(case.fn), case.interval, stop)
             diff = abs(res.x_min - x_oracle)
             rows.append(VerifyRow(case.id, method, res.x_min, x_oracle, diff,

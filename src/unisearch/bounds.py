@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _check_count
+from .core import _check_count, _check_positive
 from .solvers import Method
 
 
@@ -55,19 +55,20 @@ class AccuracyBound:
 def iteration_bound(method: Method | str, length: float, epsilon: float) -> IterationBound:
     """Minimum iterations for the bracket half-width to reach ``epsilon``.
 
-    Requires length/(2*epsilon) > 1; smaller ratios are outside the formula's
-    domain and raise :class:`DomainError`.
+    Requires 1 < length/(2*epsilon) < inf; smaller ratios are outside the
+    formula's domain, and a ratio that overflows float64 cannot be computed:
+    both raise :class:`DomainError`.
     """
     method = _check_method(method)
-    if not (math.isfinite(length) and length > 0):
-        raise DomainError(f"length must be positive and finite, got {length!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_positive(length, "length", DomainError)
+    _check_positive(epsilon, "epsilon", DomainError)
     ratio = length / (2 * epsilon)
     if ratio <= 1:
         raise DomainError(
             f"length/(2*epsilon) must exceed 1, got {ratio!r}: the start bracket already satisfies the target"
         )
+    if ratio == math.inf:
+        raise DomainError(f"length/(2*epsilon) overflows float64 for length={length!r}, epsilon={epsilon!r}")
     log = math.log(ratio) / math.log(_SHRINK_BASE[method])
     return IterationBound(
         method=method,
@@ -83,16 +84,18 @@ def accuracy_bound(method: Method | str, length: float, n_evals: int) -> Accurac
     trichotomy: length / (2 * 3^((n-1)/4))
 
     Exponents are real-valued (no flooring).  For any n > 1 the halving bound
-    is strictly smaller; the two coincide at n = 1.
+    is strictly smaller; the two coincide at n = 1.  An ``n_evals`` so large
+    that the denominator overflows float64 raises :class:`DomainError`.
     """
     method = _check_method(method)
-    if not (math.isfinite(length) and length > 0):
-        raise DomainError(f"length must be positive and finite, got {length!r}")
+    _check_positive(length, "length", DomainError)
     _check_count(n_evals, 1, "n_evals", DomainError)
     base = _SHRINK_BASE[method]
     exponent = (n_evals - 1) / 2 if method is Method.HALVING else (n_evals - 1) / 4
-    return AccuracyBound(
-        method=method,
-        n_evals=n_evals,
-        epsilon_bound=length / (2 * base**exponent),
-    )
+    try:
+        denominator = 2 * base**exponent
+    except OverflowError:
+        denominator = math.inf
+    if denominator == math.inf:
+        raise DomainError(f"2*{base:g}**{exponent!r} overflows float64 for n_evals={n_evals}")
+    return AccuracyBound(method=method, n_evals=n_evals, epsilon_bound=length / denominator)

@@ -4,6 +4,14 @@ Subcommands: list, run, table, bounds, verify.  Exit codes are exactly 0
 (success), 2 (usage error), and 3 (run or comparison failure).  Identical
 invocations produce identical bytes on stdout; human summaries go to stderr
 and are suppressed by --quiet.
+
+Arguments argparse can check itself (choices, numbers that are not finite
+and positive, budgets below 2) end in its usage message.  Every other error
+is mapped to an exit code in one place, :func:`main`: a non-finite objective
+value is a failed run (3, ``run failed: ...``); an unknown case id, a value
+the library rejects (``ValueError``, including ``IncompatibleStopRule`` and
+``DomainError``) or an ``--out`` path that cannot be written is a usage error
+(2, ``error: ...``).
 """
 from __future__ import annotations
 
@@ -14,6 +22,7 @@ import sys
 from .bench import (
     FLAG_ENDPOINT_MIN,
     FLAG_GARBLED,
+    VERIFY_AGREEMENT,
     emit_report,
     find_case,
     all_cases,
@@ -21,15 +30,8 @@ from .bench import (
     run_table2,
     run_verify,
 )
-from .bounds import DomainError, accuracy_bound, iteration_bound
-from .core import (
-    IncompatibleStopRule,
-    Interval,
-    NonFiniteValue,
-    Objective,
-    StopRule,
-    _check_count,
-)
+from .bounds import accuracy_bound, iteration_bound
+from .core import NonFiniteValue, Objective, StopRule, _check_count, _check_positive
 from .solvers import Method, minimize
 
 _FORMATS = ("markdown", "csv", "json")
@@ -40,8 +42,7 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    _check_positive(value, "value", argparse.ArgumentTypeError)
     return value
 
 
@@ -52,11 +53,6 @@ def _budget_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     _check_count(value, 2, "budget", argparse.ArgumentTypeError)
     return value
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,32 +141,18 @@ def _run_payload(case, method, res, with_trace: bool):
 
 def cmd_run(args) -> int:
     method = Method(args.method)
-    try:
-        case = find_case(args.case_id)
-    except KeyError as e:
-        return _usage(str(e.args[0]))
-    if args.delta is not None and method is not Method.DICHOTOMOUS:
-        return _usage("--delta applies to the dichotomous method only")
+    case = find_case(args.case_id)
     stop = StopRule(epsilon=args.tol) if args.tol is not None else StopRule(budget=args.budget)
-    try:
-        res = minimize(method, Objective(case.fn), case.interval, stop, delta=args.delta)
-    except NonFiniteValue as e:
-        # a ValueError subclass, but a failed run, not a usage error
-        print(f"run failed: {e}", file=sys.stderr)
-        return 3
-    except (IncompatibleStopRule, ValueError) as e:
-        return _usage(str(e))
+    res = minimize(method, Objective(case.fn), case.interval, stop, delta=args.delta)
 
     if args.format == "json":
         print(json.dumps(_run_payload(case, method, res, args.trace), indent=2))
         return 0
     if args.format == "csv":
-        print("case,method,x_min,f_min,n_evals,n_iters,final_lo,final_hi")
-        print(",".join([
-            case.id, method.value, repr(res.x_min), repr(res.f_min),
-            str(res.n_evals), str(res.n_iters),
-            repr(res.final_interval.lo), repr(res.final_interval.hi),
-        ]))
+        # str(float) == repr(float): the row carries every digit
+        payload = _run_payload(case, method, res, with_trace=False)
+        print(",".join(payload))
+        print(",".join(map(str, payload.values())))
         return 0
     print(f"case: {case.id}  ({case.label} on [{case.interval.lo:g}, {case.interval.hi:g}])")
     print(f"method: {method.value}")
@@ -211,26 +193,21 @@ def cmd_table(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        if args.tol is not None:
-            for method in (Method.HALVING, Method.TRICHOTOMY):
-                b = iteration_bound(method, args.length, args.tol)
-                print(f"{method.value}: k_formula={b.k_formula} k_exact={b.k_exact}")
-        else:
-            for method in (Method.HALVING, Method.TRICHOTOMY):
-                b = accuracy_bound(method, args.length, args.budget)
-                print(f"{method.value}: accuracy_bound={b.epsilon_bound!r}")
-    except DomainError as e:
-        return _usage(str(e))
+    if args.tol is not None:
+        for method in (Method.HALVING, Method.TRICHOTOMY):
+            b = iteration_bound(method, args.length, args.tol)
+            print(f"{method.value}: k_formula={b.k_formula} k_exact={b.k_exact}")
+    else:
+        for method in (Method.HALVING, Method.TRICHOTOMY):
+            b = accuracy_bound(method, args.length, args.budget)
+            print(f"{method.value}: accuracy_bound={b.epsilon_bound!r}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.grid < 3:
-        return _usage("--grid needs at least 3 points")
     rows, threshold = run_verify(grid_points=args.grid)
-    if threshold > 1e-4 and not args.quiet:
-        print(f"warning: grid resolution exceeds the 1e-04 agreement target; "
+    if threshold > VERIFY_AGREEMENT and not args.quiet:
+        print(f"warning: grid resolution exceeds the {VERIFY_AGREEMENT:.0e} agreement target; "
               f"using threshold {threshold:.3e}", file=sys.stderr)
     failures = 0
     for r in rows:
@@ -246,16 +223,25 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
+    args = build_parser().parse_args(argv)
+    handler = {
         "list": cmd_list,
         "run": cmd_run,
         "table": cmd_table,
         "bounds": cmd_bounds,
         "verify": cmd_verify,
-    }
-    return handlers[args.command](args)
+    }[args.command]
+    try:
+        return handler(args)
+    except NonFiniteValue as e:
+        # a ValueError subclass, but a failed run, not a usage error
+        print(f"run failed: {e}", file=sys.stderr)
+        return 3
+    except (KeyError, ValueError, OSError) as e:
+        # a KeyError's str() quotes its message
+        message = e.args[0] if isinstance(e, KeyError) else e
+        print(f"error: {message}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -21,7 +21,10 @@ class NonFiniteValue(ValueError):
     """The objective produced NaN or +/-inf; the run fails.
 
     When raised from inside a solver the exception carries the iterations
-    completed so far in ``partial_trace``.
+    completed so far in ``partial_trace``.  It is the only objective failure
+    the solvers handle: any other exception raised by the function
+    propagates unchanged and without a trace, while :attr:`Objective.count`
+    still reports the evaluations paid before it.
     """
 
     def __init__(self, message: str, x: float | None = None):
@@ -38,6 +41,12 @@ def _check_count(value, minimum: int, what: str, error: type[Exception] = ValueE
     """Raise ``error`` unless ``value`` is an int, not a bool, and >= ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_positive(value: float, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is finite and > 0 (NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise error(f"{what} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,8 @@ class StopRule:
     def __post_init__(self) -> None:
         if (self.epsilon is None) == (self.budget is None):
             raise ValueError("provide exactly one of epsilon or budget")
-        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be a positive finite float, got {self.epsilon!r}")
+        if self.epsilon is not None:
+            _check_positive(self.epsilon, "epsilon")
         if self.budget is not None:
             _check_count(self.budget, 2, "budget")
 

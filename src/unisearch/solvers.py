@@ -16,6 +16,10 @@ iterations (half-width or length against epsilon, the evaluation budget,
 and a bracket that no longer shrinks), and the handling of a hard cap on the
 Objective (:class:`BudgetExhausted` ends the run cleanly) and of a
 non-finite value (:class:`NonFiniteValue` leaves with the partial trace).
+That is the whole contract for a failing objective: any other exception
+raised by the function (``ZeroDivisionError``, ``OverflowError``, ...)
+propagates unchanged and carries no trace; the Objective's ``count`` still
+reports the evaluations paid before it.
 
 Each method supplies only its step rule, ``step(a, b, state) -> (a, b,
 state)``: it pays for its probes and returns the bracket it keeps with the

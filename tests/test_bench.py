@@ -193,7 +193,7 @@ class TestEmitReport:
 
 class TestVerify:
     def test_coarse_grid_agreement(self):
-        rows, threshold = run_verify(grid_points=10_001, tol=1e-6)
+        rows, threshold = run_verify(grid_points=10_001)
         assert len(rows) == 22 * len(METHOD_ORDER)
         assert all(r.passed for r in rows)
         # 10001 points cannot certify at 1e-4; threshold widens to resolution
@@ -201,6 +201,11 @@ class TestVerify:
         for r in rows:
             assert r.diff == abs(r.x_solver - r.x_oracle)
             assert math.isfinite(r.x_oracle)
+
+    @pytest.mark.parametrize("grid_points", [0, 1, 2])
+    def test_grid_too_small(self, grid_points):
+        with pytest.raises(ValueError):
+            run_verify(grid_points=grid_points)
 
 
 class TestReportAggregation:

@@ -44,6 +44,8 @@ class TestIterationBound:
         for bad_eps in (0.0, -0.1, math.inf, math.nan):
             with pytest.raises(DomainError):
                 iteration_bound(Method.HALVING, 1.0, bad_eps)
+        with pytest.raises(DomainError):
+            iteration_bound(Method.HALVING, 1e308, 1e-308)   # ratio overflows
 
     def test_rejects_other_methods(self):
         with pytest.raises(ValueError):
@@ -97,6 +99,8 @@ class TestAccuracyBound:
                 accuracy_bound(Method.HALVING, 1.0, bad_n)
         with pytest.raises(DomainError):
             accuracy_bound(Method.HALVING, -1.0, 10)
+        with pytest.raises(DomainError):
+            accuracy_bound(Method.HALVING, 1.0, 100000)      # 2**49999.5 overflows
         with pytest.raises(ValueError):
             accuracy_bound(Method.DICHOTOMOUS, 1.0, 10)
 

@@ -27,6 +27,8 @@ class TestUsageErrors:
         ["run", "halving", "t1_01"],                               # no stop rule
         ["run", "halving", "t1_01", "--tol", "0.1", "--budget", "5"],
         ["run", "halving", "t1_01", "--tol", "-0.1"],
+        ["run", "halving", "t1_01", "--tol", "inf"],
+        ["run", "halving", "t1_01", "--tol", "1e400"],
         ["run", "halving", "t1_01", "--budget", "1"],
         ["table"],
         ["table", "3"],
@@ -53,6 +55,16 @@ class TestUsageErrors:
     def test_fibonacci_needs_budget(self, capsys):
         code, _, err = run_cli(capsys, "run", "fibonacci", "t1_01", "--tol", "0.1")
         assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--length", "1e308", "--tol", "1e-308"],
+        ["bounds", "--length", "1", "--budget", "100000"],
+    ])
+    def test_overflowing_bounds_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
         assert err.startswith("error:")
 
 
@@ -153,6 +165,13 @@ class TestTable:
         assert code == 0
         assert out == ""
         assert target.read_text().splitlines()[0] == unisearch.bench.CSV_HEADER
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "table", "2", "--out",
+                                 str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_failing_comparison_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(unisearch.bench, "TABLE1_COUNT_TOLERANCE", -1)

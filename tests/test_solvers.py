@@ -497,3 +497,16 @@ class TestNonFiniteHandling:
         with pytest.raises(NonFiniteValue):
             minimize_trichotomy(Objective(lambda x: math.inf),
                                 Interval(0.0, 1.0), StopRule(epsilon=0.1))
+
+
+class TestOtherObjectiveExceptions:
+    # the contract: only NonFiniteValue is handled; any other exception from
+    # the function propagates unchanged, without a trace, and the Objective
+    # still counts the evaluations paid before it
+    @pytest.mark.parametrize("method", list(Method))
+    def test_propagates_without_trace(self, method):
+        obj = Objective(lambda x: 1 / 0 if x < 0.3 else x)
+        with pytest.raises(ZeroDivisionError) as info:
+            minimize(method, obj, Interval(0.0, 1.0), StopRule(budget=20))
+        assert not hasattr(info.value, "partial_trace")
+        assert obj.count >= 1
