@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import accuracy_bound
 from .core import Interval, NonFiniteValue, Objective, StopRule, _check_count
 from .oracle import GridSpec, brute_force_minimum
-from .solvers import Method, minimize
+from .solvers import _FIB, Method, minimize
 
 FLAG_ENDPOINT_MIN = "endpoint-min"   # minimizer sits on the bracket boundary
 FLAG_GARBLED = "garbled"             # reference row is corrupt; report, don't gate
@@ -271,14 +271,14 @@ class VerifyRow:
 def fibonacci_budget_for(length: float, tol: float) -> int:
     """Smallest evaluation count whose Fibonacci estimate error is <= tol.
 
-    An n-evaluation run's estimate is off by at most length/F(n+1).
+    An n-evaluation run's estimate is off by at most length/F(n+1).  Raises
+    ValueError when no budget that Fibonacci search accepts is enough.
     """
-    n = 2
-    f_prev, f_cur = 2, 3   # F(2), F(3): the n = 2 error bound is length/F(3)
-    while length / f_cur > tol:
-        f_prev, f_cur = f_cur, f_prev + f_cur
-        n += 1
-    return n
+    for n in range(2, len(_FIB) - 1):     # budgets 2 .. 1400
+        if length / _FIB[n + 1] <= tol:
+            return n
+    raise ValueError(f"no Fibonacci budget up to {len(_FIB) - 2} reaches tol={tol!r} "
+                     f"on length {length!r}")
 
 
 def run_verify(grid_points: int = 1_000_001) -> tuple[list[VerifyRow], float]:

@@ -84,8 +84,9 @@ def accuracy_bound(method: Method | str, length: float, n_evals: int) -> Accurac
     trichotomy: length / (2 * 3^((n-1)/4))
 
     Exponents are real-valued (no flooring).  For any n > 1 the halving bound
-    is strictly smaller; the two coincide at n = 1.  An ``n_evals`` so large
-    that the denominator overflows float64 raises :class:`DomainError`.
+    is strictly smaller; the two coincide at n = 1.  A bound below the
+    smallest float64, which would round to 0.0 and so claim an exact answer,
+    raises :class:`DomainError`; so does a denominator that overflows.
     """
     method = _check_method(method)
     _check_positive(length, "length", DomainError)
@@ -93,9 +94,10 @@ def accuracy_bound(method: Method | str, length: float, n_evals: int) -> Accurac
     base = _SHRINK_BASE[method]
     exponent = (n_evals - 1) / 2 if method is Method.HALVING else (n_evals - 1) / 4
     try:
-        denominator = 2 * base**exponent
-    except OverflowError:
-        denominator = math.inf
-    if denominator == math.inf:
-        raise DomainError(f"2*{base:g}**{exponent!r} overflows float64 for n_evals={n_evals}")
-    return AccuracyBound(method=method, n_evals=n_evals, epsilon_bound=length / denominator)
+        bound = length / (2 * base**exponent)
+    except OverflowError:   # base**exponent beyond float64
+        bound = 0.0
+    if not bound > 0.0:
+        raise DomainError(f"the bound length/(2*{base:g}**{exponent!r}) underflows float64 "
+                          f"to 0 for length={length!r}, n_evals={n_evals}")
+    return AccuracyBound(method=method, n_evals=n_evals, epsilon_bound=bound)

@@ -9,8 +9,8 @@ the exact midpoint of the bracket; golden-section and Fibonacci carry the
 best evaluated interior point instead.
 
 One private engine, :func:`_drive`, runs the iterations of every method and
-owns all they share: the trace (one event per iteration, with probes that
-end a run folded into the last event), the collapse guard that keeps the
+owns all they share: the run record (one event per iteration, with probes
+that end a run folded into the last event), the collapse guard that keeps the
 bracket non-empty at the float64 floor, the stop rules checked between
 iterations (half-width or length against epsilon, the evaluation budget,
 and a bracket that no longer shrinks), and the handling of a hard cap on the
@@ -37,12 +37,26 @@ state it carries into the next iteration.
 
 Dichotomous search, and golden section under an epsilon stop, end with one
 answer probe at the midpoint of the final bracket, also made by the engine.
+
+A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
+with one mark per event: the bracket the event left and the length of the
+log when it closed.  The trace (and a :class:`NonFiniteValue`'s partial
+trace), ``n_evals``, ``n_iters``, the final bracket and the best point are
+derived from that record when the run ends.
+
+Every probe must be finite.  Halving, trichotomy, dichotomous search and
+the answer probe compute probes as sums of bracket points, such as
+(a + b)/2, which overflow float64 on brackets whose endpoints lie near
++/-1.8e308 although the bracket's length is finite; such a probe raises
+``ValueError`` before the objective is called, rather than evaluating
+``x = inf`` and returning a wrong answer.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
 from itertools import chain, repeat
+from operator import itemgetter
 
 from .core import (
     BudgetExhausted,
@@ -71,58 +85,50 @@ class Method(str, Enum):
 
 
 class _Run:
-    """Per-run bookkeeping: probe accounting, trace assembly, best point."""
+    """Per-run record: one probe log, one mark per trace event.
+
+    ``log`` holds ``(x, f(x))`` for each paid evaluation, in order, and
+    ``marks`` holds ``(lo, hi, end)`` for each event: the bracket it left and
+    ``len(log)`` when it closed.  The trace, the counts, the final bracket and
+    the best point are all derived from these two lists.
+    """
 
     def __init__(self, obj: Objective):
         self.obj = obj
-        self.evals = 0
-        self.pending: list[tuple[float, float]] = []
-        self.events: list[TraceEvent] = []
-        self.best_x = math.nan
-        self.best_f = math.inf
+        self.log: list[tuple[float, float]] = []
+        self.marks: list[tuple[float, float, int]] = []
 
     def probe(self, x: float) -> float:
+        if x - x != 0.0:    # inf - inf and nan - nan are nan: the probe overflowed
+            raise ValueError(f"probe x={x!r} overflowed float64: the bracket's endpoints "
+                             "are too large in magnitude for its probe arithmetic")
         y = self.obj.evaluate(x)
-        self.evals += 1
-        self.pending.append((x, y))
-        if y < self.best_f:
-            self.best_x, self.best_f = x, y
+        self.log.append((x, y))
         return y
 
-    def flush(self, interval: Interval) -> None:
-        self.events.append(
-            TraceEvent(len(self.events) + 1, interval, len(self.pending), tuple(self.pending))
-        )
-        self.pending.clear()
+    def fold(self, lo: float, hi: float) -> None:
+        """Extend the last event to the end of the log (an answer probe, or the
+        probes of an iteration undone at the FP floor); with no event yet,
+        open one on [lo, hi]."""
+        if self.marks:
+            lo, hi, _ = self.marks.pop()
+        self.marks.append((lo, hi, len(self.log)))
 
-    def flush_partial(self, interval: Interval) -> None:
-        if self.pending:
-            self.flush(interval)
+    def trace(self) -> list[TraceEvent]:
+        events, start = [], 0
+        for i, (lo, hi, end) in enumerate(self.marks, 1):
+            events.append(TraceEvent(i, Interval(lo, hi), end - start, tuple(self.log[start:end])))
+            start = end
+        return events
 
-    def fold_pending_into_last(self, interval: Interval) -> None:
-        """Attach pending probes to the most recent event (an answer probe, or
-        the probes of an iteration undone at the FP floor)."""
-        if not self.events:
-            self.flush(interval)
-            return
-        last = self.events[-1]
-        self.events[-1] = TraceEvent(
-            last.iteration,
-            last.interval_after,
-            last.evals_this_iter + len(self.pending),
-            last.probes + tuple(self.pending),
-        )
-        self.pending.clear()
+    def best(self) -> tuple[float, float]:
+        """The first evaluated point of least value."""
+        return min(self.log, key=itemgetter(1))
 
-    def result(self, x: float, f: float, interval: Interval) -> RunResult:
-        return RunResult(
-            x_min=x,
-            f_min=f,
-            n_evals=self.evals,
-            n_iters=len(self.events),
-            final_interval=interval,
-            trace=tuple(self.events),
-        )
+    def result(self, x: float, f: float) -> RunResult:
+        trace = self.trace()
+        return RunResult(x_min=x, f_min=f, n_evals=len(self.log), n_iters=len(trace),
+                         final_interval=trace[-1].interval_after, trace=tuple(trace))
 
 
 def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
@@ -137,45 +143,48 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
     probes joining the previous event.  With ``answer``, and at most
     ``budget`` evaluations spent, the midpoint of the final bracket is then
     evaluated as the estimate: that probe joins the last event and the
-    state becomes ``(midpoint, f(midpoint))``.
+    state becomes ``(midpoint, f(midpoint))``.  An iteration cut short by
+    the objective's hard cap or by a non-finite value closes an event of its
+    own only if it paid for probes.
 
-    Returns ``(a, b, state, end)`` with ``end`` one of "epsilon", "budget",
-    "floor", "collapse" or, when the objective's hard cap refused a probe,
-    "exhausted"; then [a, b] and ``state`` are those before that probe.
+    Returns ``(state, end)`` with ``end`` one of "epsilon", "budget",
+    "floor", "collapse" or, when the hard cap refused a probe, "exhausted";
+    then ``state`` is the one before that probe.
     """
     a, b = iv.lo, iv.hi
+    log, marks = r.log, r.marks
     divisor = 2 if halve else 1
     try:
         while True:
             na, nb, state = step(a, b, state)
             length = nb - na
             if not length > 0.0:    # bracket collapsed at the FP floor
-                r.fold_pending_into_last(Interval(a, b))
+                r.fold(a, b)
                 end = "collapse"
                 break
-            r.flush(Interval(na, nb))
+            marks.append((na, nb, len(log)))
             span, a, b = b - a, na, nb
             if epsilon is not None and length / divisor <= epsilon:
                 end = "epsilon"
                 break
-            if budget is not None and r.evals >= budget:
+            if budget is not None and len(log) >= budget:
                 end = "budget"
                 break
             if floor and not length < span:   # numerical resolution floor
                 end = "floor"
                 break
-        if answer and (budget is None or r.evals <= budget):
+        if answer and (budget is None or len(log) <= budget):
             xm = (a + b) / 2
             state = (xm, r.probe(xm))
-            r.fold_pending_into_last(Interval(a, b))
-    except BudgetExhausted:
-        r.flush_partial(Interval(a, b))
-        return a, b, state, "exhausted"
-    except NonFiniteValue as e:
-        r.flush_partial(Interval(a, b))
-        e.partial_trace = list(r.events)
+            r.fold(a, b)
+    except (BudgetExhausted, NonFiniteValue) as e:
+        if len(log) > (marks[-1][2] if marks else 0):    # the iteration paid probes
+            marks.append((a, b, len(log)))
+        if isinstance(e, BudgetExhausted):
+            return state, "exhausted"
+        e.partial_trace = r.trace()
         raise
-    return a, b, state, end
+    return state, end
 
 
 def minimize_interval_halving(obj: Objective, iv: Interval, stop: StopRule) -> RunResult:
@@ -208,8 +217,8 @@ def minimize_interval_halving(obj: Objective, iv: Interval, stop: StopRule) -> R
         return x2, b, (x3, f3)
 
     x2 = (iv.lo + iv.hi) / 2
-    a, b, (x2, f2), _ = _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)
-    return r.result(x2, f2, Interval(a, b))
+    (x2, f2), _ = _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)
+    return r.result(x2, f2)
 
 
 def minimize_trichotomy(obj: Objective, iv: Interval, stop: StopRule) -> RunResult:
@@ -251,8 +260,8 @@ def minimize_trichotomy(obj: Objective, iv: Interval, stop: StopRule) -> RunResu
         return x2, x4, state                  # keep [x2, x4], x3 stays
 
     x3 = (iv.lo + iv.hi) / 2
-    a, b, (x3, f3), _ = _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)
-    return r.result(x3, f3, Interval(a, b))
+    (x3, f3), _ = _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)
+    return r.result(x3, f3)
 
 
 def default_dichotomous_delta(iv: Interval, stop: StopRule) -> float:
@@ -296,11 +305,11 @@ def minimize_dichotomous(
     # another pair is affordable while at most budget - 2 evaluations are
     # spent, and the answer probe while at most budget - 1 are
     budget = None if stop.budget is None else stop.budget - 1
-    a, b, best, _ = _drive(r, iv, step, None, stop.epsilon, budget, answer=True)
+    best, _ = _drive(r, iv, step, None, stop.epsilon, budget, answer=True)
     if best is None:      # the objective's own budget refused the first pair
         raise BudgetExhausted("budget too small for a single probe pair")
     # the answer probe, or else the better probe of the last pair
-    return r.result(*best, Interval(a, b))
+    return r.result(*best)
 
 
 def _two_probe(r: _Run, iv: Interval, ratios):
@@ -352,10 +361,10 @@ def minimize_golden_section(obj: Objective, iv: Interval, stop: StopRule) -> Run
     r = _Run(obj)
     step, state = _two_probe(r, iv, repeat((1 - _INVPHI, _INVPHI)))
     answer = stop.epsilon is not None
-    a, b, state, end = _drive(r, iv, step, state, stop.epsilon, stop.budget,
-                              halve=False, answer=answer)
-    x, fx = state if answer and end != "exhausted" else (r.best_x, r.best_f)
-    return r.result(x, fx, Interval(a, b))
+    state, end = _drive(r, iv, step, state, stop.epsilon, stop.budget,
+                        halve=False, answer=answer)
+    x, fx = state if answer and end != "exhausted" else r.best()
+    return r.result(x, fx)
 
 
 def _fibonacci_numbers(n: int) -> list[int]:
@@ -389,10 +398,10 @@ def minimize_fibonacci(obj: Objective, iv: Interval, n_evals: int) -> RunResult:
     r = _Run(obj)
     step, state = _two_probe(r, iv, ladder)
     # no floor stop: the ladder spends its whole budget even at the FP floor
-    a, b, (x, fx, _), end = _drive(r, iv, step, state, None, n_evals, floor=False)
+    (x, fx, _), end = _drive(r, iv, step, state, None, n_evals, floor=False)
     if end != "budget":       # collapsed or capped before the ladder finished
-        x, fx = r.best_x, r.best_f
-    return r.result(x, fx, Interval(a, b))
+        x, fx = r.best()
+    return r.result(x, fx)
 
 
 _DISPATCH = {

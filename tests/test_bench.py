@@ -161,6 +161,11 @@ class TestFibonacciBudgetFor:
             assert 2.0 / fib[n + 1] <= tol
             assert n == 2 or 2.0 / fib[n] > tol
 
+    def test_no_accepted_budget_is_enough(self):
+        # 1400 evaluations reach length/F(1401), about 2.2e-293 here
+        with pytest.raises(ValueError):
+            fibonacci_budget_for(1.0, 1e-300)
+
 
 class TestEmitReport:
     def test_csv_shape_and_determinism(self):

@@ -101,6 +101,8 @@ class TestAccuracyBound:
             accuracy_bound(Method.HALVING, -1.0, 10)
         with pytest.raises(DomainError):
             accuracy_bound(Method.HALVING, 1.0, 100000)      # 2**49999.5 overflows
+        with pytest.raises(DomainError):
+            accuracy_bound(Method.HALVING, 1e-300, 1000)     # the bound underflows to 0
         with pytest.raises(ValueError):
             accuracy_bound(Method.DICHOTOMOUS, 1.0, 10)
 

@@ -60,6 +60,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--length", "1e308", "--tol", "1e-308"],
         ["bounds", "--length", "1", "--budget", "100000"],
+        ["bounds", "--length", "1e-300", "--budget", "2000"],
     ])
     def test_overflowing_bounds_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

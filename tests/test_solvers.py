@@ -9,6 +9,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from unisearch.bench import fibonacci_budget_for
 from unisearch.core import (
     BudgetExhausted,
     IncompatibleStopRule,
@@ -448,6 +449,67 @@ class TestEngineInvariants:
         check_trace(iv, res.trace)
         assert res.final_interval == res.trace[-1].interval_after
         assert res.final_interval.contains(res.x_min)
+
+
+class TestRunRecordAtFloor:
+    """The run record where the float64 floor ends runs: brackets a few ulps
+    wide collapse, answer probes fold into the last event, and hard caps cut
+    iterations short.  Probes may touch an endpoint here (a known fault), so
+    only the accounting is checked."""
+
+    @pytest.mark.parametrize("cap", [None, 3, 30, 53, 61, 70])
+    @pytest.mark.parametrize("limit", [1e-12, 100])
+    @pytest.mark.parametrize("lo,hi", [(1e6, 1e6 + 1), (-(1e6 + 1), -1e6), (1e15, 1e15 + 8)])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_accounting(self, method, lo, hi, limit, cap):
+        iv = Interval(lo, hi)
+        if isinstance(limit, int):
+            stop = StopRule(budget=limit)
+        elif method is Method.FIBONACCI:    # the budget that reaches epsilon
+            stop = StopRule(budget=fibonacci_budget_for(iv.length(), limit))
+        else:
+            stop = StopRule(epsilon=limit)
+        obj = Objective(quadratic(lo + 0.3 * (hi - lo)), budget=cap)
+        res = minimize(method, obj, iv, stop)
+        assert res.n_evals == obj.count == sum(ev.evals_this_iter for ev in res.trace)
+        assert all(ev.evals_this_iter == len(ev.probes) for ev in res.trace)
+        assert [ev.iteration for ev in res.trace] == list(range(1, res.n_iters + 1))
+        assert res.final_interval == res.trace[-1].interval_after
+        assert res.final_interval.contains(res.x_min)
+
+
+class TestOverflowingProbes:
+    """Brackets that Interval accepts but whose probe sums, such as (a + b)/2,
+    overflow float64: the probe raises ValueError before the objective sees it.
+    Golden section under a budget and Fibonacci probe at a + t*(b - a), which
+    stays finite, so they still finish."""
+
+    @pytest.mark.parametrize("lo,hi,f", [
+        (0.0, 1e308, lambda x: -min(x, 1e308) * 1e-308),
+        (1e308, 1.5e308, lambda x: abs(x - 1.2e308)),
+    ], ids=["0-1e308", "1e308-1.5e308"])
+    @pytest.mark.parametrize("method,limit", [
+        (m, limit) for m in Method for limit in (1e300, 40)
+        if m is not Method.FIBONACCI or limit == 40
+    ])
+    def test_probe_overflow_raises(self, method, limit, lo, hi, f):
+        stop = StopRule(budget=limit) if isinstance(limit, int) else StopRule(epsilon=limit)
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return f(x)
+
+        run = lambda: minimize(method, Objective(fn), Interval(lo, hi), stop)
+        if method is Method.FIBONACCI or (method is Method.GOLDEN and stop.is_budget):
+            res = run()
+            assert math.isfinite(res.x_min)
+            assert res.final_interval.contains(res.x_min)
+        else:
+            with pytest.raises(ValueError, match="overflow") as info:
+                run()
+            assert not isinstance(info.value, NonFiniteValue)
+        assert all(math.isfinite(x) for x in seen)
 
 
 class TestHardObjectiveBudget:
