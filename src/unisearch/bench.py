@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from io import StringIO
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -50,8 +49,8 @@ class BenchmarkCase:
     x_star: float | None                      # best known minimizer (float64-accurate)
     tol: float | None = None                  # table-1 half-width target
     budgets: tuple[int, ...] | None = None    # table-2 evaluation budgets
-    ref_counts: dict[Method, int] | None = None
-    ref_errors: dict[tuple[Method, int], float] | None = None
+    ref_counts: dict[Method, int] | None = None                  # in table-1 row order
+    ref_errors: dict[tuple[Method, int], float] | None = None    # in table-2 row order
     flags: frozenset[str] = frozenset()
 
 
@@ -192,68 +191,53 @@ class BenchReport:
         return all(r.passed for r in self.rows if r.passed is not None)
 
 
-def _sorted_methods(methods: Iterable[Method | str]) -> list[Method]:
-    return sorted({Method(m) for m in methods}, key=METHOD_ORDER.index)
-
-
 def _row(case, method, n, stop, expected, measure, judge) -> ReportRow:
     """Run ``method`` on ``case`` under ``stop`` and report one row.
 
     ``measure`` maps the run to the measured value and ``judge(measured,
     expected)`` to its verdict; ``judge=None`` marks a garbled row, reported
-    without one.  A row without a reference is reported unjudged, and a
-    non-finite objective value fails the row.
+    without one.  A non-finite objective value fails the row.
     """
     try:
         measured = measure(minimize(method, Objective(case.fn), case.interval, stop))
     except NonFiniteValue:
         return ReportRow(case.id, method, n, None, expected, None if judge is None else False, None)
-    if expected is None:
-        return ReportRow(case.id, method, n, measured, None, None, None)
     passed = None if judge is None else judge(measured, expected)
     return ReportRow(case.id, method, n, measured, expected, passed, measured - expected)
 
 
-def run_table1(
-    methods: Iterable[Method | str] | None = None,
-    case_ids: Iterable[str] | None = None,
-) -> BenchReport:
-    """Run the fixed-tolerance cases and compare evaluation counts."""
-    chosen = _sorted_methods(methods or (Method.HALVING, Method.TRICHOTOMY, Method.GOLDEN))
-    wanted = set(case_ids) if case_ids is not None else None
+def run_table1() -> BenchReport:
+    """Run every fixed-tolerance case under each method it has a reference count for."""
 
     def judge(measured, expected):
         return abs(measured - expected) <= TABLE1_COUNT_TOLERANCE
 
     return BenchReport("table1", tuple(
-        _row(case, method, None, StopRule(epsilon=case.tol), case.ref_counts.get(method),
+        _row(case, method, None, StopRule(epsilon=case.tol), count,
              lambda res: res.n_evals, None if FLAG_GARBLED in case.flags else judge)
-        for case in _TABLE1 if wanted is None or case.id in wanted
-        for method in chosen
+        for case in _TABLE1
+        for method, count in case.ref_counts.items()
     ))
 
 
-def run_table2(methods: Iterable[Method | str] | None = None) -> BenchReport:
-    """Run the fixed-budget cases and compare achieved errors."""
-    chosen = _sorted_methods(methods or (Method.HALVING, Method.TRICHOTOMY, Method.FIBONACCI))
-
+def run_table2() -> BenchReport:
+    """Run every fixed-budget case at each (method, budget) it has a reference error for."""
     rows = []
     for case in _TABLE2:
-        for method in chosen:
-            for n in case.budgets:
-                bound = (accuracy_bound(method, case.interval.length(), n).epsilon_bound
-                         if method in (Method.HALVING, Method.TRICHOTOMY) else math.inf)
-                # The published Fibonacci errors are finer than any
-                # N-evaluation lattice allows; they correspond to one
-                # uncharged stage on top of the nominal budget, matching
-                # how the iterative methods get to finish the iteration
-                # that crosses the budget.  Reproduce that convention.
-                stop = StopRule(budget=n + 1 if method is Method.FIBONACCI else n)
-                rows.append(_row(
-                    case, method, n, stop, case.ref_errors.get((method, n)),
-                    lambda res: abs(res.x_min - case.x_star),
-                    lambda measured, expected: measured <= min(TABLE2_ERROR_FACTOR * expected, bound),
-                ))
+        for (method, n), error in case.ref_errors.items():
+            bound = (accuracy_bound(method, case.interval.length(), n).epsilon_bound
+                     if method in (Method.HALVING, Method.TRICHOTOMY) else math.inf)
+            # The published Fibonacci errors are finer than any
+            # N-evaluation lattice allows; they correspond to one
+            # uncharged stage on top of the nominal budget, matching
+            # how the iterative methods get to finish the iteration
+            # that crosses the budget.  Reproduce that convention.
+            stop = StopRule(budget=n + 1 if method is Method.FIBONACCI else n)
+            rows.append(_row(
+                case, method, n, stop, error,
+                lambda res: abs(res.x_min - case.x_star),
+                lambda measured, expected: measured <= min(TABLE2_ERROR_FACTOR * expected, bound),
+            ))
     return BenchReport("table2", tuple(rows))
 
 
@@ -318,7 +302,7 @@ def _fmt(value, sig17: bool) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value)) if sig17 else f"{value:.2e}"
 
@@ -326,28 +310,21 @@ def _fmt(value, sig17: bool) -> str:
 CSV_HEADER = "case,method,n,measured,paper,pass,deviation"
 
 
+def _record(r: ReportRow) -> dict:
+    """One report row, keyed by the csv header's column names."""
+    return dict(zip(CSV_HEADER.split(","), (
+        r.case, r.method.value, r.n, r.measured, r.expected, r.passed, r.deviation,
+    )))
+
+
 def emit_report(report: BenchReport, fmt: str = "markdown") -> str:
     """Render a report as csv, markdown, or json (byte-deterministic)."""
     if fmt == "csv":
-        out = StringIO()
-        out.write(CSV_HEADER + "\n")
-        for r in report.rows:
-            out.write(",".join([
-                r.case, r.method.value,
-                _fmt(r.n, True), _fmt(r.measured, True), _fmt(r.expected, True),
-                _fmt(r.passed, True), _fmt(r.deviation, True),
-            ]) + "\n")
-        return out.getvalue()
+        lines = [CSV_HEADER]
+        lines += [",".join(_fmt(v, True) for v in _record(r).values()) for r in report.rows]
+        return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = [
-            {
-                "case": r.case, "method": r.method.value, "n": r.n,
-                "measured": r.measured, "paper": r.expected,
-                "pass": r.passed, "deviation": r.deviation,
-            }
-            for r in report.rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([_record(r) for r in report.rows], indent=2) + "\n"
     if fmt == "markdown":
         lines = [
             "| case | method | n | measured | paper | pass | deviation |",

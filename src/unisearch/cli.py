@@ -10,8 +10,8 @@ and positive, budgets below 2) end in its usage message.  Every other error
 is mapped to an exit code in one place, :func:`main`: a non-finite objective
 value is a failed run (3, ``run failed: ...``); an unknown case id, a value
 the library rejects (``ValueError``, including ``IncompatibleStopRule`` and
-``DomainError``) or an ``--out`` path that cannot be written is a usage error
-(2, ``error: ...``).
+``DomainError``), ``run --trace --format csv`` (a csv row has no trace) or an
+``--out`` path that cannot be written is a usage error (2, ``error: ...``).
 """
 from __future__ import annotations
 
@@ -140,36 +140,34 @@ def _run_payload(case, method, res, with_trace: bool):
 
 
 def cmd_run(args) -> int:
+    if args.trace and args.format == "csv":
+        raise ValueError("--trace has no csv form; use --format json or markdown")
     method = Method(args.method)
     case = find_case(args.case_id)
     stop = StopRule(epsilon=args.tol) if args.tol is not None else StopRule(budget=args.budget)
     res = minimize(method, Objective(case.fn), case.interval, stop, delta=args.delta)
+    payload = _run_payload(case, method, res, args.trace)
 
     if args.format == "json":
-        print(json.dumps(_run_payload(case, method, res, args.trace), indent=2))
+        print(json.dumps(payload, indent=2))
         return 0
+    # str(float) == repr(float): csv and markdown carry every digit
     if args.format == "csv":
-        # str(float) == repr(float): the row carries every digit
-        payload = _run_payload(case, method, res, with_trace=False)
         print(",".join(payload))
         print(",".join(map(str, payload.values())))
         return 0
     print(f"case: {case.id}  ({case.label} on [{case.interval.lo:g}, {case.interval.hi:g}])")
-    print(f"method: {method.value}")
-    print(f"x_min: {res.x_min!r}")
-    print(f"f_min: {res.f_min!r}")
-    print(f"n_evals: {res.n_evals}")
-    print(f"n_iters: {res.n_iters}")
-    print(f"final_interval: [{res.final_interval.lo!r}, {res.final_interval.hi!r}]")
+    for key in ("method", "x_min", "f_min", "n_evals", "n_iters"):
+        print(f"{key}: {payload[key]}")
+    print(f"final_interval: [{payload['final_lo']}, {payload['final_hi']}]")
     if args.trace:
         iv = case.interval
         print("trace:")
-        print(f"  0: [{iv.lo!r}, {iv.hi!r}] len={iv.length()!r} evals=0")
-        for ev in res.trace:
-            probes = " ".join(f"{x!r}:{fx!r}" for x, fx in ev.probes)
-            ia = ev.interval_after
-            print(f"  {ev.iteration}: [{ia.lo!r}, {ia.hi!r}] len={ia.length()!r} "
-                  f"evals={ev.evals_this_iter} probes={probes}")
+        print(f"  0: [{iv.lo}, {iv.hi}] len={iv.length()} evals=0")
+        for ev in payload["trace"]:
+            probes = " ".join(f"{x}:{fx}" for x, fx in ev["probes"])
+            print(f"  {ev['iter']}: [{ev['lo']}, {ev['hi']}] len={ev['length']} "
+                  f"evals={ev['evals']} probes={probes}")
     return 0
 
 
@@ -181,24 +179,22 @@ def cmd_table(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    gated = [r for r in report.rows if r.passed is not None]
-    passed = sum(1 for r in gated if r.passed)
-    excluded = len(report.rows) - len(gated)
+    passed = report.all_passed()
     if not args.quiet:
-        verdict = "PASS" if passed == len(gated) else "FAIL"
+        gated = [r.passed for r in report.rows if r.passed is not None]
+        excluded = len(report.rows) - len(gated)
         note = f" ({excluded} excluded)" if excluded else ""
-        print(f"{verdict}: {passed}/{len(gated)} comparisons within tolerance{note}",
-              file=sys.stderr)
-    return 0 if passed == len(gated) else 3
+        print(f"{'PASS' if passed else 'FAIL'}: {sum(gated)}/{len(gated)} "
+              f"comparisons within tolerance{note}", file=sys.stderr)
+    return 0 if passed else 3
 
 
 def cmd_bounds(args) -> int:
-    if args.tol is not None:
-        for method in (Method.HALVING, Method.TRICHOTOMY):
+    for method in (Method.HALVING, Method.TRICHOTOMY):
+        if args.tol is not None:
             b = iteration_bound(method, args.length, args.tol)
             print(f"{method.value}: k_formula={b.k_formula} k_exact={b.k_exact}")
-    else:
-        for method in (Method.HALVING, Method.TRICHOTOMY):
+        else:
             b = accuracy_bound(method, args.length, args.budget)
             print(f"{method.value}: accuracy_bound={b.epsilon_bound!r}")
     return 0

@@ -90,6 +90,11 @@ class TestRegistry:
             find_case("t1_99")
 
 
+def _subset(report, *case_ids):
+    """The rows of ``report`` on the given cases, as a report of the same kind."""
+    return BenchReport(report.kind, tuple(r for r in report.rows if r.case in case_ids))
+
+
 class TestTable1:
     def test_full_run_matches_references(self):
         report = run_table1()
@@ -102,30 +107,17 @@ class TestTable1:
         assert report.all_passed()
 
     def test_garbled_case_reported_not_gated(self):
-        report = run_table1(case_ids=["t1_20"])
+        report = _subset(run_table1(), "t1_20")
         assert {r.passed for r in report.rows} == {None}
         assert all(r.measured is not None for r in report.rows)
 
     def test_pinned_counts(self):
-        report = run_table1(case_ids=["t1_09"])
+        report = _subset(run_table1(), "t1_09")
         by_method = {r.method: r for r in report.rows}
         assert by_method[Method.HALVING].measured == 53
         assert by_method[Method.TRICHOTOMY].measured == 43
         assert by_method[Method.GOLDEN].measured == 42
         assert all(r.deviation == 0 for r in report.rows)
-
-    def test_method_and_case_filters(self):
-        report = run_table1(methods=["golden"], case_ids=["t1_01", "t1_03"])
-        assert [(r.case, r.method) for r in report.rows] == [
-            ("t1_01", Method.GOLDEN), ("t1_03", Method.GOLDEN),
-        ]
-
-    def test_rows_follow_method_order(self):
-        report = run_table1(case_ids=["t1_05"],
-                            methods=["golden", "halving", "trichotomy"])
-        assert [r.method for r in report.rows] == [
-            Method.HALVING, Method.TRICHOTOMY, Method.GOLDEN,
-        ]
 
 
 class TestTable2:
@@ -144,6 +136,19 @@ class TestTable2:
         for case in ("t2_01", "t2_02", "t2_03"):
             for m in (Method.HALVING, Method.TRICHOTOMY, Method.FIBONACCI):
                 assert by[(case, m, 30)] < by[(case, m, 10)]
+
+
+class TestFullTables:
+    def test_rows_follow_the_registry(self):
+        assert [(r.case, r.method, r.n) for r in run_table1().rows] == [
+            (c.id, m, None) for c in registry_table1()
+            for m in (Method.HALVING, Method.TRICHOTOMY, Method.GOLDEN)
+        ]
+        assert [(r.case, r.method, r.n) for r in run_table2().rows] == [
+            (c.id, m, n) for c in registry_table2()
+            for m in (Method.HALVING, Method.TRICHOTOMY, Method.FIBONACCI)
+            for n in (10, 20, 30)
+        ]
 
 
 class TestFibonacciBudgetFor:
@@ -169,15 +174,15 @@ class TestFibonacciBudgetFor:
 
 class TestEmitReport:
     def test_csv_shape_and_determinism(self):
-        report = run_table1(case_ids=["t1_01", "t1_09"])
+        report = _subset(run_table1(), "t1_01", "t1_09")
         text = emit_report(report, "csv")
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(report.rows)
-        assert text == emit_report(run_table1(case_ids=["t1_01", "t1_09"]), "csv")
+        assert text == emit_report(_subset(run_table1(), "t1_01", "t1_09"), "csv")
 
     def test_json_round_trip(self):
-        report = run_table2(methods=["fibonacci"])
+        report = _subset(run_table2(), "t2_01")
         payload = json.loads(emit_report(report, "json"))
         assert len(payload) == len(report.rows)
         assert payload[0]["case"] == "t2_01"
@@ -185,7 +190,7 @@ class TestEmitReport:
                                    "pass", "deviation"}
 
     def test_markdown_table(self):
-        report = run_table1(case_ids=["t1_20"])
+        report = _subset(run_table1(), "t1_20")
         lines = emit_report(report, "markdown").splitlines()
         assert lines[0].startswith("| case | method |")
         assert all(line.startswith("|") for line in lines)
@@ -193,7 +198,7 @@ class TestEmitReport:
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            emit_report(run_table1(case_ids=["t1_01"]), "yaml")
+            emit_report(_subset(run_table1(), "t1_01"), "yaml")
 
 
 class TestVerify:

@@ -129,6 +129,15 @@ class TestRun:
         assert row.startswith("t1_02,trichotomy,")
         assert row.split(",")[4] == "31"
 
+    def test_csv_has_no_trace(self, capsys):
+        # a csv row cannot carry the trace, so asking for both is refused
+        code, out, err = run_cli(capsys, "run", "trichotomy", "t1_02",
+                                 "--tol", "1e-6", "--format", "csv", "--trace")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_fibonacci_minimal_budget(self, capsys):
         code, out, _ = run_cli(capsys, "run", "fibonacci", "t1_01", "--budget", "2")
         assert code == 0

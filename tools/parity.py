@@ -1,0 +1,174 @@
+"""Compare what two source trees of unisearch print and compute.
+
+    python3 tools/parity.py OLD_TREE NEW_TREE
+
+For each tree, one fresh interpreter runs with ``PYTHONPATH=<tree>/src`` and
+dumps one record per line:
+
+* in-process ``cli.main`` on ``table 1|2`` in three formats, ``verify --grid
+  10001``, ``run`` for every registry case and method under ``--tol 1e-6``
+  and ``--budget 20`` (json and markdown with ``--trace``, markdown, csv, and
+  one ``--trace --format csv``), and a few ``bounds`` and ``list`` commands:
+  stdout, stderr and exit code;
+* ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
+  and budgets 2 ... 100, and under ``Objective`` caps 0 ... 11;
+* ``minimize`` on the benchmark's four float64-floor brackets and on
+  [1e15, 1e15+8], with ε down to 1e-300 and budgets up to 1400.
+
+A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
+``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
+run is written as the exception type, message and ``partial_trace``.
+``Objective.count`` is written for both.  The tool prints the first
+differing records and exits 1 on any difference, 0 when every record is
+identical.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+EPSILONS = tuple(10.0 ** -k for k in range(2, 16))
+BUDGETS = (2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 50, 100)
+CAPS = range(12)
+# (c, lo, hi): (x - c)**2 where one ulp of the bracket is far above ε;
+# the first four are the benchmark's floor cases
+FLOOR_CASES = (
+    (1e6 + 0.3, 1e6, 1e6 + 1.0),
+    (1e6 + 0.7, 1e6, 1e6 + 1.0),
+    (-(1e6 + 0.3), -(1e6 + 1.0), -1e6),
+    (4e6 + 0.3, 4e6, 4e6 + 1.0),
+    (1e15 + 2.5, 1e15, 1e15 + 8.0),
+)
+FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
+FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
+SHOWN = 5                # differing records printed
+
+
+def _h(value):
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _events(trace):
+    return [[ev.iteration, _h(ev.interval_after.lo), _h(ev.interval_after.hi),
+             ev.evals_this_iter, [[_h(x), _h(fx)] for x, fx in ev.probes]]
+            for ev in trace]
+
+
+def _solve(minimize, method, obj, iv, stop):
+    try:
+        res = minimize(method, obj, iv, stop)
+    except Exception as e:     # a failure is part of the record
+        return ["error", type(e).__name__, str(e),
+                _events(getattr(e, "partial_trace", ())), obj.count]
+    return [_h(res.x_min), _h(res.f_min), res.n_evals, res.n_iters,
+            _h(res.final_interval.lo), _h(res.final_interval.hi),
+            _events(res.trace), obj.count]
+
+
+def _cli_commands(cases, methods):
+    yield from (["table", t, "--format", f] for t in ("1", "2")
+                for f in ("markdown", "csv", "json"))
+    yield ["verify", "--grid", "10001"]
+    for case in cases:
+        for method in methods:
+            for stop in (["--tol", "1e-6"], ["--budget", "20"]):
+                base = ["run", method, case, *stop]
+                yield base + ["--trace", "--format", "json"]
+                yield base + ["--trace"]
+                yield base
+                yield base + ["--format", "csv"]
+    yield ["run", "halving", "t1_01", "--tol", "1e-6", "--trace", "--format", "csv"]
+    yield from (["bounds", "--length", length, *rule] for length in ("1", "2", "1e-300")
+                for rule in (["--tol", "0.1"], ["--tol", "0.6"], ["--budget", "10"],
+                             ["--budget", "2000"]))
+    yield from (["list", *opt] for opt in ([], ["--table", "1"], ["--table", "2"],
+                                           ["--flag", "endpoint"], ["--flag", "garbled"]))
+
+
+def dump() -> None:
+    """Write every record of the imported tree to stdout, one JSON list per line."""
+    import unisearch
+    from unisearch import cli
+    from unisearch.bench import all_cases
+    from unisearch.core import Interval, Objective, StopRule
+    from unisearch.solvers import Method, minimize
+
+    out = sys.stdout
+    out.write(json.dumps(["tree", os.path.abspath(unisearch.__file__)]) + "\n")
+
+    def write(key, value):
+        out.write(json.dumps([key, value]) + "\n")
+
+    cases = all_cases()
+    methods = [m.value for m in Method]
+    for argv in _cli_commands([c.id for c in cases], methods):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+        write(["cli", *argv], [stdout.getvalue(), stderr.getvalue(), code])
+
+    stops = ([StopRule(epsilon=e) for e in EPSILONS]
+             + [StopRule(budget=n) for n in BUDGETS])
+    capped = (StopRule(epsilon=1e-6), StopRule(budget=20))
+    for case in cases:
+        for method in Method:
+            for stop in stops:
+                write(["minimize", case.id, method.value, repr(stop)],
+                      _solve(minimize, method, Objective(case.fn), case.interval, stop))
+            for stop in capped:
+                for cap in CAPS:
+                    write(["capped", case.id, method.value, repr(stop), cap],
+                          _solve(minimize, method, Objective(case.fn, budget=cap),
+                                 case.interval, stop))
+
+    floor_stops = ([StopRule(epsilon=e) for e in FLOOR_EPSILONS]
+                   + [StopRule(budget=n) for n in FLOOR_BUDGETS])
+    for c, lo, hi in FLOOR_CASES:
+        for method in Method:
+            for stop in floor_stops:
+                write(["floor", _h(c), _h(lo), _h(hi), method.value, repr(stop)],
+                      _solve(minimize, method, Objective(lambda x: (x - c) ** 2),
+                             Interval(lo, hi), stop))
+
+
+def _records(tree: str) -> list[str]:
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.abspath(tree), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", "import parity; parity.dump()"],
+                              env=env, cwd=cwd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"dump of {tree} failed:\n{proc.stderr}")
+    header, *records = proc.stdout.splitlines()
+    loaded = json.loads(header)[1]
+    if not loaded.startswith(src + os.sep):
+        sys.exit(f"dump of {tree} imported unisearch from {loaded}, not from {src}")
+    return records
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        sys.exit(f"usage: {sys.argv[0]} OLD_TREE NEW_TREE")
+    old, new = (_records(tree) for tree in sys.argv[1:])
+    differ = [(a, b) for a, b in zip(old, new) if a != b]
+    for a, b in differ[:SHOWN]:
+        at = next(i for i, (x, y) in enumerate(zip(a + "\0", b + "\1")) if x != y)
+        print(f"{json.loads(a)[0]}\n- ...{a[max(0, at - 120):at + 120]}\n"
+              f"+ ...{b[max(0, at - 120):at + 120]}\n")
+    if len(old) != len(new):
+        print(f"record counts differ: {len(old)} old, {len(new)} new")
+    print(f"{len(differ)} of {min(len(old), len(new))} records differ")
+    return 1 if differ or len(old) != len(new) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
