@@ -115,9 +115,9 @@ class _Run:
         self.marks.append((lo, hi, len(self.log)))
 
     def trace(self) -> list[TraceEvent]:
-        events, start = [], 0
+        events, start, log = [], 0, self.log
         for i, (lo, hi, end) in enumerate(self.marks, 1):
-            events.append(TraceEvent(i, Interval(lo, hi), end - start, tuple(self.log[start:end])))
+            events.append(TraceEvent(i, Interval(lo, hi), end - start, tuple(log[start:end])))
             start = end
         return events
 

@@ -1,5 +1,9 @@
 """Domain-type behavior: Interval, Objective, StopRule, RunResult."""
+import copy
+import dataclasses
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +13,7 @@ from unisearch.core import (
     Interval,
     NonFiniteValue,
     Objective,
+    RunResult,
     StopRule,
     TraceEvent,
 )
@@ -149,3 +154,83 @@ class TestTraceEvent:
         assert ev.iteration == 1
         assert ev.evals_this_iter == 2
         assert ev.probes[1] == (0.75, 3.0)
+
+
+def _records():
+    """One fresh Interval, TraceEvent and RunResult, built positionally."""
+    ev = TraceEvent(1, Interval(0.25, 0.75), 2, ((0.25, 5.0), (0.75, 3.0)))
+    return [Interval(0.0, 1.0), ev, RunResult(0.75, 3.0, 2, 1, Interval(0.25, 0.75), (ev,))]
+
+
+class TestRecordContract:
+    """The run records are frozen, slotted value types."""
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_frozen_and_slotted(self, i):
+        rec = _records()[i]
+        for f in dataclasses.fields(rec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, f.name, 0)
+        assert not hasattr(rec, "__dict__")
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_equality_and_hash_by_value(self, i):
+        rec, twin = _records()[i], _records()[i]
+        assert rec is not twin
+        assert rec == twin and hash(rec) == hash(twin)
+        first = dataclasses.fields(rec)[0].name
+        assert rec != dataclasses.replace(rec, **{first: getattr(rec, first) - 0.125})
+
+    def test_repr(self):
+        iv, ev, res = _records()
+        assert repr(iv) == "Interval(lo=0.0, hi=1.0)"
+        assert repr(ev) == ("TraceEvent(iteration=1, interval_after=Interval(lo=0.25, "
+                            "hi=0.75), evals_this_iter=2, probes=((0.25, 5.0), (0.75, 3.0)))")
+        # the trace is left out
+        assert repr(res) == ("RunResult(x_min=0.75, f_min=3.0, n_evals=2, n_iters=1, "
+                             "final_interval=Interval(lo=0.25, hi=0.75))")
+
+    def test_fields(self):
+        names = [[f.name for f in dataclasses.fields(rec)] for rec in _records()]
+        assert names == [
+            ["lo", "hi"],
+            ["iteration", "interval_after", "evals_this_iter", "probes"],
+            ["x_min", "f_min", "n_evals", "n_iters", "final_interval", "trace"],
+        ]
+
+    def test_keyword_construction_and_default_trace(self):
+        iv, ev, res = _records()
+        assert Interval(hi=1.0, lo=0.0) == iv
+        assert TraceEvent(probes=ev.probes, evals_this_iter=2, interval_after=ev.interval_after,
+                          iteration=1) == ev
+        assert RunResult(x_min=0.75, f_min=3.0, n_evals=2, n_iters=1,
+                         final_interval=res.final_interval, trace=res.trace) == res
+        bare = RunResult(0.75, 3.0, 2, 1, res.final_interval)
+        assert bare.trace == ()
+        assert bare == RunResult(x_min=0.75, f_min=3.0, n_evals=2, n_iters=1,
+                                 final_interval=res.final_interval)
+
+    def test_replace(self):
+        iv, ev, res = _records()
+        assert dataclasses.replace(iv, hi=2.0) == Interval(0.0, 2.0)
+        moved = dataclasses.replace(ev, iteration=2)
+        assert (moved.iteration, moved.probes) == (2, ev.probes)
+        moved = dataclasses.replace(res, x_min=0.5)
+        assert (moved.x_min, moved.trace) == (0.5, res.trace)
+        # validation runs on every construction, replace included
+        message = "interval requires lo < hi and a finite length, got [0.0, -1.0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Interval(0.0, -1.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(iv, hi=-1.0)
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_copy_and_pickle_round_trip(self, i):
+        rec = _records()[i]
+        copies = [copy.copy(rec), copy.deepcopy(rec)]
+        copies += [pickle.loads(pickle.dumps(rec, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is type(rec) and c == rec
+            assert [getattr(c, f.name) for f in dataclasses.fields(c)] == \
+                [getattr(rec, f.name) for f in dataclasses.fields(rec)]
