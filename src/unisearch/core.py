@@ -7,7 +7,8 @@ A run builds about one :class:`TraceEvent` and one :class:`Interval` per
 evaluation, so the records are slotted frozen dataclasses whose
 hand-written ``__init__`` stores each field through its slot descriptor,
 bound once below the class.  The generated frozen ``__init__`` stores
-through ``object.__setattr__`` instead and costs 1.5 to 1.8 times as much.
+through ``object.__setattr__`` instead and, on CPython 3.11, costs 1.5 to
+1.8 times as much.
 """
 from __future__ import annotations
 

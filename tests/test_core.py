@@ -179,7 +179,7 @@ class TestRecordContract:
         assert rec is not twin
         assert rec == twin and hash(rec) == hash(twin)
         first = dataclasses.fields(rec)[0].name
-        assert rec != dataclasses.replace(rec, **{first: getattr(rec, first) - 0.125})
+        assert rec != dataclasses.replace(rec, **{first: getattr(rec, first) - 1})
 
     def test_repr(self):
         iv, ev, res = _records()
