@@ -16,6 +16,8 @@ the library rejects (``ValueError``, including ``IncompatibleStopRule`` and
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import sys
 
@@ -56,6 +58,22 @@ def _budget_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a parser of its own for one caller.
+
+    It is a shallow copy of one parser that is built on first use and then
+    kept for the life of the process, so in-process callers pay for the
+    construction once; a shell invocation builds it once, as before.  The
+    copy shares its arguments and subparsers with every other copy.
+    Rebinding an attribute of the copy (``parser.parse_args = ...``) stays
+    with that copy, but adding arguments or defaults to it would reach every
+    later call.  Parsing, its usage errors and ``--help`` keep their state
+    in the namespace and in locals, so they never change the shared parser.
+    """
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unisearch",
         description="Derivative-free 1-D minimization by interval bracketing.",

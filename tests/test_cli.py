@@ -69,6 +69,39 @@ class TestUsageErrors:
         assert err.startswith("error:")
 
 
+class TestParserContract:
+    """Every build_parser() caller gets a parser of its own, and no parse,
+    usage error or --help changes what a later call prints."""
+
+    SEQUENCE = (
+        ["run", "golden", "t1_01", "--tol", "1e-6", "--trace", "--format", "json"],
+        ["run", "golden", "t1_01"],                                # argparse exit 2
+        ["--help"],                                                # exit 0
+        ["run", "halving", "t1_01", "--tol", "1e-6", "--delta", "0.01"],  # library error
+        ["table", "1", "--format", "csv"],
+    )
+
+    def test_each_call_gets_its_own_parser(self):
+        first = cli.build_parser()
+        first.parse_args = lambda argv=None: None      # as a tracer wraps it
+        later = cli.build_parser()
+        assert later is not first
+        assert later.parse_args.__func__ is type(later).parse_args
+
+    def test_repeated_commands_print_the_same(self, capsys):
+        def run(argv):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            return captured.out, captured.err, code
+
+        first = [run(argv) for argv in self.SEQUENCE]
+        assert [code for _, _, code in first] == [0, 2, 0, 2, 0]
+        assert [run(argv) for argv in self.SEQUENCE] == first
+
+
 class TestList:
     def test_counts(self, capsys):
         for argv, expected in (

@@ -5,10 +5,12 @@
 Runs ``TREE/perfbench/run.py`` from ``TREE``, one run at a time, for each
 workload in ``TREE/BENCHMARK.json`` at seed 1 and at that file's
 ``run_seconds``, first with ``--trace 0`` and then with ``--trace 1``.
-OUT.json holds ``git rev-parse HEAD`` of ``TREE``, the seed, the seconds
-and one entry per run: its workload, its trace flag, the machine line it
-printed first and the JSON object it printed last.  A run that exits
-non-zero stops the tool with that run's stderr; nothing is written then.
+OUT.json holds ``git rev-parse HEAD`` of ``TREE`` as ``commit``, ``dirty``
+(true when ``git status --porcelain`` of ``TREE`` is not empty, so the
+measured files may not be the commit's), the seed, the seconds and one entry
+per run: its workload, its trace flag, the machine line it printed first and
+the JSON object it printed last.  A run that exits non-zero stops the tool
+with that run's stderr; nothing is written then.
 """
 from __future__ import annotations
 
@@ -18,6 +20,11 @@ import subprocess
 import sys
 
 SEED = 1
+
+
+def _git(tree: str, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def _run(tree: str, workload: str, seconds: float, trace: int) -> dict:
@@ -39,11 +46,11 @@ def main() -> int:
     with open(os.path.join(tree, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
-                          text=True, check=True).stdout.strip()
+    head = _git(tree, "rev-parse", "HEAD")
+    dirty = _git(tree, "status", "--porcelain") != ""
     runs = [_run(tree, w["name"], seconds, trace)
             for w in spec["workloads"] for trace in (0, 1)]
-    record = {"commit": head, "seed": SEED, "seconds": seconds, "runs": runs}
+    record = {"commit": head, "dirty": dirty, "seed": SEED, "seconds": seconds, "runs": runs}
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

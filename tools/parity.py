@@ -8,8 +8,10 @@ dumps one record per line:
 * in-process ``cli.main`` on ``table 1|2`` in three formats, ``verify --grid
   10001``, ``run`` for every registry case and method under ``--tol 1e-6``
   and ``--budget 20`` (json and markdown with ``--trace``, markdown, csv, and
-  one ``--trace --format csv``), and a few ``bounds`` and ``list`` commands:
-  stdout, stderr and exit code;
+  one ``--trace --format csv``), a few ``bounds`` and ``list`` commands, no
+  arguments, ``--help`` of the program and of each subcommand, and nine
+  usage errors: stdout, stderr and exit code (``SystemExit``'s code where
+  argparse exits), with help text wrapped at ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
   and budgets 2 ... 100, and under ``Objective`` caps 0 ... 11;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
@@ -18,9 +20,9 @@ dumps one record per line:
 A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
 run is written as the exception type, message and ``partial_trace``.
-``Objective.count`` is written for both.  The tool prints the first
-differing records and exits 1 on any difference, 0 when every record is
-identical.
+``Objective.count`` is written for both: 7,341 records in all.  The tool
+prints the first differing records and exits 1 on any difference, 0 when
+every record is identical.
 """
 from __future__ import annotations
 
@@ -88,6 +90,13 @@ def _cli_commands(cases, methods):
                              ["--budget", "2000"]))
     yield from (["list", *opt] for opt in ([], ["--table", "1"], ["--table", "2"],
                                            ["--flag", "endpoint"], ["--flag", "garbled"]))
+    yield from ([], ["--help"])
+    yield from ([cmd, "--help"] for cmd in ("list", "run", "table", "bounds", "verify"))
+    yield from (["frob"], ["run"], ["run", "golden", "t1_01"],
+                ["run", "nope", "t1_01", "--tol", "1e-6"],
+                ["run", "golden", "t1_01", "--tol", "1e-6", "--budget", "20"],
+                ["run", "golden", "t1_01", "--tol", "-0.1"],
+                ["table", "3"], ["bounds", "--length", "1"], ["verify", "--grid", "x"])
 
 
 def dump() -> None:
@@ -142,7 +151,8 @@ def dump() -> None:
 def _records(tree: str) -> list[str]:
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.abspath(tree), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    # help text wraps at $COLUMNS
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]), COLUMNS="80")
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run([sys.executable, "-c", "import parity; parity.dump()"],
                               env=env, cwd=cwd, capture_output=True, text=True)
