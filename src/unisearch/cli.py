@@ -157,6 +157,47 @@ def _run_payload(case, method, res, with_trace: bool):
     return payload
 
 
+# The trace of `run --format json` in the layout of json.dumps(indent=2),
+# one template per event and one per [x, f(x)] probe.  Their whole domain:
+# every float is finite (Interval rejects non-finite endpoints, Objective
+# raises NonFiniteValue), so float.__repr__ prints what json prints; and a
+# run has at least one event and every event at least one probe, so no
+# list is empty, which json would print as [].
+_EVENT_JSON = """\
+    {
+      "iter": %d,
+      "lo": %s,
+      "hi": %s,
+      "length": %s,
+      "evals": %d,
+      "probes": [
+%s
+      ]
+    }"""
+_PROBE_JSON = """\
+        [
+          %s,
+          %s
+        ]"""
+
+
+def _run_json(payload) -> str:
+    """Return ``json.dumps(payload, indent=2)``, byte for byte.
+
+    On Python 3.11 that call runs the pure-Python encoder; here only the head
+    of eight scalars does, and the trace is spliced in from the templates.
+    """
+    head = json.dumps({k: v for k, v in payload.items() if k != "trace"}, indent=2)
+    if "trace" not in payload:
+        return head
+    r = float.__repr__     # what json prints for a float; repr() of a NumPy 2 scalar is not
+    events = ",\n".join(
+        _EVENT_JSON % (ev["iter"], r(ev["lo"]), r(ev["hi"]), r(ev["length"]), ev["evals"],
+                       ",\n".join([_PROBE_JSON % (r(x), r(fx)) for x, fx in ev["probes"]]))
+        for ev in payload["trace"])
+    return f'{head[:-2]},\n  "trace": [\n{events}\n  ]\n}}'
+
+
 def cmd_run(args) -> int:
     if args.trace and args.format == "csv":
         raise ValueError("--trace has no csv form; use --format json or markdown")
@@ -167,7 +208,7 @@ def cmd_run(args) -> int:
     payload = _run_payload(case, method, res, args.trace)
 
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_run_json(payload))
         return 0
     # str(float) == repr(float): csv and markdown carry every digit
     if args.format == "csv":

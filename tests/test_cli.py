@@ -5,12 +5,15 @@ import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import unisearch.bench
 import unisearch.cli as cli
-from unisearch.bench import VerifyRow, find_case
-from unisearch.solvers import Method
+from unisearch.bench import VerifyRow, all_cases, find_case
+from unisearch.core import Objective, StopRule
+from unisearch.solvers import Method, minimize
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +186,103 @@ class TestRun:
         assert code == 3
         assert out == ""
         assert err.startswith("run failed:")
+
+
+def _registry_run(case, method):
+    """The run that `run METHOD CASE` makes with --budget 20 for fibonacci
+    and --tol 1e-6 for the other methods, and that command's stop flags."""
+    if method is Method.FIBONACCI:
+        stop, flags = StopRule(budget=20), ("--budget", "20")
+    else:
+        stop, flags = StopRule(epsilon=1e-6), ("--tol", "1e-6")
+    return minimize(method, Objective(case.fn), case.interval, stop), flags
+
+
+# floats where float.__repr__ is easy to get wrong: signed zero, the least
+# subnormal, the largest finite value, and both sides of the switches to
+# exponent form at 1e16 and 1e-4
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                9999999999999998.0, 1e16, 1.0000000000000002e16,
+                0.0001, 9.999999999999999e-05, 1e-05, 1.0, 0.1)
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),   # subnormals
+    st.floats(1e15, 1e17), st.floats(-1e17, -1e15),
+    st.floats(1e-6, 1e-4), st.floats(-1e-4, -1e-6),
+)
+_LEAVES = _FLOATS | _FLOATS.map(np.float64)
+
+
+def _in_order(**fields):
+    """Dicts with these keys in this order (fixed_dictionaries sorts them)."""
+    return st.tuples(*fields.values()).map(lambda values: dict(zip(fields, values)))
+
+
+_EVENTS = _in_order(
+    iter=st.integers(1, 10**6),
+    lo=_LEAVES,
+    hi=_LEAVES,
+    length=_LEAVES,
+    evals=st.integers(1, 10**6),
+    probes=st.lists(st.lists(_LEAVES, min_size=2, max_size=2), min_size=1, max_size=4),
+)
+_PAYLOADS = _in_order(
+    case=st.text(max_size=8),
+    method=st.sampled_from([m.value for m in Method]),
+    x_min=_LEAVES,
+    f_min=_LEAVES,
+    n_evals=st.integers(0, 10**6),
+    n_iters=st.integers(0, 10**6),
+    final_lo=_LEAVES,
+    final_hi=_LEAVES,
+    trace=st.lists(_EVENTS, min_size=1, max_size=40),
+)
+
+
+class TestRunJson:
+    """`run --format json` prints exactly the bytes of
+    json.dumps(payload, indent=2), with or without the trace."""
+
+    @pytest.mark.parametrize("method", list(Method), ids=str)
+    @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.id)
+    def test_registry_bytes(self, capsys, case, method):
+        res, flags = _registry_run(case, method)
+        for trace in (False, True):
+            argv = ["run", method.value, case.id, *flags, "--format", "json"]
+            code, out, err = run_cli(capsys, *argv, *(["--trace"] if trace else []))
+            assert (code, err) == (0, "")
+            assert out == json.dumps(cli._run_payload(case, method, res, trace), indent=2) + "\n"
+        # every float of the trace (out is the traced run's) reads back bit for bit
+        bits = lambda v: float(v).hex()
+        got = [(ev["lo"], ev["hi"], ev["probes"]) for ev in json.loads(out)["trace"]]
+        want = [(ev.interval_after.lo, ev.interval_after.hi, ev.probes) for ev in res.trace]
+        assert len(got) == len(want)
+        for (lo, hi, probes), (lo0, hi0, probes0) in zip(got, want):
+            assert (bits(lo), bits(hi)) == (bits(lo0), bits(hi0))
+            assert [[bits(x), bits(fx)] for x, fx in probes] == \
+                   [[bits(x), bits(fx)] for x, fx in probes0]
+
+    @given(_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_renderer_matches_json(self, payload):
+        assert cli._run_json(payload) == json.dumps(payload, indent=2)
+        untraced = {k: v for k, v in payload.items() if k != "trace"}
+        assert cli._run_json(untraced) == json.dumps(untraced, indent=2)
+
+    def test_every_event_pays_a_probe(self):
+        # the templates print no empty list: a registry run has at least one
+        # event and every event at least one probe
+        for case in all_cases():
+            for method in Method:
+                stops = [StopRule(budget=n) for n in (2, 3, 20, 100)]
+                if method is not Method.FIBONACCI:
+                    stops += [StopRule(epsilon=e) for e in (1e-2, 1e-6, 1e-12)]
+                for stop in stops:
+                    res = minimize(method, Objective(case.fn), case.interval, stop)
+                    assert res.trace
+                    assert all(ev.evals_this_iter >= 1 for ev in res.trace)
 
 
 class TestTable:

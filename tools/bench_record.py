@@ -27,7 +27,7 @@ def _git(tree: str, *args: str) -> str:
                           check=True).stdout.strip()
 
 
-def _run(tree: str, workload: str, seconds: float, trace: int) -> dict:
+def run_benchmark(tree: str, workload: str, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
     print(" ".join(argv[1:]), file=sys.stderr, flush=True)
@@ -48,7 +48,7 @@ def main() -> int:
     seconds = spec["run_seconds"]
     head = _git(tree, "rev-parse", "HEAD")
     dirty = _git(tree, "status", "--porcelain") != ""
-    runs = [_run(tree, w["name"], seconds, trace)
+    runs = [run_benchmark(tree, w["name"], seconds, trace)
             for w in spec["workloads"] for trace in (0, 1)]
     record = {"commit": head, "dirty": dirty, "seed": SEED, "seconds": seconds, "runs": runs}
     with open(out, "w") as fh:
