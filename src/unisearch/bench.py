@@ -34,6 +34,7 @@ TABLE2_ERROR_FACTOR = 2.0
 TABLE2_BUDGETS = (10, 20, 30)
 VERIFY_TOL = 1e-6          # half-width every solver runs at in verify
 VERIFY_AGREEMENT = 1e-4    # solver-oracle distance verify accepts on a fine grid
+VERIFY_INSET = 1e-9        # oracle grid inset at each end, as a share of the length
 
 METHOD_ORDER = tuple(Method)
 
@@ -276,13 +277,14 @@ def run_verify(grid_points: int = 1_000_001) -> tuple[list[VerifyRow], float]:
     _check_count(grid_points, 3, "grid points")
     cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
     worst_resolution = max(
-        (c.interval.length() - 2e-9 * c.interval.length()) / (grid_points - 1) for c in cases
+        (c.interval.length() - 2 * (c.interval.length() * VERIFY_INSET)) / (grid_points - 1)
+        for c in cases
     )
     threshold = max(VERIFY_AGREEMENT, 2 * worst_resolution)
 
     rows = []
     for case in cases:
-        grid = GridSpec(points=grid_points, inset=case.interval.length() * 1e-9)
+        grid = GridSpec(points=grid_points, inset=case.interval.length() * VERIFY_INSET)
         x_oracle, _ = brute_force_minimum(case.fn, case.interval, grid)
         for method in METHOD_ORDER:
             if method is Method.FIBONACCI:

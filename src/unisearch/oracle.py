@@ -3,9 +3,14 @@
 Used to cross-validate solver answers: a dense uniform grid scan finds the
 grid minimizer directly, and a monotonicity scan certifies (at grid
 resolution) whether a function is unimodal on an interval.
+
+Both scan the grid in blocks of ``_BLOCK`` points, so a scan holds the
+float64 grid plus one block's temporaries, not a grid-sized array per ufunc,
+and stops at the first block holding a non-finite value.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,24 +38,38 @@ class GridSpec:
             raise ValueError(f"inset must be non-negative, got {self.inset!r}")
 
 
-def _sample(f: Callable[[float], float], iv: Interval, grid: GridSpec):
+_BLOCK = 8192   # points per block: 64 KiB per float64 temporary, inside L2
+
+
+def _blocks(f: Callable[[float], float], iv: Interval, grid: GridSpec):
+    """Yield ``(xs, ys)`` over the grid, ``_BLOCK`` points at a time.
+
+    Every ``xs`` is a view of one ``np.linspace`` array, so the grid floats
+    do not depend on the block size.  ``ys`` is ``f`` on the block: one
+    vectorised call, or one call per point when ``f`` refuses the array.
+    Raises NonFiniteValue at the first non-finite sample, before any later
+    block is evaluated.
+    """
     lo, hi = iv.lo + grid.inset, iv.hi - grid.inset
     if not lo < hi:
         raise ValueError("inset leaves an empty interval")
-    xs = np.linspace(lo, hi, grid.points)
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
-            raise TypeError("not vectorized")
-    except (TypeError, ValueError):
-        ys = np.fromiter((float(f(x)) for x in xs), dtype=float, count=len(xs))
-    bad = ~np.isfinite(ys)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteValue(
-            f"objective returned {ys[i]!r} at grid point x={xs[i]!r}", x=float(xs[i])
-        )
-    return xs, ys
+    grid_xs = np.linspace(lo, hi, grid.points)
+    for start in range(0, grid.points, _BLOCK):
+        xs = grid_xs[start:start + _BLOCK]
+        try:
+            ys = np.asarray(f(xs), dtype=float)
+            if ys.shape != xs.shape:
+                raise TypeError("not vectorized")
+        except (TypeError, ValueError):
+            ys = np.fromiter((float(f(x)) for x in xs), dtype=float, count=len(xs))
+        finite = np.isfinite(ys)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            x = float(xs[i])
+            raise NonFiniteValue(
+                f"objective returned {float(ys[i])!r} at grid point x={x!r}", x=x
+            )
+        yield xs, ys
 
 
 def brute_force_minimum(
@@ -60,10 +79,17 @@ def brute_force_minimum(
 
     Ties break to the lowest abscissa, so the result is independent of any
     evaluation order.  Resolution is (sampled length)/(points - 1).
+
+    The grid is scanned in blocks, keeping a running minimum: memory is the
+    float64 grid plus one block of temporaries.  A non-finite value raises
+    NonFiniteValue from the first block that holds one.
     """
-    xs, ys = _sample(f, iv, grid)
-    k = int(np.argmin(ys))          # first occurrence == lowest abscissa
-    return float(xs[k]), float(ys[k])
+    best_x = best_y = math.inf
+    for xs, ys in _blocks(f, iv, grid):
+        k = int(np.argmin(ys))      # first occurrence == lowest abscissa
+        if ys[k] < best_y:          # strict: an equal later block loses
+            best_x, best_y = float(xs[k]), float(ys[k])
+    return best_x, best_y
 
 
 def is_unimodal(
@@ -76,7 +102,7 @@ def is_unimodal(
     tolerated.  A strict rise before the minimizer or a strict fall after it
     returns False.
     """
-    xs, ys = _sample(f, iv, grid)
+    ys = np.concatenate([ys for _, ys in _blocks(f, iv, grid)])
     k = int(np.argmin(ys))
     d = np.diff(ys)
     return bool(np.all(d[:k] <= 0) and np.all(d[k:] >= 0))

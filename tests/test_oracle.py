@@ -1,11 +1,32 @@
 """Grid oracle: brute-force minima and unimodality certification."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from unisearch.bench import VERIFY_INSET, all_cases
 from unisearch.core import Interval, NonFiniteValue
-from unisearch.oracle import GridSpec, brute_force_minimum, is_unimodal
+from unisearch.oracle import _BLOCK, GridSpec, _blocks, brute_force_minimum, is_unimodal
+
+
+# scalar-only test functions: each refuses an array
+def _ties(x):
+    return 0.0 if x in (1.0, 3.0) else 1.0
+
+
+def _scalar_only(x):
+    if isinstance(x, np.ndarray):
+        raise TypeError("scalar only")
+    return (x - 0.25) ** 2
+
+
+def _plateau(x):
+    return max(abs(x) - 0.5, 0.0)
+
+
+def _narrow_dip(x):
+    return x * x - (2.0 if 0.701 < x < 0.702 else 0.0)
 
 
 class TestGridSpec:
@@ -39,20 +60,12 @@ class TestBruteForceMinimum:
 
     def test_tie_breaks_to_lowest_abscissa(self):
         # integer grid 0..4; equal minima at x = 1 and x = 3
-        def f(x):
-            return 0.0 if x in (1.0, 3.0) else 1.0
-
-        x, fx = brute_force_minimum(f, Interval(0.0, 4.0), GridSpec(points=5))
+        x, fx = brute_force_minimum(_ties, Interval(0.0, 4.0), GridSpec(points=5))
         assert x == 1.0
         assert fx == 0.0
 
     def test_scalar_only_functions_work(self):
-        def f(x):
-            if isinstance(x, np.ndarray):
-                raise TypeError("scalar only")
-            return (x - 0.25) ** 2
-
-        x, _ = brute_force_minimum(f, Interval(0.0, 1.0), GridSpec(points=101))
+        x, _ = brute_force_minimum(_scalar_only, Interval(0.0, 1.0), GridSpec(points=101))
         assert x == 0.25
 
     def test_nonfinite_sample_raises(self):
@@ -93,8 +106,7 @@ class TestIsUnimodal:
         assert not is_unimodal(lambda x: np.sin(10 * x), Interval(0.0, 3.0))
 
     def test_plateau_tolerated(self):
-        assert is_unimodal(lambda x: max(abs(x) - 0.5, 0.0),
-                           Interval(-1.0, 1.0), GridSpec(points=101))
+        assert is_unimodal(_plateau, Interval(-1.0, 1.0), GridSpec(points=101))
 
     def test_secondary_dip_detected(self):
         # -(0.2x + sin 2x) on [0, 3] has a local max near 2.31 and falls
@@ -104,14 +116,135 @@ class TestIsUnimodal:
 
     def test_respects_grid_resolution(self):
         # a dip narrower than the grid spacing is invisible at 11 points
-        def f(x):
-            return x * x - (2.0 if 0.701 < x < 0.702 else 0.0)
-
         iv = Interval(0.0, 1.0)
-        assert is_unimodal(f, iv, GridSpec(points=11))
-        assert not is_unimodal(f, iv, GridSpec(points=10_001))
+        assert is_unimodal(_narrow_dip, iv, GridSpec(points=11))
+        assert not is_unimodal(_narrow_dip, iv, GridSpec(points=10_001))
 
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteValue):
             is_unimodal(lambda x: math.nan, Interval(0.0, 1.0),
                         GridSpec(points=11))
+
+
+def _whole_grid(f, iv, grid):
+    """The reference scan: ``f`` on the whole grid in one call (pointwise when
+    ``f`` refuses the array), as the oracle did before it scanned in blocks."""
+    xs = np.linspace(iv.lo + grid.inset, iv.hi - grid.inset, grid.points)
+    try:
+        ys = np.asarray(f(xs), dtype=float)
+        if ys.shape != xs.shape:
+            raise TypeError("not vectorized")
+    except (TypeError, ValueError):
+        ys = np.fromiter((float(f(x)) for x in xs), dtype=float, count=len(xs))
+    return xs, ys
+
+
+def _bits(values):
+    """Floats as their int64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _integer_grid(n):
+    """Interval and grid whose points are exactly 0.0, 1.0, ..., n - 1."""
+    return Interval(0.0, float(n - 1)), GridSpec(points=n)
+
+
+GRID_SIZES = (3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 10_001, 1_000_001)
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("points", GRID_SIZES)
+    @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.id)
+    def test_matches_whole_grid_bit_for_bit(self, case, points):
+        # inset 0 samples the poles of several cases; the garbled t1_20 has
+        # poles inside its bracket
+        iv = case.interval
+        for grid in (GridSpec(points=points),
+                     GridSpec(points=points, inset=iv.length() * VERIFY_INSET)):
+            with np.errstate(all="ignore"):
+                xs, ys = _whole_grid(case.fn, iv, grid)
+                bad = ~np.isfinite(ys)
+                if bad.any():
+                    with pytest.raises(NonFiniteValue) as info:
+                        brute_force_minimum(case.fn, iv, grid)
+                    assert _bits(info.value.x) == _bits(xs[np.argmax(bad)])
+                    continue
+                blocks = list(_blocks(case.fn, iv, grid))
+                result = brute_force_minimum(case.fn, iv, grid)
+            assert all(len(b) == _BLOCK for b, _ in blocks[:-1])
+            assert np.array_equal(_bits(np.concatenate([b for b, _ in blocks])), _bits(xs))
+            assert np.array_equal(_bits(np.concatenate([y for _, y in blocks])), _bits(ys))
+            k = int(np.argmin(ys))
+            assert np.array_equal(_bits(result), _bits((xs[k], ys[k])))
+
+    def test_tie_across_block_boundary_breaks_to_lower_abscissa(self):
+        iv, grid = _integer_grid(2 * _BLOCK)
+        last, first = float(_BLOCK - 1), float(_BLOCK)   # block 0's last, block 1's first
+        x, fx = brute_force_minimum(
+            lambda x: np.where((x == last) | (x == first), -1.0, 1.0), iv, grid)
+        assert (x, fx) == (last, -1.0)
+        x, _ = brute_force_minimum(
+            lambda x: np.where(x == last, -1.0, np.where(x == first, -2.0, 1.0)), iv, grid)
+        assert x == first
+
+    def test_first_nonfinite_point_in_a_later_block(self):
+        iv, grid = _integer_grid(4 * _BLOCK)
+        nan_at, inf_at = float(2 * _BLOCK + 5), float(2 * _BLOCK + 9)
+        seen = []
+
+        def f(x):
+            seen.append(x[-1])
+            return np.where(x == nan_at, np.nan, np.where(x == inf_at, np.inf, x))
+
+        with pytest.raises(NonFiniteValue) as info:
+            brute_force_minimum(f, iv, grid)
+        assert info.value.x == nan_at
+        assert str(info.value) == f"objective returned nan at grid point x={nan_at!r}"
+        assert max(seen) < 3 * _BLOCK       # the fourth block is never evaluated
+
+    def test_nonfinite_message_prints_python_floats(self):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NonFiniteValue) as info:
+                brute_force_minimum(lambda x: 1 / (x - 0.5), Interval(0.0, 1.0),
+                                    GridSpec(points=11))
+        assert str(info.value) == "objective returned inf at grid point x=0.5"
+        assert type(info.value.x) is float
+
+    @pytest.mark.parametrize("f", [_ties, _scalar_only, _plateau, _narrow_dip])
+    def test_scalar_only_functions_with_a_one_point_last_block(self, f):
+        grid = GridSpec(points=_BLOCK + 1)
+        for iv in (Interval(0.0, 4.0), Interval(-1.0, 1.0), Interval(0.0, 1.0)):
+            xs, ys = _whole_grid(f, iv, grid)
+            assert [len(b) for b, _ in _blocks(f, iv, grid)] == [_BLOCK, 1]
+            k = int(np.argmin(ys))
+            assert brute_force_minimum(f, iv, grid) == (xs[k], ys[k])
+            d = np.diff(ys)
+            assert is_unimodal(f, iv, grid) == (np.all(d[:k] <= 0) and np.all(d[k:] >= 0))
+
+    def test_is_unimodal_across_blocks(self):
+        n = 3 * _BLOCK + 5
+        iv, grid = _integer_grid(n)
+        c = float(2 * _BLOCK + 7)
+        assert is_unimodal(lambda x: (x - c) ** 2, iv, grid)
+        # one strict rise before the minimizer, across the first block boundary
+        bump = float(_BLOCK)
+        assert not is_unimodal(
+            lambda x: (x - c) ** 2 + np.where(x == bump, 4.0 * c, 0.0), iv, grid)
+        # one strict fall after the minimizer, across the last block boundary
+        dip = float(3 * _BLOCK)
+        assert not is_unimodal(
+            lambda x: (x - c) ** 2 - np.where(x == dip, 4.0 * n, 0.0) + 4.0 * n, iv, grid)
+        assert not is_unimodal(lambda x: np.sin(x / 1000.0), iv, grid)
+
+    def test_peak_memory_of_a_full_grid_scan(self):
+        case = next(c for c in all_cases() if c.id == "t1_04")
+        grid = GridSpec(inset=case.interval.length() * VERIFY_INSET)
+        assert grid.points == 1_000_001
+        tracemalloc.start()
+        try:
+            brute_force_minimum(case.fn, case.interval, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float64 grid is 8 MB; one block of temporaries is far less
+        assert peak < 12e6

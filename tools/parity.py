@@ -5,22 +5,28 @@
 For each tree, one fresh interpreter runs with ``PYTHONPATH=<tree>/src`` and
 dumps one record per line:
 
-* in-process ``cli.main`` on ``table 1|2`` in three formats, ``verify --grid
-  10001``, ``run`` for every registry case and method under ``--tol 1e-6``
-  and ``--budget 20`` (json and markdown with ``--trace``, markdown, csv, and
-  one ``--trace --format csv``), a few ``bounds`` and ``list`` commands, no
+* in-process ``cli.main`` on ``table 1|2`` in three formats, ``verify`` at
+  the default grid and with ``--grid 10001``, ``run`` for every registry
+  case and method under ``--tol 1e-6`` and ``--budget 20`` (json and
+  markdown with ``--trace``, markdown, csv, and one ``--trace --format
+  csv``), a few ``bounds`` and ``list`` commands, no
   arguments, ``--help`` of the program and of each subcommand, and nine
   usage errors: stdout, stderr and exit code (``SystemExit``'s code where
   argparse exits), with help text wrapped at ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
   and budgets 2 ... 100, and under ``Objective`` caps 0 ... 11;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
-  [1e15, 1e15+8], with ε down to 1e-300 and budgets up to 1400.
+  [1e15, 1e15+8], with ε down to 1e-300 and budgets up to 1400;
+* ``brute_force_minimum`` and ``is_unimodal`` on the 23 registry cases at
+  3, 8191, 8192, 8193, 16385, 10,001 and 1,000,001 grid points, each with
+  inset 0 and 1e-9 times the bracket length.
 
 A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
 run is written as the exception type, message and ``partial_trace``.
-``Objective.count`` is written for both: 7,341 records in all.  The tool
+``Objective.count`` is written for both.  An oracle scan is written as the
+minimizer and its value as ``float.hex``, or the verdict; a failed one as
+the exception type, message and ``x``.  7,986 records in all.  The tool
 prints the first differing records and exits 1 on any difference, 0 when
 every record is identical.
 """
@@ -34,6 +40,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 EPSILONS = tuple(10.0 ** -k for k in range(2, 16))
 BUDGETS = (2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 50, 100)
 CAPS = range(12)
@@ -46,6 +54,9 @@ FLOOR_CASES = (
     (4e6 + 0.3, 4e6, 4e6 + 1.0),
     (1e15 + 2.5, 1e15, 1e15 + 8.0),
 )
+# either side of the oracle's 8192-point blocks, verify --grid 10001 and the
+# default grid
+ORACLE_POINTS = (3, 8191, 8192, 8193, 2 * 8192 + 1, 10_001, 1_000_001)
 FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
 SHOWN = 5                # differing records printed
@@ -72,10 +83,20 @@ def _solve(minimize, method, obj, iv, stop):
             _events(res.trace), obj.count]
 
 
+def _oracle(scan, case, grid):
+    try:
+        with np.errstate(all="ignore"):     # the poles at inset 0 warn
+            res = scan(case.fn, case.interval, grid)
+    except Exception as e:     # a failure is part of the record
+        return ["error", type(e).__name__, str(e), _h(getattr(e, "x", None))]
+    return [_h(v) for v in res] if isinstance(res, tuple) else res
+
+
 def _cli_commands(cases, methods):
     yield from (["table", t, "--format", f] for t in ("1", "2")
                 for f in ("markdown", "csv", "json"))
     yield ["verify", "--grid", "10001"]
+    yield ["verify"]
     for case in cases:
         for method in methods:
             for stop in (["--tol", "1e-6"], ["--budget", "20"]):
@@ -105,6 +126,7 @@ def dump() -> None:
     from unisearch import cli
     from unisearch.bench import all_cases
     from unisearch.core import Interval, Objective, StopRule
+    from unisearch.oracle import GridSpec, brute_force_minimum, is_unimodal
     from unisearch.solvers import Method, minimize
 
     out = sys.stdout
@@ -137,6 +159,14 @@ def dump() -> None:
                     write(["capped", case.id, method.value, repr(stop), cap],
                           _solve(minimize, method, Objective(case.fn, budget=cap),
                                  case.interval, stop))
+
+    for case in cases:
+        for points in ORACLE_POINTS:
+            for inset in (0.0, case.interval.length() * 1e-9):
+                grid = GridSpec(points=points, inset=inset)
+                for scan in (brute_force_minimum, is_unimodal):
+                    write(["oracle", scan.__name__, case.id, points, _h(inset)],
+                          _oracle(scan, case, grid))
 
     floor_stops = ([StopRule(epsilon=e) for e in FLOOR_EPSILONS]
                    + [StopRule(budget=n) for n in FLOOR_BUDGETS])
