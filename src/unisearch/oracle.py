@@ -4,9 +4,11 @@ Used to cross-validate solver answers: a dense uniform grid scan finds the
 grid minimizer directly, and a monotonicity scan certifies (at grid
 resolution) whether a function is unimodal on an interval.
 
-Both scan the grid in blocks of ``_BLOCK`` points, so a scan holds the
-float64 grid plus one block's temporaries, not a grid-sized array per ufunc,
-and stops at the first block holding a non-finite value.
+Both scan the grid in blocks of ``_BLOCK`` points, so the objective's
+temporaries are one block's size, not a grid-sized array per ufunc, and a
+scan stops at the first block holding a non-finite value.  The minimum scan
+holds the float64 grid plus one block; the unimodality scan also keeps every
+sample.
 """
 from __future__ import annotations
 

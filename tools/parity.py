@@ -9,10 +9,10 @@ dumps one record per line:
   the default grid and with ``--grid 10001``, ``run`` for every registry
   case and method under ``--tol 1e-6`` and ``--budget 20`` (json and
   markdown with ``--trace``, markdown, csv, and one ``--trace --format
-  csv``), a few ``bounds`` and ``list`` commands, no
-  arguments, ``--help`` of the program and of each subcommand, and nine
-  usage errors: stdout, stderr and exit code (``SystemExit``'s code where
-  argparse exits), with help text wrapped at ``COLUMNS=80``;
+  csv``), a few ``bounds`` and ``list`` commands, no arguments, ``--help``
+  of the program and of each subcommand, and nine usage errors: stdout,
+  stderr and exit code (``SystemExit``'s code where argparse exits), with
+  help text wrapped at ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
   and budgets 2 ... 100, and under ``Objective`` caps 0 ... 11;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
