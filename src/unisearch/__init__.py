@@ -17,13 +17,7 @@ from .core import (
 )
 from .solvers import (
     Method,
-    default_dichotomous_delta,
     minimize,
-    minimize_dichotomous,
-    minimize_fibonacci,
-    minimize_golden_section,
-    minimize_interval_halving,
-    minimize_trichotomy,
 )
 from .bounds import (
     AccuracyBound,
@@ -69,17 +63,11 @@ __all__ = [
     "accuracy_bound",
     "all_cases",
     "brute_force_minimum",
-    "default_dichotomous_delta",
     "emit_report",
     "find_case",
     "is_unimodal",
     "iteration_bound",
     "minimize",
-    "minimize_dichotomous",
-    "minimize_fibonacci",
-    "minimize_golden_section",
-    "minimize_interval_halving",
-    "minimize_trichotomy",
     "registry_table1",
     "registry_table2",
     "run_table1",

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .bounds import accuracy_bound
-from .core import Interval, NonFiniteValue, Objective, StopRule, _check_count
+from .core import Interval, NonFiniteValue, Objective, StopRule
 from .oracle import GridSpec, brute_force_minimum
-from .solvers import _FIB, Method, minimize
+from .solvers import Method, fibonacci_budget_for, minimize
 
 FLAG_ENDPOINT_MIN = "endpoint-min"   # minimizer sits on the bracket boundary
 FLAG_GARBLED = "garbled"             # reference row is corrupt; report, don't gate
@@ -47,7 +47,7 @@ class BenchmarkCase:
     label: str
     fn: Callable[[float], float]
     interval: Interval
-    x_star: float | None                      # best known minimizer (float64-accurate)
+    x_star: float                             # best known minimizer (float64-accurate)
     tol: float | None = None                  # table-1 half-width target
     budgets: tuple[int, ...] | None = None    # table-2 evaluation budgets
     ref_counts: dict[Method, int] | None = None                  # in table-1 row order
@@ -253,20 +253,7 @@ class VerifyRow:
     passed: bool
 
 
-def fibonacci_budget_for(length: float, tol: float) -> int:
-    """Smallest evaluation count whose Fibonacci estimate error is <= tol.
-
-    An n-evaluation run's estimate is off by at most length/F(n+1).  Raises
-    ValueError when no budget that Fibonacci search accepts is enough.
-    """
-    for n in range(2, len(_FIB) - 1):     # budgets 2 .. 1400
-        if length / _FIB[n + 1] <= tol:
-            return n
-    raise ValueError(f"no Fibonacci budget up to {len(_FIB) - 2} reaches tol={tol!r} "
-                     f"on length {length!r}")
-
-
-def run_verify(grid_points: int = 1_000_001) -> tuple[list[VerifyRow], float]:
+def run_verify(grid_points: int = GridSpec.points) -> tuple[list[VerifyRow], float]:
     """Check every solver against the grid oracle on every non-garbled case.
 
     Each solver runs at half-width ``VERIFY_TOL`` (Fibonacci at the budget
@@ -274,18 +261,18 @@ def run_verify(grid_points: int = 1_000_001) -> tuple[list[VerifyRow], float]:
     agreement threshold used: ``VERIFY_AGREEMENT``, widened to twice the grid
     resolution when the grid is too coarse to certify at ``VERIFY_AGREEMENT``.
     """
-    _check_count(grid_points, 3, "grid points")
+    grid = GridSpec(points=grid_points)
     cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
     worst_resolution = max(
-        (c.interval.length() - 2 * (c.interval.length() * VERIFY_INSET)) / (grid_points - 1)
+        (c.interval.length() - 2 * (c.interval.length() * VERIFY_INSET)) / (grid.points - 1)
         for c in cases
     )
     threshold = max(VERIFY_AGREEMENT, 2 * worst_resolution)
 
     rows = []
     for case in cases:
-        grid = GridSpec(points=grid_points, inset=case.interval.length() * VERIFY_INSET)
-        x_oracle, _ = brute_force_minimum(case.fn, case.interval, grid)
+        inset = case.interval.length() * VERIFY_INSET
+        x_oracle, _ = brute_force_minimum(case.fn, case.interval, replace(grid, inset=inset))
         for method in METHOD_ORDER:
             if method is Method.FIBONACCI:
                 budget = fibonacci_budget_for(case.interval.length(), VERIFY_TOL)

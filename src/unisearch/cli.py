@@ -28,12 +28,15 @@ from .bench import (
     emit_report,
     find_case,
     all_cases,
+    registry_table1,
+    registry_table2,
     run_table1,
     run_table2,
     run_verify,
 )
 from .bounds import accuracy_bound, iteration_bound
 from .core import NonFiniteValue, Objective, StopRule, _check_count, _check_positive
+from .oracle import GridSpec
 from .solvers import Method, minimize
 
 _FORMATS = ("markdown", "csv", "json")
@@ -109,25 +112,23 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--budget", type=_budget_int, help="evaluation budget")
 
     p_verify = sub.add_parser("verify", help="check every solver against the grid oracle")
-    p_verify.add_argument("--grid", type=int, default=1_000_001,
-                          help="grid points (default 1000001)")
+    p_verify.add_argument("--grid", type=int, default=GridSpec.points,
+                          help="grid points (default %(default)s)")
     p_verify.add_argument("--quiet", action="store_true", help="suppress the summary line")
 
     return parser
 
 
 def cmd_list(args) -> int:
-    cases = all_cases()
-    if args.table:
-        cases = [c for c in cases if c.id.startswith(f"t{args.table}_")]
+    cases = {"1": registry_table1, "2": registry_table2}.get(args.table, all_cases)()
     if args.flag:
         flag = {"endpoint": FLAG_ENDPOINT_MIN, "garbled": FLAG_GARBLED}[args.flag]
         cases = [c for c in cases if flag in c.flags]
     for c in cases:
         stop = f"tol={c.tol:g}" if c.tol is not None else f"budgets={','.join(map(str, c.budgets))}"
-        star = f"x*={c.x_star:.6g}" if c.x_star is not None else "x*=?"
         flags = f"  [{','.join(sorted(c.flags))}]" if c.flags else ""
-        print(f"{c.id}  {c.label}  on [{c.interval.lo:g}, {c.interval.hi:g}]  {stop}  {star}{flags}")
+        print(f"{c.id}  {c.label}  on [{c.interval.lo:g}, {c.interval.hi:g}]  {stop}  "
+              f"x*={c.x_star:.6g}{flags}")
     return 0
 
 

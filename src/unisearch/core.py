@@ -126,12 +126,20 @@ class Objective:
 
 @dataclass(frozen=True)
 class StopRule:
-    """Termination rule: exactly one of ``epsilon`` (half-width) or ``budget``.
+    """Termination rule: exactly one of ``epsilon`` or ``budget``.
 
-    * ``StopRule(epsilon=e)`` — stop once the bracket half-width (b-a)/2 <= e,
-      checked after each completed iteration.
-    * ``StopRule(budget=n)`` — stop when the next required evaluation would
-      exceed n total evaluations; n >= 2.
+    Both are checked between iterations, never inside one, and each method
+    keeps them in its own way (the table in :func:`unisearch.solvers.minimize`):
+
+    * ``StopRule(epsilon=e)`` — stop once the bracket half-width (b-a)/2 <= e;
+      golden section tests the full length b-a <= e instead.  Golden section
+      and dichotomous search then pay one answer probe at the midpoint.
+      Fibonacci search refuses an epsilon stop.
+    * ``StopRule(budget=n)``, n >= 2 — halving spends n or n+1 evaluations
+      and trichotomy n to n+2, since the iteration in progress finishes;
+      dichotomous, golden and Fibonacci search spend exactly n.  A run may
+      stop short of n once its bracket stops shrinking: at the float64
+      floor, or near delta for dichotomous search.
     """
 
     epsilon: float | None = None

@@ -8,6 +8,11 @@ evaluation.  Interval-halving and trichotomy keep their estimate pinned to
 the exact midpoint of the bracket; golden-section and Fibonacci carry the
 best evaluated interior point instead.
 
+One public function, :func:`minimize`, runs every method.  It checks its
+arguments once, opens the run record, calls the method's private body, which
+returns only the estimate ``(x, f(x))``, and builds the one
+:class:`~unisearch.core.RunResult` from the record.
+
 One private engine, :func:`_drive`, runs the iterations of every method and
 owns all they share: the run record (one event per iteration, with probes
 that end a run folded into the last event), the collapse guard that keeps the
@@ -67,7 +72,6 @@ from .core import (
     RunResult,
     StopRule,
     TraceEvent,
-    _check_count,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi = 0.6180339887498949
@@ -187,7 +191,7 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
     return state, end
 
 
-def minimize_interval_halving(obj: Objective, iv: Interval, stop: StopRule) -> RunResult:
+def _halving(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Interval halving: keep the bracket midpoint evaluated, probe quarter points.
 
     The midpoint x2 = (a+b)/2 is evaluated once up front (part of iteration 1).
@@ -201,7 +205,6 @@ def minimize_interval_halving(obj: Objective, iv: Interval, stop: StopRule) -> R
     evaluations.  A hard cap belongs on the Objective itself, which refuses
     the overshooting probe and ends the run mid-iteration.
     """
-    r = _Run(obj)
     probe = r.probe
 
     def step(a, b, state):
@@ -217,11 +220,10 @@ def minimize_interval_halving(obj: Objective, iv: Interval, stop: StopRule) -> R
         return x2, b, (x3, f3)
 
     x2 = (iv.lo + iv.hi) / 2
-    (x2, f2), _ = _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)
-    return r.result(x2, f2)
+    return _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)[0]
 
 
-def minimize_trichotomy(obj: Objective, iv: Interval, stop: StopRule) -> RunResult:
+def _trichotomy(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Trichotomy: keep the bracket midpoint evaluated, probe third points.
 
     The midpoint x3 = (a+b)/2 is evaluated once up front (part of iteration
@@ -236,7 +238,6 @@ def minimize_trichotomy(obj: Objective, iv: Interval, stop: StopRule) -> RunResu
     budget of N lets the iteration in progress finish (N to N+2 evaluations
     spent); a hard cap on the Objective ends the run mid-iteration.
     """
-    r = _Run(obj)
     probe = r.probe
 
     def step(a, b, state):
@@ -260,20 +261,10 @@ def minimize_trichotomy(obj: Objective, iv: Interval, stop: StopRule) -> RunResu
         return x2, x4, state                  # keep [x2, x4], x3 stays
 
     x3 = (iv.lo + iv.hi) / 2
-    (x3, f3), _ = _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)
-    return r.result(x3, f3)
+    return _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)[0]
 
 
-def default_dichotomous_delta(iv: Interval, stop: StopRule) -> float:
-    """Probe offset used by the dichotomous method when none is given."""
-    if stop.epsilon is not None:
-        return min(stop.epsilon / 2, iv.length() * 1e-6)
-    return iv.length() * 1e-6
-
-
-def minimize_dichotomous(
-    obj: Objective, iv: Interval, stop: StopRule, delta: float | None = None
-) -> RunResult:
+def _dichotomous(r: _Run, iv: Interval, stop: StopRule, delta: float) -> tuple[float, float]:
     """Dichotomous search: probe a symmetric pair around the bracket midpoint.
 
     Each iteration evaluates f(m - delta/2) and f(m + delta/2) at the current
@@ -282,15 +273,9 @@ def minimize_dichotomous(
     under a budget that cannot afford the answer probe, the better probe of
     the last completed pair is returned instead (it lies in the final
     bracket).  Budget affordability is checked per pair, so a trailing odd
-    evaluation funds the answer probe rather than half a pair.
+    evaluation funds the answer probe rather than half a pair: a budget of N
+    spends exactly N evaluations.
     """
-    if delta is None:
-        delta = default_dichotomous_delta(iv, stop)
-    if not (0 < delta < iv.length() / 4):
-        raise ValueError(
-            f"dichotomous delta must satisfy 0 < delta < length/4, got {delta!r}"
-        )
-    r = _Run(obj)
     probe = r.probe
 
     def step(a, b, state):
@@ -309,7 +294,7 @@ def minimize_dichotomous(
     if best is None:      # the objective's own budget refused the first pair
         raise BudgetExhausted("budget too small for a single probe pair")
     # the answer probe, or else the better probe of the last pair
-    return r.result(*best)
+    return best
 
 
 def _two_probe(r: _Run, iv: Interval, ratios):
@@ -347,24 +332,23 @@ def _two_probe(r: _Run, iv: Interval, ratios):
     return step, (xl, probe(xl), False)
 
 
-def minimize_golden_section(obj: Objective, iv: Interval, stop: StopRule) -> RunResult:
+def _golden(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Golden-section search with two interior points at the 1/phi split.
 
     Probes sit at a + (1 - 1/phi)*L and a + (1/phi)*L; after the first
     iteration (two evaluations) each iteration reuses the surviving point and
     pays one new evaluation, shrinking the bracket by the factor 1/phi.  With
-    an epsilon stop the loop runs while (b - a) > epsilon and then evaluates
-    the returned estimate, the midpoint of the final bracket, as one extra
-    answer probe.  Under a budget the method spends everything on shrink
-    steps and returns the best evaluated interior point.
+    an epsilon stop the loop runs while (b - a) > epsilon -- the full length,
+    not the half-width -- and then evaluates the returned estimate, the
+    midpoint of the final bracket, as one extra answer probe.  Under a budget
+    the method spends everything on shrink steps (exactly N evaluations) and
+    returns the best evaluated interior point.
     """
-    r = _Run(obj)
     step, state = _two_probe(r, iv, repeat((1 - _INVPHI, _INVPHI)))
     answer = stop.epsilon is not None
     state, end = _drive(r, iv, step, state, stop.epsilon, stop.budget,
                         halve=False, answer=answer)
-    x, fx = state if answer and end != "exhausted" else r.best()
-    return r.result(x, fx)
+    return state if answer and end != "exhausted" else r.best()
 
 
 def _fibonacci_numbers(n: int) -> list[int]:
@@ -374,40 +358,52 @@ def _fibonacci_numbers(n: int) -> list[int]:
     return fib
 
 
-_FIB = _fibonacci_numbers(1401)    # stages up to m = 1401, for budgets up to 1400
+_FIB_MAX_BUDGET = 1400     # beyond it the ratios F(m-2)/F(m) overflow float64
+_FIB = _fibonacci_numbers(_FIB_MAX_BUDGET + 1)    # stages up to m = budget + 1
 # (t_low, t_high) = (F(m-2)/F(m), F(m-1)/F(m)) of the stage with index m >= 2
 _FIB_STAGES = [None, None] + [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
                               for m in range(2, len(_FIB))]
 
 
-def minimize_fibonacci(obj: Objective, iv: Interval, n_evals: int) -> RunResult:
-    """Fibonacci search consuming exactly ``n_evals`` evaluations.
+def fibonacci_budget_for(length: float, tol: float) -> int:
+    """Smallest evaluation count whose Fibonacci estimate error is <= tol.
+
+    An n-evaluation run's estimate is off by at most length/F(n+1).  Raises
+    ValueError when no budget that Fibonacci search accepts is enough.
+    """
+    for n in range(2, _FIB_MAX_BUDGET + 1):
+        if length / _FIB[n + 1] <= tol:
+            return n
+    raise ValueError(f"no Fibonacci budget up to {_FIB_MAX_BUDGET} reaches tol={tol!r} "
+                     f"on length {length!r}")
+
+
+def _fibonacci(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
+    """Fibonacci search consuming exactly the budget N of ``stop``.
 
     With F(0) = F(1) = 1, the stage with index m places interior points at
     a + F(m-2)/F(m)*L and a + F(m-1)/F(m)*L; the ladder starts at
-    m = n_evals + 1 and pays one new evaluation per stage.  The run ends
-    with the surviving probe at the midpoint of a bracket two lattice units
-    wide, and that evaluated midpoint is the estimate, so the error is at
-    most length/F(n_evals + 1) -- no tie-breaking offset probe is needed.
-    Requires a budget stop rule: there is no epsilon-driven variant.
+    m = N + 1 and pays one new evaluation per stage.  The run ends with the
+    surviving probe at the midpoint of a bracket two lattice units wide, and
+    that evaluated midpoint is the estimate, so the error is at most
+    length/F(N + 1) -- no tie-breaking offset probe is needed.  Requires a
+    budget stop rule: there is no epsilon-driven variant.
     """
-    _check_count(n_evals, 2, "fibonacci search budget")
-    if n_evals > 1400:
-        raise ValueError("budget too large: Fibonacci ratios overflow float64 beyond 1400")
-    ladder = _FIB_STAGES[n_evals + 1:2:-1]    # stages m = n_evals + 1, ..., 3
-    r = _Run(obj)
+    n = stop.budget
+    ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
     step, state = _two_probe(r, iv, ladder)
     # no floor stop: the ladder spends its whole budget even at the FP floor
-    (x, fx, _), end = _drive(r, iv, step, state, None, n_evals, floor=False)
-    if end != "budget":       # collapsed or capped before the ladder finished
-        x, fx = r.best()
-    return r.result(x, fx)
+    (x, fx, _), end = _drive(r, iv, step, state, None, n, floor=False)
+    # collapsed or capped before the ladder finished: the best point so far
+    return (x, fx) if end == "budget" else r.best()
 
 
-_DISPATCH = {
-    Method.HALVING: minimize_interval_halving,
-    Method.TRICHOTOMY: minimize_trichotomy,
-    Method.GOLDEN: minimize_golden_section,
+_METHODS = {
+    Method.HALVING: _halving,
+    Method.TRICHOTOMY: _trichotomy,
+    Method.DICHOTOMOUS: _dichotomous,
+    Method.GOLDEN: _golden,
+    Method.FIBONACCI: _fibonacci,
 }
 
 
@@ -419,19 +415,58 @@ def minimize(
     *,
     delta: float | None = None,
 ) -> RunResult:
-    """Run ``method`` on ``obj`` over ``iv`` under ``stop``.
+    """Run ``method`` on ``obj`` over ``iv`` under ``stop``; the one entry point.
 
-    ``delta`` is only meaningful for the dichotomous method.  Fibonacci
-    search requires a budget stop rule and raises
-    :class:`~unisearch.core.IncompatibleStopRule` otherwise.
+    Every argument is checked here, before the first evaluation:
+
+    * ``method`` is a :class:`Method` or its value;
+    * ``delta``, the probe offset of dichotomous search, is accepted for
+      that method only.  It defaults to min(epsilon/2, L*1e-6) under an
+      epsilon stop and to L*1e-6 under a budget, for the bracket length L,
+      and must satisfy 0 < delta < L/4;
+    * Fibonacci search requires a budget stop rule, and raises
+      :class:`~unisearch.core.IncompatibleStopRule` otherwise; its budget
+      is at most 1400.
+
+    Each method keeps ``stop`` as follows, checked between iterations:
+
+    ===========  ============================  ==================
+    method       an epsilon stop ends once     a budget N spends
+    ===========  ============================  ==================
+    halving      (b - a)/2 <= epsilon          N or N+1
+    trichotomy   (b - a)/2 <= epsilon          N, N+1 or N+2
+    dichotomous  (b - a)/2 <= epsilon, then    exactly N
+                 one answer probe
+    golden       b - a <= epsilon, then one    exactly N
+                 answer probe
+    fibonacci    (budget only)                 exactly N
+    ===========  ============================  ==================
+
+    A budget run may spend fewer: every method but Fibonacci stops once the
+    bracket no longer shrinks (at the float64 floor or, for dichotomous
+    search, as its length nears delta), and every method stops before an
+    iteration that would leave an empty bracket.  A hard cap on the
+    Objective ends a run mid-iteration.
     """
     method = Method(method)
     if delta is not None and method is not Method.DICHOTOMOUS:
         raise ValueError("delta applies to the dichotomous method only")
-    if method is Method.FIBONACCI:
+    args = ()
+    if method is Method.DICHOTOMOUS:
+        if delta is None:
+            delta = iv.length() * 1e-6
+            if stop.epsilon is not None:
+                delta = min(stop.epsilon / 2, delta)
+        if not (0 < delta < iv.length() / 4):
+            raise ValueError(
+                f"dichotomous delta must satisfy 0 < delta < length/4, got {delta!r}"
+            )
+        args = (delta,)
+    elif method is Method.FIBONACCI:
         if not stop.is_budget:
             raise IncompatibleStopRule("fibonacci search requires a budget stop rule")
-        return minimize_fibonacci(obj, iv, stop.budget)
-    if method is Method.DICHOTOMOUS:
-        return minimize_dichotomous(obj, iv, stop, delta=delta)
-    return _DISPATCH[method](obj, iv, stop)
+        if stop.budget > _FIB_MAX_BUDGET:
+            raise ValueError("budget too large: Fibonacci ratios overflow float64 "
+                             f"beyond {_FIB_MAX_BUDGET}")
+    r = _Run(obj)
+    return r.result(*_METHODS[method](r, iv, stop, *args))

@@ -23,12 +23,7 @@ from unisearch.bench import (
 from unisearch.bounds import accuracy_bound, iteration_bound
 from unisearch.cli import main as cli_main
 from unisearch.core import Interval, Objective, StopRule
-from unisearch.solvers import (
-    Method,
-    minimize,
-    minimize_interval_halving,
-    minimize_trichotomy,
-)
+from unisearch.solvers import Method, minimize
 
 _SEED = 20240817
 _N_RANDOM_RUNS = 1000
@@ -51,8 +46,8 @@ def random_runs():
     runs = []
     for _ in range(_N_RANDOM_RUNS):
         iv, f, eps = _random_case(rng)
-        h = minimize_interval_halving(Objective(f), iv, StopRule(epsilon=eps))
-        t = minimize_trichotomy(Objective(f), iv, StopRule(epsilon=eps))
+        h = minimize(Method.HALVING, Objective(f), iv, StopRule(epsilon=eps))
+        t = minimize(Method.TRICHOTOMY, Objective(f), iv, StopRule(epsilon=eps))
         runs.append((iv, h, t))
     return runs
 
@@ -127,12 +122,9 @@ def test_criterion_5_iteration_count_formula():
     for length, eps in pairs:
         iv = Interval(0.0, length)
         f = lambda x: (x - 0.37 * length) ** 2
-        for solver, method, beta in (
-            (minimize_interval_halving, Method.HALVING, 2.0),
-            (minimize_trichotomy, Method.TRICHOTOMY, 3.0),
-        ):
+        for method, beta in ((Method.HALVING, 2.0), (Method.TRICHOTOMY, 3.0)):
             expected = math.ceil(math.log(length / (2 * eps)) / math.log(beta))
-            res = solver(Objective(f), iv, StopRule(epsilon=eps))
+            res = minimize(method, Objective(f), iv, StopRule(epsilon=eps))
             assert res.n_iters == expected, (length, eps, method)
             assert iteration_bound(method, length, eps).k_exact == expected
     print("criterion 5 pass: 100 (length, tol) pairs match "

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from unisearch.bounds import AccuracyBound, DomainError, IterationBound, accuracy_bound, iteration_bound
 from unisearch.core import Interval, Objective, StopRule
-from unisearch.solvers import Method, minimize_interval_halving, minimize_trichotomy
+from unisearch.solvers import Method, minimize
 
 
 class TestIterationBound:
@@ -110,14 +110,10 @@ class TestAccuracyBound:
         b = accuracy_bound(Method.HALVING, 2.0, 10)
         assert b == AccuracyBound(Method.HALVING, 10, 0.044194173824159216)
 
-    @pytest.mark.parametrize(
-        "method,solver",
-        [(Method.HALVING, minimize_interval_halving),
-         (Method.TRICHOTOMY, minimize_trichotomy)],
-    )
-    def test_bound_holds_for_actual_runs(self, method, solver):
+    @pytest.mark.parametrize("method", [Method.HALVING, Method.TRICHOTOMY])
+    def test_bound_holds_for_actual_runs(self, method):
         for n in (4, 7, 10, 15, 20):
             bound = accuracy_bound(method, 2.0, n).epsilon_bound
-            res = solver(Objective(lambda x: (x - 1.1) ** 2), Interval(0.0, 2.0),
-                         StopRule(budget=n))
+            res = minimize(method, Objective(lambda x: (x - 1.1) ** 2), Interval(0.0, 2.0),
+                           StopRule(budget=n))
             assert abs(res.x_min - 1.1) <= bound

@@ -9,7 +9,6 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from unisearch.bench import fibonacci_budget_for
 from unisearch.core import (
     BudgetExhausted,
     IncompatibleStopRule,
@@ -18,16 +17,7 @@ from unisearch.core import (
     Objective,
     StopRule,
 )
-from unisearch.solvers import (
-    Method,
-    default_dichotomous_delta,
-    minimize,
-    minimize_dichotomous,
-    minimize_fibonacci,
-    minimize_golden_section,
-    minimize_interval_halving,
-    minimize_trichotomy,
-)
+from unisearch.solvers import Method, fibonacci_budget_for, minimize
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,8 +40,8 @@ def interval_and_quadratic(draw):
 
 class TestIntervalHalvingPinned:
     def test_symmetric_square(self):
-        res = minimize_interval_halving(
-            Objective(lambda x: x * x), Interval(-1.0, 1.0), StopRule(epsilon=0.25)
+        res = minimize(
+            "halving", Objective(lambda x: x * x), Interval(-1.0, 1.0), StopRule(epsilon=0.25)
         )
         assert res.x_min == 0.0
         assert res.f_min == 0.0
@@ -60,8 +50,8 @@ class TestIntervalHalvingPinned:
         assert res.final_interval == Interval(-0.25, 0.25)
 
     def test_first_iteration_probes(self):
-        res = minimize_interval_halving(
-            Objective(lambda x: x * x), Interval(-1.0, 1.0), StopRule(epsilon=0.25)
+        res = minimize(
+            "halving", Objective(lambda x: x * x), Interval(-1.0, 1.0), StopRule(epsilon=0.25)
         )
         first = res.trace[0]
         # the up-front midpoint probe belongs to iteration 1
@@ -70,23 +60,23 @@ class TestIntervalHalvingPinned:
 
     def test_budget_stops_on_iteration_boundary(self):
         # (x-1.1)^2 on [0, 2]: iteration 5 ends exactly at evaluation 10
-        res = minimize_interval_halving(
-            Objective(quadratic(1.1)), Interval(0.0, 2.0), StopRule(budget=10)
+        res = minimize(
+            "halving", Objective(quadratic(1.1)), Interval(0.0, 2.0), StopRule(budget=10)
         )
         assert res.n_evals == 10
         assert res.x_min == 1.09375
 
     def test_budget_finishes_crossing_iteration(self):
         # iteration 11 starts at evaluation 20 and is allowed to finish
-        res = minimize_interval_halving(
-            Objective(quadratic(1.1)), Interval(0.0, 2.0), StopRule(budget=20)
+        res = minimize(
+            "halving", Objective(quadratic(1.1)), Interval(0.0, 2.0), StopRule(budget=20)
         )
         assert res.n_evals == 21
         assert res.x_min == 1.10009765625
 
     def test_tie_keeps_left(self):
-        res = minimize_interval_halving(
-            Objective(lambda x: 0.0), Interval(0.0, 1.0), StopRule(epsilon=0.25)
+        res = minimize(
+            "halving", Objective(lambda x: 0.0), Interval(0.0, 1.0), StopRule(epsilon=0.25)
         )
         assert res.final_interval == Interval(0.0, 0.5)
         assert res.x_min == 0.25
@@ -96,8 +86,8 @@ class TestIntervalHalvingPinned:
 class TestTrichotomyPinned:
     def test_single_iteration_branch(self):
         # x^2 on [0, 6]: probes 3, 2, 1 then keeps [0, 2] with estimate 1
-        res = minimize_trichotomy(
-            Objective(lambda x: x * x), Interval(0.0, 6.0), StopRule(epsilon=1.0)
+        res = minimize(
+            "trichotomy", Objective(lambda x: x * x), Interval(0.0, 6.0), StopRule(epsilon=1.0)
         )
         assert res.n_iters == 1
         assert res.n_evals == 3
@@ -106,8 +96,8 @@ class TestTrichotomyPinned:
         assert res.x_min == 1.0
 
     def test_symmetric_square(self):
-        res = minimize_trichotomy(
-            Objective(lambda x: x * x), Interval(-1.0, 1.0), StopRule(epsilon=0.3)
+        res = minimize(
+            "trichotomy", Objective(lambda x: x * x), Interval(-1.0, 1.0), StopRule(epsilon=0.3)
         )
         assert res.x_min == 0.0
         assert res.n_evals == 5
@@ -116,8 +106,8 @@ class TestTrichotomyPinned:
     def test_budget_finishes_crossing_iteration(self):
         # -5 x^2 exp(-x/2) on [1, 6]: iteration 4 starts at evaluation 9,
         # spends 3, and leaves the estimate 1/162 from the minimizer at 4
-        res = minimize_trichotomy(
-            Objective(lambda x: -5.0 * x * x * math.exp(-0.5 * x)),
+        res = minimize(
+            "trichotomy", Objective(lambda x: -5.0 * x * x * math.exp(-0.5 * x)),
             Interval(1.0, 6.0),
             StopRule(budget=10),
         )
@@ -127,8 +117,8 @@ class TestTrichotomyPinned:
     def test_collapse_at_float_floor_is_graceful(self):
         # a huge budget drives the bracket below float spacing; the run must
         # stop cleanly instead of constructing an empty interval
-        res = minimize_trichotomy(
-            Objective(math.cos), Interval(2.0, 4.0), StopRule(budget=400)
+        res = minimize(
+            "trichotomy", Objective(math.cos), Interval(2.0, 4.0), StopRule(budget=400)
         )
         assert res.n_evals < 400
         # cos is flat to double precision within ~1.5e-8 of pi, so comparisons
@@ -140,8 +130,8 @@ class TestTrichotomyPinned:
 class TestDichotomousPinned:
     def test_single_iteration_length(self):
         # keeps [a, m + delta/2]: length 1 + delta/2 = 1.005
-        res = minimize_dichotomous(
-            Objective(lambda x: x * x), Interval(-1.0, 1.0),
+        res = minimize(
+            "dichotomous", Objective(lambda x: x * x), Interval(-1.0, 1.0),
             StopRule(epsilon=0.51), delta=0.01,
         )
         assert res.n_iters == 1
@@ -153,24 +143,26 @@ class TestDichotomousPinned:
     def test_delta_validation(self):
         obj = Objective(lambda x: x * x)
         with pytest.raises(ValueError):
-            minimize_dichotomous(obj, Interval(0.0, 1.0), StopRule(epsilon=0.1),
-                                 delta=0.25)
+            minimize("dichotomous", obj, Interval(0.0, 1.0), StopRule(epsilon=0.1),
+                     delta=0.25)
         with pytest.raises(ValueError):
-            minimize_dichotomous(obj, Interval(0.0, 1.0), StopRule(epsilon=0.1),
-                                 delta=0.0)
+            minimize("dichotomous", obj, Interval(0.0, 1.0), StopRule(epsilon=0.1),
+                     delta=0.0)
 
     def test_default_delta_policy(self):
-        # half the tolerance, capped at a millionth of the bracket length
+        # half the tolerance, capped at a millionth of the bracket length; the
+        # first pair probes m -/+ delta/2 around the midpoint m = 1 of [0, 2]
         iv = Interval(0.0, 2.0)
-        assert default_dichotomous_delta(iv, StopRule(epsilon=1e-3)) == 2e-6
-        assert default_dichotomous_delta(iv, StopRule(epsilon=1e-7)) == 5e-8
-        assert default_dichotomous_delta(iv, StopRule(budget=10)) == 2e-6
+        for stop, delta in ((StopRule(epsilon=1e-3), 2e-6), (StopRule(epsilon=1e-7), 5e-8),
+                            (StopRule(budget=10), 2e-6)):
+            res = minimize("dichotomous", Objective(quadratic(0.3)), iv, stop)
+            assert [x for x, _ in res.trace[0].probes[:2]] == [1 - delta / 2, 1 + delta / 2]
 
     def test_budget_fallback_to_pair_probe(self):
         # budget 2 funds one pair and no answer probe; the better pair probe
         # is returned and it lies inside the final bracket
-        res = minimize_dichotomous(
-            Objective(quadratic(0.3)), Interval(0.0, 1.0), StopRule(budget=2)
+        res = minimize(
+            "dichotomous", Objective(quadratic(0.3)), Interval(0.0, 1.0), StopRule(budget=2)
         )
         assert res.n_evals == 2
         assert res.final_interval.contains(res.x_min)
@@ -178,16 +170,16 @@ class TestDichotomousPinned:
 
 class TestGoldenSection:
     def test_answer_is_final_midpoint(self):
-        res = minimize_golden_section(
-            Objective(quadratic(0.3)), Interval(0.0, 1.0), StopRule(epsilon=1e-3)
+        res = minimize(
+            "golden", Objective(quadratic(0.3)), Interval(0.0, 1.0), StopRule(epsilon=1e-3)
         )
         assert res.x_min == res.final_interval.midpoint()
         assert res.final_interval.length() <= 1e-3
         assert abs(res.x_min - 0.3) <= 1e-3 / 2
 
     def test_shrinks_by_inverse_phi(self):
-        res = minimize_golden_section(
-            Objective(quadratic(0.3)), Interval(0.0, 1.0), StopRule(epsilon=1e-6)
+        res = minimize(
+            "golden", Objective(quadratic(0.3)), Interval(0.0, 1.0), StopRule(epsilon=1e-6)
         )
         lengths = [ev.interval_after.length() for ev in res.trace]
         prev = 1.0
@@ -196,8 +188,8 @@ class TestGoldenSection:
             prev = cur
 
     def test_budget_mode_spends_exactly_n(self):
-        res = minimize_golden_section(
-            Objective(quadratic(0.3)), Interval(0.0, 1.0), StopRule(budget=17)
+        res = minimize(
+            "golden", Objective(quadratic(0.3)), Interval(0.0, 1.0), StopRule(budget=17)
         )
         assert res.n_evals == 17
         assert res.final_interval.contains(res.x_min)
@@ -206,7 +198,8 @@ class TestGoldenSection:
 class TestFibonacci:
     def test_two_evaluations(self):
         # probes at the 1/3 and 2/3 points; keeps the left bracket on x^2
-        res = minimize_fibonacci(Objective(lambda x: x * x), Interval(0.0, 3.0), 2)
+        res = minimize("fibonacci", Objective(lambda x: x * x), Interval(0.0, 3.0),
+                       StopRule(budget=2))
         assert res.n_evals == 2
         assert res.n_iters == 1
         assert [x for x, _ in res.trace[0].probes] == [1.0, 2.0]
@@ -216,7 +209,8 @@ class TestFibonacci:
     def test_three_evaluations(self):
         # ladder from F(4): probes 0.4, 0.6, then 0.2; estimate lands on the
         # lattice point 0.2, exactly length/F(4) from the minimizer at 0
-        res = minimize_fibonacci(Objective(lambda x: x * x), Interval(0.0, 1.0), 3)
+        res = minimize("fibonacci", Objective(lambda x: x * x), Interval(0.0, 1.0),
+                       StopRule(budget=3))
         assert res.n_evals == 3
         assert res.n_iters == 2
         assert math.isclose(res.x_min, 0.2, rel_tol=1e-12)
@@ -224,12 +218,13 @@ class TestFibonacci:
     def test_exact_count_and_iterations(self):
         for n in (2, 3, 5, 10, 23, 40):
             obj = Objective(quadratic(0.7))
-            res = minimize_fibonacci(obj, Interval(0.0, 2.0), n)
+            res = minimize("fibonacci", obj, Interval(0.0, 2.0), StopRule(budget=n))
             assert res.n_evals == n == obj.count
             assert res.n_iters == n - 1
 
     def test_estimate_is_evaluated_point(self):
-        res = minimize_fibonacci(Objective(quadratic(0.7)), Interval(0.0, 2.0), 12)
+        res = minimize("fibonacci", Objective(quadratic(0.7)), Interval(0.0, 2.0),
+                       StopRule(budget=12))
         probed = {x: f for ev in res.trace for x, f in ev.probes}
         assert res.x_min in probed
         assert probed[res.x_min] == res.f_min
@@ -240,16 +235,17 @@ class TestFibonacci:
         while len(fib) < 45:
             fib.append(fib[-1] + fib[-2])
         for n in (2, 5, 10, 20, 40):
-            res = minimize_fibonacci(Objective(quadratic(0.7)), Interval(0.0, 2.0), n)
+            res = minimize("fibonacci", Objective(quadratic(0.7)), Interval(0.0, 2.0),
+                           StopRule(budget=n))
             assert abs(res.x_min - 0.7) <= 2.0 / fib[n + 1] * (1 + 1e-9)
 
     def test_rejects_bad_budgets(self):
         obj = Objective(lambda x: x * x)
         for bad in (1, 0, -3, 2.0, True, None):
             with pytest.raises(ValueError):
-                minimize_fibonacci(obj, Interval(0.0, 1.0), bad)
+                minimize("fibonacci", obj, Interval(0.0, 1.0), StopRule(budget=bad))
         with pytest.raises(ValueError):
-            minimize_fibonacci(obj, Interval(0.0, 1.0), 1401)
+            minimize("fibonacci", obj, Interval(0.0, 1.0), StopRule(budget=1401))
 
     def test_requires_budget_stop_rule(self):
         with pytest.raises(IncompatibleStopRule):
@@ -262,8 +258,7 @@ class TestMinimizeDispatch:
         args = (Interval(-1.0, 1.0), StopRule(epsilon=0.25))
         by_str = minimize("halving", Objective(lambda x: x * x), *args)
         by_enum = minimize(Method.HALVING, Objective(lambda x: x * x), *args)
-        direct = minimize_interval_halving(Objective(lambda x: x * x), *args)
-        assert by_str == by_enum == direct
+        assert by_str == by_enum
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -277,17 +272,12 @@ class TestMinimizeDispatch:
 
 
 class TestSharedInvariants:
-    EPSILON_METHODS = (
-        minimize_interval_halving,
-        minimize_trichotomy,
-        minimize_dichotomous,
-        minimize_golden_section,
-    )
+    EPSILON_METHODS = ("halving", "trichotomy", "dichotomous", "golden")
 
-    @pytest.mark.parametrize("solver", EPSILON_METHODS)
-    def test_trace_nesting_and_counter(self, solver):
+    @pytest.mark.parametrize("method", EPSILON_METHODS)
+    def test_trace_nesting_and_counter(self, method):
         obj = Objective(quadratic(0.37, scale=3.0))
-        res = solver(obj, Interval(-2.0, 1.5), StopRule(epsilon=1e-4))
+        res = minimize(method, obj, Interval(-2.0, 1.5), StopRule(epsilon=1e-4))
         assert res.n_evals == obj.count
         assert res.n_evals == sum(ev.evals_this_iter for ev in res.trace)
         assert res.n_iters == len(res.trace)
@@ -300,28 +290,28 @@ class TestSharedInvariants:
         assert res.final_interval == res.trace[-1].interval_after
         assert res.final_interval.contains(res.x_min)
 
-    @pytest.mark.parametrize("solver", EPSILON_METHODS)
-    def test_probes_strictly_interior(self, solver):
-        res = solver(Objective(quadratic(0.37)), Interval(-2.0, 1.5),
-                     StopRule(epsilon=1e-4))
+    @pytest.mark.parametrize("method", EPSILON_METHODS)
+    def test_probes_strictly_interior(self, method):
+        res = minimize(method, Objective(quadratic(0.37)), Interval(-2.0, 1.5),
+                       StopRule(epsilon=1e-4))
         for ev in res.trace:
             for x, _ in ev.probes:
                 assert -2.0 < x < 1.5
 
-    @pytest.mark.parametrize("solver", EPSILON_METHODS)
-    def test_deterministic(self, solver):
+    @pytest.mark.parametrize("method", EPSILON_METHODS)
+    def test_deterministic(self, method):
         runs = [
-            solver(Objective(quadratic(0.37)), Interval(-2.0, 1.5),
-                   StopRule(epsilon=1e-6))
+            minimize(method, Objective(quadratic(0.37)), Interval(-2.0, 1.5),
+                     StopRule(epsilon=1e-6))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
         assert runs[0].trace == runs[1].trace
 
-    @pytest.mark.parametrize("solver", (minimize_interval_halving, minimize_trichotomy))
-    def test_constant_function_keeps_left(self, solver):
-        res = solver(Objective(lambda x: 1.0), Interval(0.0, 1.0),
-                     StopRule(epsilon=1e-3))
+    @pytest.mark.parametrize("method", ("halving", "trichotomy"))
+    def test_constant_function_keeps_left(self, method):
+        res = minimize(method, Objective(lambda x: 1.0), Interval(0.0, 1.0),
+                       StopRule(epsilon=1e-3))
         assert res.final_interval.lo == 0.0
 
     # Exact shrink factors, measured at the resolution the endpoint
@@ -331,7 +321,7 @@ class TestSharedInvariants:
     @settings(max_examples=150, deadline=None)
     def test_halving_ratio_and_caps(self, case):
         iv, f, _ = case
-        res = minimize_interval_halving(Objective(f), iv, StopRule(epsilon=1e-6))
+        res = minimize("halving", Objective(f), iv, StopRule(epsilon=1e-6))
         prev, prev_iv = iv.length(), iv
         for i, ev in enumerate(res.trace):
             cur = ev.interval_after.length()
@@ -344,7 +334,7 @@ class TestSharedInvariants:
     @settings(max_examples=150, deadline=None)
     def test_trichotomy_ratio_and_caps(self, case):
         iv, f, _ = case
-        res = minimize_trichotomy(Objective(f), iv, StopRule(epsilon=1e-6))
+        res = minimize("trichotomy", Objective(f), iv, StopRule(epsilon=1e-6))
         prev, prev_iv = iv.length(), iv
         for i, ev in enumerate(res.trace):
             cur = ev.interval_after.length()
@@ -357,8 +347,8 @@ class TestSharedInvariants:
     @settings(max_examples=150, deadline=None)
     def test_midpoint_incumbency(self, case):
         iv, f, _ = case
-        for solver in (minimize_interval_halving, minimize_trichotomy):
-            res = solver(Objective(f), iv, StopRule(epsilon=1e-6))
+        for method in ("halving", "trichotomy"):
+            res = minimize(method, Objective(f), iv, StopRule(epsilon=1e-6))
             mid = res.final_interval.midpoint()
             slack = 4 * math.ulp(max(abs(mid), 1.0))
             assert abs(res.x_min - mid) <= slack
@@ -368,25 +358,24 @@ class TestSharedInvariants:
     def test_budget_compliance(self, case, n):
         iv, f, _ = case
         stop = StopRule(budget=n)
-        res = minimize_interval_halving(Objective(f), iv, stop)
+        res = minimize("halving", Objective(f), iv, stop)
         assert n <= res.n_evals <= n + 1
-        res = minimize_trichotomy(Objective(f), iv, stop)
+        res = minimize("trichotomy", Objective(f), iv, stop)
         assert n <= res.n_evals <= n + 2
-        res = minimize_golden_section(Objective(f), iv, stop)
+        res = minimize("golden", Objective(f), iv, stop)
         assert res.n_evals == n
-        res = minimize_dichotomous(Objective(f), iv, stop)
+        res = minimize("dichotomous", Objective(f), iv, stop)
         assert n - 2 <= res.n_evals <= n
-        res = minimize_fibonacci(Objective(f), iv, n)
+        res = minimize("fibonacci", Objective(f), iv, stop)
         assert res.n_evals == n
 
     @given(interval_and_quadratic(), st.integers(2, 60))
     @settings(max_examples=100, deadline=None)
     def test_budget_trace_accounts_every_eval(self, case, n):
         iv, f, _ = case
-        for solver in (minimize_interval_halving, minimize_trichotomy,
-                       minimize_golden_section):
+        for method in ("halving", "trichotomy", "golden"):
             obj = Objective(f)
-            res = solver(obj, iv, StopRule(budget=n))
+            res = minimize(method, obj, iv, StopRule(budget=n))
             assert res.n_evals == obj.count
             assert res.n_evals == sum(ev.evals_this_iter for ev in res.trace)
 
@@ -515,29 +504,20 @@ class TestOverflowingProbes:
 class TestHardObjectiveBudget:
     def test_hard_cap_stops_mid_iteration(self):
         obj = Objective(quadratic(1.1), budget=7)
-        res = minimize_interval_halving(obj, Interval(0.0, 2.0), StopRule(budget=20))
+        res = minimize("halving", obj, Interval(0.0, 2.0), StopRule(budget=20))
         assert res.n_evals == 7 == obj.count
         assert sum(ev.evals_this_iter for ev in res.trace) == 7
         assert res.final_interval.contains(res.x_min)
 
     def test_exhaustion_on_first_probe_propagates(self):
-        for run in (
-            lambda o: minimize_interval_halving(o, Interval(0.0, 1.0),
-                                                StopRule(budget=10)),
-            lambda o: minimize_trichotomy(o, Interval(0.0, 1.0),
-                                          StopRule(budget=10)),
-            lambda o: minimize_golden_section(o, Interval(0.0, 1.0),
-                                              StopRule(budget=10)),
-            lambda o: minimize_fibonacci(o, Interval(0.0, 1.0), 10),
-            lambda o: minimize_dichotomous(o, Interval(0.0, 1.0),
-                                           StopRule(budget=10)),
-        ):
+        for method in ("halving", "trichotomy", "golden", "fibonacci", "dichotomous"):
             with pytest.raises(BudgetExhausted):
-                run(Objective(lambda x: x * x, budget=0))
+                minimize(method, Objective(lambda x: x * x, budget=0), Interval(0.0, 1.0),
+                         StopRule(budget=10))
 
     def test_fibonacci_partial_returns_best(self):
         obj = Objective(quadratic(0.7), budget=5)
-        res = minimize_fibonacci(obj, Interval(0.0, 2.0), 12)
+        res = minimize("fibonacci", obj, Interval(0.0, 2.0), StopRule(budget=12))
         assert res.n_evals == 5
         probed = {x for ev in res.trace for x, _ in ev.probes}
         assert res.x_min in probed
@@ -549,16 +529,15 @@ class TestNonFiniteHandling:
             return math.nan if x == 0.25 else (x - 0.6) ** 2
 
         with pytest.raises(NonFiniteValue) as info:
-            minimize_interval_halving(Objective(f), Interval(0.0, 1.0),
-                                      StopRule(epsilon=1e-3))
+            minimize("halving", Objective(f), Interval(0.0, 1.0), StopRule(epsilon=1e-3))
         assert info.value.x == 0.25
         assert info.value.partial_trace
         assert info.value.partial_trace[0].probes[0][0] == 0.5
 
     def test_failure_on_first_probe(self):
         with pytest.raises(NonFiniteValue):
-            minimize_trichotomy(Objective(lambda x: math.inf),
-                                Interval(0.0, 1.0), StopRule(epsilon=0.1))
+            minimize("trichotomy", Objective(lambda x: math.inf),
+                     Interval(0.0, 1.0), StopRule(epsilon=0.1))
 
 
 class TestOtherObjectiveExceptions:
