@@ -6,9 +6,8 @@ resolution) whether a function is unimodal on an interval.
 
 Both scan the grid in blocks of ``_BLOCK`` points, so the objective's
 temporaries are one block's size, not a grid-sized array per ufunc, and a
-scan stops at the first block holding a non-finite value.  The minimum scan
-holds the float64 grid plus one block; the unimodality scan also keeps every
-sample.
+scan stops at the first block holding a non-finite value.  Both scans hold
+the float64 grid plus one block.
 """
 from __future__ import annotations
 
@@ -103,8 +102,25 @@ def is_unimodal(
     and non-decreasing after it; plateaus of exact float equality are
     tolerated.  A strict rise before the minimizer or a strict fall after it
     returns False.
+
+    The grid is scanned in blocks, carrying only the previous sample and
+    whether a strict rise has been seen: a strict fall after a rise is the
+    same verdict as a rise before the first minimizer or a fall after it.
+    Every block is still scanned, so a non-finite value raises
+    NonFiniteValue whatever the verdict.
     """
-    ys = np.concatenate([ys for _, ys in _blocks(f, iv, grid)])
-    k = int(np.argmin(ys))
-    d = np.diff(ys)
-    return bool(np.all(d[:k] <= 0) and np.all(d[k:] >= 0))
+    prev = None
+    rose, unimodal = False, True
+    for _, ys in _blocks(f, iv, grid):
+        edge = ys[0] if prev is None else prev      # the sample before this block
+        prev = ys[-1]
+        up = np.concatenate(([ys[0] > edge], ys[1:] > ys[:-1]))
+        down = np.concatenate(([ys[0] < edge], ys[1:] < ys[:-1]))
+        if not rose:
+            i = int(np.argmax(up))      # the first strict rise, if there is one
+            rose = bool(up[i])
+            down = down[i:]
+        if rose and down.any():
+            unimodal = False
+        del up, down    # hold no step masks while f runs on the next block
+    return unimodal

@@ -1,7 +1,9 @@
 """Benchmark registry, table harnesses, report emission, oracle verify."""
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from unisearch.bench import (
@@ -12,6 +14,7 @@ from unisearch.bench import (
     TABLE1_COUNT_TOLERANCE,
     TABLE2_BUDGETS,
     TABLE2_ERROR_FACTOR,
+    VERIFY_INSET,
     BenchReport,
     ReportRow,
     all_cases,
@@ -37,6 +40,13 @@ _SPOT_ROWS = {
     "t1_18": ("-5x^2*exp(-0.5x)", 2.0, 6.0, 1e-7, 4.0,
               {Method.HALVING: 51, Method.TRICHOTOMY: 33, Method.GOLDEN: 39}),
 }
+
+
+def _inset_grid(case, points=1001):
+    """``points`` grid points of ``case``'s bracket at verify's inset."""
+    iv = case.interval
+    inset = iv.length() * VERIFY_INSET
+    return np.linspace(iv.lo + inset, iv.hi - inset, points)
 
 
 class TestRegistry:
@@ -84,6 +94,31 @@ class TestRegistry:
             grid = GridSpec(points=100_001, inset=c.interval.length() * 1e-9)
             x, _ = brute_force_minimum(c.fn, c.interval, grid)
             assert abs(x - c.x_star) <= 2 * c.interval.length() / 100_000
+
+    @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.id)
+    def test_vector_and_scalar_calls_agree(self, case):
+        # the oracle calls a closure on arrays and the solvers on floats; a
+        # rewrite of one path alone must show here.  The bound is a few ulps
+        # of the largest value the case takes on the grid, the order of its
+        # summed terms.
+        xs = _inset_grid(case)
+        vector = np.asarray(case.fn(xs), dtype=float)
+        scalar = np.array([float(case.fn(float(x))) for x in xs])
+        assert np.isfinite(vector).all()
+        assert np.all(np.abs(vector - scalar) <= 4 * math.ulp(np.abs(vector).max()))
+
+    def test_t1_14_is_the_published_polynomial(self):
+        # x^4 + 2x^2 + 4x, evaluated exactly; the closure may differ by the
+        # rounding of its three terms
+        case = find_case("t1_14")
+        xs = _inset_grid(case)
+        vector = case.fn(xs)
+        for x, fx in zip(xs.tolist(), vector.tolist()):
+            q = Fraction(x)
+            exact = q**4 + 2 * q**2 + 4 * q
+            bound = 4 * math.ulp(x**4 + 2 * x**2 + 4 * abs(x))
+            for value in (fx, float(case.fn(x))):
+                assert abs(Fraction(value) - exact) <= Fraction(bound)
 
     def test_find_case_unknown(self):
         with pytest.raises(KeyError):

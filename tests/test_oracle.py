@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unisearch.bench import VERIFY_INSET, all_cases
+from unisearch.bench import VERIFY_INSET, all_cases, find_case
 from unisearch.core import Interval, NonFiniteValue
 from unisearch.oracle import _BLOCK, GridSpec, _blocks, brute_force_minimum, is_unimodal
 
@@ -27,6 +27,11 @@ def _plateau(x):
 
 def _narrow_dip(x):
     return x * x - (2.0 if 0.701 < x < 0.702 else 0.0)
+
+
+def _right_plateau(x):
+    # flat from 0.5 to the right end: across the one-point last block
+    return max(0.5 - x, 0.0)
 
 
 class TestGridSpec:
@@ -139,6 +144,15 @@ def _whole_grid(f, iv, grid):
     return xs, ys
 
 
+def _reference_unimodal(f, iv, grid):
+    """The whole-grid verdict: no strict rise before the first minimizer and
+    no strict fall after it."""
+    _, ys = _whole_grid(f, iv, grid)
+    k = int(np.argmin(ys))
+    d = np.diff(ys)
+    return bool(np.all(d[:k] <= 0) and np.all(d[k:] >= 0))
+
+
 def _bits(values):
     """Floats as their int64 bit patterns, so -0.0 and 0.0 differ."""
     return np.asarray(values, dtype=float).view(np.int64)
@@ -210,7 +224,8 @@ class TestBlockedScan:
         assert str(info.value) == "objective returned inf at grid point x=0.5"
         assert type(info.value.x) is float
 
-    @pytest.mark.parametrize("f", [_ties, _scalar_only, _plateau, _narrow_dip])
+    @pytest.mark.parametrize("f", [_ties, _scalar_only, _plateau, _narrow_dip,
+                                   _right_plateau])
     def test_scalar_only_functions_with_a_one_point_last_block(self, f):
         grid = GridSpec(points=_BLOCK + 1)
         for iv in (Interval(0.0, 4.0), Interval(-1.0, 1.0), Interval(0.0, 1.0)):
@@ -218,23 +233,45 @@ class TestBlockedScan:
             assert [len(b) for b, _ in _blocks(f, iv, grid)] == [_BLOCK, 1]
             k = int(np.argmin(ys))
             assert brute_force_minimum(f, iv, grid) == (xs[k], ys[k])
-            d = np.diff(ys)
-            assert is_unimodal(f, iv, grid) == (np.all(d[:k] <= 0) and np.all(d[k:] >= 0))
+            assert is_unimodal(f, iv, grid) == _reference_unimodal(f, iv, grid)
 
     def test_is_unimodal_across_blocks(self):
         n = 3 * _BLOCK + 5
         iv, grid = _integer_grid(n)
         c = float(2 * _BLOCK + 7)
-        assert is_unimodal(lambda x: (x - c) ** 2, iv, grid)
-        # one strict rise before the minimizer, across the first block boundary
-        bump = float(_BLOCK)
-        assert not is_unimodal(
-            lambda x: (x - c) ** 2 + np.where(x == bump, 4.0 * c, 0.0), iv, grid)
-        # one strict fall after the minimizer, across the last block boundary
-        dip = float(3 * _BLOCK)
-        assert not is_unimodal(
-            lambda x: (x - c) ** 2 - np.where(x == dip, 4.0 * n, 0.0) + 4.0 * n, iv, grid)
-        assert not is_unimodal(lambda x: np.sin(x / 1000.0), iv, grid)
+        edge = float(_BLOCK)        # the first point of the second block
+        dip = float(3 * _BLOCK)     # the first point of the last block
+
+        cases = [
+            ((lambda x: (x - c) ** 2), True),
+            # one strict rise before the minimizer, across the first block boundary
+            ((lambda x: (x - c) ** 2 + np.where(x == edge, 4.0 * c, 0.0)), False),
+            # a rise at the last point of a block, a fall at the first of the next
+            ((lambda x: (x - c) ** 2 + np.where(x == edge - 1, 4.0 * c, 0.0)), False),
+            # one strict fall after the minimizer, across the last block boundary
+            ((lambda x: (x - c) ** 2 - np.where(x == dip, 4.0 * n, 0.0) + 4.0 * n), False),
+            # the minimizer either side of a block boundary
+            ((lambda x: (x - (edge - 1)) ** 2), True),
+            ((lambda x: (x - edge) ** 2), True),
+            # a plateau across a block boundary: before the minimizer, at it,
+            # and after it with a fall later
+            ((lambda x: np.where(abs(x - edge) <= 3, (edge - 3 - c) ** 2, (x - c) ** 2)),
+             True),
+            ((lambda x: np.maximum(abs(x - edge) - 3, 0.0)), True),
+            ((lambda x: np.where(x < dip, np.minimum(abs(x - 5.0), abs(edge - 5.0)),
+                                 0.0)), False),
+            ((lambda x: np.sin(x / 1000.0)), False),
+        ]
+        for f, verdict in cases:
+            assert is_unimodal(f, iv, grid) == _reference_unimodal(f, iv, grid) == verdict
+
+    def test_t1_14_oracle_answer(self):
+        # the default 10^6-point grid at verify's inset, as at the rewrite of
+        # x**4 as (x * x) ** 2: same minimizer, same value, bit for bit
+        case = find_case("t1_14")
+        grid = GridSpec(inset=case.interval.length() * VERIFY_INSET)
+        x, fx = brute_force_minimum(case.fn, case.interval, grid)
+        assert (x.hex(), fx.hex()) == ("-0x1.5d5a18772865ep-1", "-0x1.94d76db8e899fp+0")
 
     def test_peak_memory_of_a_full_grid_scan(self):
         case = next(c for c in all_cases() if c.id == "t1_04")
@@ -248,3 +285,18 @@ class TestBlockedScan:
             tracemalloc.stop()
         # the float64 grid is 8 MB; one block of temporaries is far less
         assert peak < 12e6
+
+    def test_peak_memory_of_a_full_unimodality_scan(self):
+        case = next(c for c in all_cases() if c.id == "t1_04")
+        grid = GridSpec(inset=case.interval.length() * VERIFY_INSET)
+        peaks = []
+        for scan in (brute_force_minimum, is_unimodal):
+            tracemalloc.start()
+            try:
+                scan(case.fn, case.interval, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the grid plus one block, as the minimum scan: not every sample
+        assert peaks[1] < 12e6
+        assert peaks[1] < peaks[0] + _BLOCK * 8

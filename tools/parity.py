@@ -32,11 +32,14 @@ run is written as the exception type, message and ``partial_trace``.
 ``Objective.count`` is written for both.  An oracle scan is written as the
 minimizer and its value as ``float.hex``, or the verdict; a failed one as
 the exception type, message and ``x``.  8,497 records in all.  The tool
-prints the first differing records and exits 1 on any difference, 0 when
-every record is identical.
+prints the first differing records, then how many records of each kind
+differ (a kind is a record key's first element, and the subcommand for
+``cli``, as in ``cli run`` or ``capped``), and exits 1 on any difference, 0
+when every record is identical.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import json
@@ -229,6 +232,11 @@ def _records(tree: str) -> list[str]:
     return records
 
 
+def _kind(record: str) -> str:
+    key = json.loads(record)[0]
+    return f"cli {key[1]}" if key[0] == "cli" and len(key) > 1 else key[0]
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(f"usage: {sys.argv[0]} OLD_TREE NEW_TREE")
@@ -238,6 +246,9 @@ def main() -> int:
         at = next(i for i, (x, y) in enumerate(zip(a + "\0", b + "\1")) if x != y)
         print(f"{json.loads(a)[0]}\n- ...{a[max(0, at - 120):at + 120]}\n"
               f"+ ...{b[max(0, at - 120):at + 120]}\n")
+    kinds = collections.Counter(_kind(a) for a in old[:len(new)])
+    for kind, n in collections.Counter(_kind(a) for a, _ in differ).items():
+        print(f"{kind}: {n} of {kinds[kind]} records differ")
     if len(old) != len(new):
         print(f"record counts differ: {len(old)} old, {len(new)} new")
     print(f"{len(differ)} of {min(len(old), len(new))} records differ")
