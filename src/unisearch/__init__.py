@@ -20,7 +20,6 @@ from .solvers import (
     minimize,
 )
 from .bounds import (
-    AccuracyBound,
     DomainError,
     IterationBound,
     accuracy_bound,
@@ -29,7 +28,6 @@ from .bounds import (
 from .oracle import GridSpec, brute_force_minimum, is_unimodal
 from .bench import (
     BenchmarkCase,
-    BenchReport,
     ReportRow,
     all_cases,
     emit_report,
@@ -44,8 +42,6 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyBound",
-    "BenchReport",
     "BenchmarkCase",
     "BudgetExhausted",
     "DomainError",

@@ -2,8 +2,10 @@
 
 Two registries of test problems with published reference results: table 1
 fixes a half-width tolerance per case and compares evaluation counts; table
-2 fixes evaluation budgets (10, 20, 30) and compares the achieved error
-|x_hat - x*|.  Functions are hard-coded closures (numpy ufuncs, so the same
+2 fixes evaluation budgets (``TABLE2_BUDGETS``: 10, 20, 30) and compares
+the achieved error |x_hat - x*|.  :func:`run_table1` and :func:`run_table2`
+return their :class:`ReportRow` tuples, and :func:`emit_report` renders
+them.  Functions are hard-coded closures (numpy ufuncs, so the same
 closure serves scalar solver calls and vectorized oracle grids); there is no
 expression parsing.
 
@@ -36,8 +38,6 @@ VERIFY_TOL = 1e-6          # half-width every solver runs at in verify
 VERIFY_AGREEMENT = 1e-4    # solver-oracle distance verify accepts on a fine grid
 VERIFY_INSET = 1e-9        # oracle grid inset at each end, as a share of the length
 
-METHOD_ORDER = tuple(Method)
-
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkCase:
@@ -49,7 +49,6 @@ class BenchmarkCase:
     interval: Interval
     x_star: float                             # best known minimizer (float64-accurate)
     tol: float | None = None                  # table-1 half-width target
-    budgets: tuple[int, ...] | None = None    # table-2 evaluation budgets
     ref_counts: dict[Method, int] | None = None                  # in table-1 row order
     ref_errors: dict[tuple[Method, int], float] | None = None    # in table-2 row order
     flags: frozenset[str] = frozenset()
@@ -87,7 +86,6 @@ def _t2(num, label, fn, lo, hi, x_star, halving, trichotomy, fibonacci):
         fn=fn,
         interval=Interval(lo, hi),
         x_star=x_star,
-        budgets=TABLE2_BUDGETS,
         ref_errors=errors,
     )
 
@@ -185,15 +183,6 @@ class ReportRow:
     deviation: float | None       # measured - expected
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    kind: str                     # "table1" | "table2"
-    rows: tuple[ReportRow, ...]
-
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows if r.passed is not None)
-
-
 def _row(case, method, n, stop, expected, measure, judge) -> ReportRow:
     """Run ``method`` on ``case`` under ``stop`` and report one row.
 
@@ -209,26 +198,26 @@ def _row(case, method, n, stop, expected, measure, judge) -> ReportRow:
     return ReportRow(case.id, method, n, measured, expected, passed, measured - expected)
 
 
-def run_table1() -> BenchReport:
+def run_table1() -> tuple[ReportRow, ...]:
     """Run every fixed-tolerance case under each method it has a reference count for."""
 
     def judge(measured, expected):
         return abs(measured - expected) <= TABLE1_COUNT_TOLERANCE
 
-    return BenchReport("table1", tuple(
+    return tuple(
         _row(case, method, None, StopRule(epsilon=case.tol), count,
              lambda res: res.n_evals, None if FLAG_GARBLED in case.flags else judge)
         for case in _TABLE1
         for method, count in case.ref_counts.items()
-    ))
+    )
 
 
-def run_table2() -> BenchReport:
+def run_table2() -> tuple[ReportRow, ...]:
     """Run every fixed-budget case at each (method, budget) it has a reference error for."""
     rows = []
     for case in _TABLE2:
         for (method, n), error in case.ref_errors.items():
-            bound = (accuracy_bound(method, case.interval.length(), n).epsilon_bound
+            bound = (accuracy_bound(method, case.interval.length(), n)
                      if method in (Method.HALVING, Method.TRICHOTOMY) else math.inf)
             # The published Fibonacci errors are finer than any
             # N-evaluation lattice allows; they correspond to one
@@ -241,7 +230,7 @@ def run_table2() -> BenchReport:
                 lambda res: abs(res.x_min - case.x_star),
                 lambda measured, expected: measured <= min(TABLE2_ERROR_FACTOR * expected, bound),
             ))
-    return BenchReport("table2", tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -251,7 +240,6 @@ class VerifyRow:
     x_solver: float
     x_oracle: float
     diff: float
-    threshold: float
     passed: bool
 
 
@@ -275,7 +263,7 @@ def run_verify(grid_points: int = GridSpec.points) -> tuple[list[VerifyRow], flo
     for case in cases:
         inset = case.interval.length() * VERIFY_INSET
         x_oracle, _ = brute_force_minimum(case.fn, case.interval, replace(grid, inset=inset))
-        for method in METHOD_ORDER:
+        for method in Method:
             if method is Method.FIBONACCI:
                 budget = fibonacci_budget_for(case.interval.length(), VERIFY_TOL)
                 stop = StopRule(budget=budget)
@@ -283,8 +271,7 @@ def run_verify(grid_points: int = GridSpec.points) -> tuple[list[VerifyRow], flo
                 stop = StopRule(epsilon=VERIFY_TOL)
             res = minimize(method, Objective(case.fn), case.interval, stop)
             diff = abs(res.x_min - x_oracle)
-            rows.append(VerifyRow(case.id, method, res.x_min, x_oracle, diff,
-                                  threshold, diff <= threshold))
+            rows.append(VerifyRow(case.id, method, res.x_min, x_oracle, diff, diff <= threshold))
     return rows, threshold
 
 
@@ -308,20 +295,20 @@ def _record(r: ReportRow) -> dict:
     )))
 
 
-def emit_report(report: BenchReport, fmt: str = "markdown") -> str:
-    """Render a report as csv, markdown, or json (byte-deterministic)."""
+def emit_report(rows: tuple[ReportRow, ...], fmt: str = "markdown") -> str:
+    """Render report rows as csv, markdown, or json (byte-deterministic)."""
     if fmt == "csv":
         lines = [CSV_HEADER]
-        lines += [",".join(_fmt(v, True) for v in _record(r).values()) for r in report.rows]
+        lines += [",".join(_fmt(v, True) for v in _record(r).values()) for r in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps([_record(r) for r in report.rows], indent=2) + "\n"
+        return json.dumps([_record(r) for r in rows], indent=2) + "\n"
     if fmt == "markdown":
         lines = [
             "| case | method | n | measured | paper | pass | deviation |",
             "|------|--------|---|----------|-------|------|-----------|",
         ]
-        for r in report.rows:
+        for r in rows:
             lines.append("| " + " | ".join([
                 r.case, r.method.value,
                 _fmt(r.n, True), _fmt(r.measured, False), _fmt(r.expected, False),

@@ -2,8 +2,10 @@
 
 Interval halving shrinks the bracket by 1/2 per iteration at <= 2
 evaluations after the first; trichotomy shrinks by 1/3 at <= 4.  From those
-ratios follow a minimum iteration count to reach a target half-width and a
-guaranteed accuracy after a fixed number of evaluations.
+ratios follow a minimum iteration count to reach a target half-width
+(:func:`iteration_bound`, an :class:`IterationBound` of the classical and
+the exact count) and a guaranteed accuracy after a fixed number of
+evaluations (:func:`accuracy_bound`, a plain float).
 """
 from __future__ import annotations
 
@@ -38,18 +40,8 @@ class IterationBound:
     integer, where the formula overcounts by one.
     """
 
-    method: Method
     k_formula: int
     k_exact: int
-
-
-@dataclass(frozen=True)
-class AccuracyBound:
-    """Guaranteed |x_hat - x*| after ``n_evals`` evaluations on length-L bracket."""
-
-    method: Method
-    n_evals: int
-    epsilon_bound: float
 
 
 def iteration_bound(method: Method | str, length: float, epsilon: float) -> IterationBound:
@@ -70,15 +62,11 @@ def iteration_bound(method: Method | str, length: float, epsilon: float) -> Iter
     if ratio == math.inf:
         raise DomainError(f"length/(2*epsilon) overflows float64 for length={length!r}, epsilon={epsilon!r}")
     log = math.log(ratio) / math.log(_SHRINK_BASE[method])
-    return IterationBound(
-        method=method,
-        k_formula=math.floor(log) + 1,
-        k_exact=math.ceil(log),
-    )
+    return IterationBound(k_formula=math.floor(log) + 1, k_exact=math.ceil(log))
 
 
-def accuracy_bound(method: Method | str, length: float, n_evals: int) -> AccuracyBound:
-    """Worst-case half-width after spending ``n_evals`` evaluations.
+def accuracy_bound(method: Method | str, length: float, n_evals: int) -> float:
+    """Guaranteed |x_hat - x*|, the worst-case half-width, after ``n_evals`` evaluations.
 
     halving:    length / (2 * 2^((n-1)/2))
     trichotomy: length / (2 * 3^((n-1)/4))
@@ -100,4 +88,4 @@ def accuracy_bound(method: Method | str, length: float, n_evals: int) -> Accurac
     if not bound > 0.0:
         raise DomainError(f"the bound length/(2*{base:g}**{exponent!r}) underflows float64 "
                           f"to 0 for length={length!r}, n_evals={n_evals}")
-    return AccuracyBound(method=method, n_evals=n_evals, epsilon_bound=bound)
+    return bound

@@ -24,6 +24,7 @@ import sys
 from .bench import (
     FLAG_ENDPOINT_MIN,
     FLAG_GARBLED,
+    TABLE2_BUDGETS,
     VERIFY_AGREEMENT,
     emit_report,
     find_case,
@@ -125,7 +126,7 @@ def cmd_list(args) -> int:
         flag = {"endpoint": FLAG_ENDPOINT_MIN, "garbled": FLAG_GARBLED}[args.flag]
         cases = [c for c in cases if flag in c.flags]
     for c in cases:
-        stop = f"tol={c.tol:g}" if c.tol is not None else f"budgets={','.join(map(str, c.budgets))}"
+        stop = f"tol={c.tol:g}" if c.tol is not None else f"budgets={','.join(map(str, TABLE2_BUDGETS))}"
         flags = f"  [{','.join(sorted(c.flags))}]" if c.flags else ""
         print(f"{c.id}  {c.label}  on [{c.interval.lo:g}, {c.interval.hi:g}]  {stop}  "
               f"x*={c.x_star:.6g}{flags}")
@@ -232,17 +233,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_table(args) -> int:
-    report = run_table1() if args.table == "1" else run_table2()
-    text = emit_report(report, args.format)
+    rows = run_table1() if args.table == "1" else run_table2()
+    text = emit_report(rows, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    passed = report.all_passed()
+    gated = [r.passed for r in rows if r.passed is not None]
+    passed = all(gated)
     if not args.quiet:
-        gated = [r.passed for r in report.rows if r.passed is not None]
-        excluded = len(report.rows) - len(gated)
+        excluded = len(rows) - len(gated)
         note = f" ({excluded} excluded)" if excluded else ""
         print(f"{'PASS' if passed else 'FAIL'}: {sum(gated)}/{len(gated)} "
               f"comparisons within tolerance{note}", file=sys.stderr)
@@ -255,8 +256,8 @@ def cmd_bounds(args) -> int:
             b = iteration_bound(method, args.length, args.tol)
             print(f"{method.value}: k_formula={b.k_formula} k_exact={b.k_exact}")
         else:
-            b = accuracy_bound(method, args.length, args.budget)
-            print(f"{method.value}: accuracy_bound={b.epsilon_bound!r}")
+            bound = accuracy_bound(method, args.length, args.budget)
+            print(f"{method.value}: accuracy_bound={bound!r}")
     return 0
 
 

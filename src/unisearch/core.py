@@ -121,8 +121,6 @@ class Objective:
             raise NonFiniteValue(f"objective returned {y!r} at x={x!r}", x=x)
         return y
 
-    __call__ = evaluate
-
 
 @dataclass(frozen=True)
 class StopRule:
@@ -152,10 +150,6 @@ class StopRule:
             _check_positive(self.epsilon, "epsilon")
         if self.budget is not None:
             _check_count(self.budget, 2, "budget")
-
-    @property
-    def is_budget(self) -> bool:
-        return self.budget is not None
 
 
 @dataclass(frozen=True, slots=True, init=False)

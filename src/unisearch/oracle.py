@@ -112,15 +112,14 @@ def is_unimodal(
     prev = None
     rose, unimodal = False, True
     for _, ys in _blocks(f, iv, grid):
-        edge = ys[0] if prev is None else prev      # the sample before this block
+        # every step, from the sample before this block; the samples are
+        # finite, so a step's sign is the comparison of its two samples
+        d = np.diff(ys, prepend=ys[0] if prev is None else prev)
         prev = ys[-1]
-        up = np.concatenate(([ys[0] > edge], ys[1:] > ys[:-1]))
-        down = np.concatenate(([ys[0] < edge], ys[1:] < ys[:-1]))
         if not rose:
-            i = int(np.argmax(up))      # the first strict rise, if there is one
-            rose = bool(up[i])
-            down = down[i:]
-        if rose and down.any():
+            d = d[int(np.argmax(d > 0)):]   # from the first strict rise, if there is one
+            rose = bool(d[0] > 0)
+        if rose and (d < 0).any():
             unimodal = False
-        del up, down    # hold no step masks while f runs on the next block
+        del d    # hold no steps while f runs on the next block
     return unimodal

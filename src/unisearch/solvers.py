@@ -59,7 +59,7 @@ the answer probe compute probes as sums of bracket points, such as
 from __future__ import annotations
 
 import math
-from enum import Enum
+from enum import StrEnum
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -77,15 +77,12 @@ from .core import (
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi = 0.6180339887498949
 
 
-class Method(str, Enum):
+class Method(StrEnum):
     HALVING = "halving"
     TRICHOTOMY = "trichotomy"
     DICHOTOMOUS = "dichotomous"
     GOLDEN = "golden"
     FIBONACCI = "fibonacci"
-
-    def __str__(self) -> str:  # argparse/report friendliness
-        return self.value
 
 
 class _Run:
@@ -463,7 +460,7 @@ def minimize(
             )
         args = (delta,)
     elif method is Method.FIBONACCI:
-        if not stop.is_budget:
+        if stop.budget is None:
             raise IncompatibleStopRule("fibonacci search requires a budget stop rule")
         if stop.budget > _FIB_MAX_BUDGET:
             raise ValueError("budget too large: Fibonacci ratios overflow float64 "

@@ -54,9 +54,9 @@ def random_runs():
 
 def test_criterion_1_table1_counts():
     t0 = time.perf_counter()
-    report = run_table1()
+    rows = run_table1()
     elapsed = time.perf_counter() - t0
-    gated = [r for r in report.rows if r.passed is not None]
+    gated = [r for r in rows if r.passed is not None]
     assert len(gated) == 19 * 3
     for r in gated:
         assert abs(r.measured - r.expected) <= 2, (r.case, r.method, r.measured)
@@ -68,15 +68,15 @@ def test_criterion_1_table1_counts():
 
 def test_criterion_2_table2_errors():
     t0 = time.perf_counter()
-    report = run_table2()
+    rows = run_table2()
     elapsed = time.perf_counter() - t0
-    assert len(report.rows) == 27
-    for r in report.rows:
+    assert len(rows) == 27
+    for r in rows:
         assert r.measured <= 2.0 * r.expected, (r.case, r.method, r.n)
         if r.method in (Method.HALVING, Method.TRICHOTOMY):
             case = next(c for c in registry_table2() if c.id == r.case)
             bound = accuracy_bound(r.method, case.interval.length(), r.n)
-            assert r.measured <= bound.epsilon_bound, (r.case, r.method, r.n)
+            assert r.measured <= bound, (r.case, r.method, r.n)
     assert elapsed < 1.0
     print(f"criterion 2 pass: 27/27 errors within 2x reference and "
           f"guaranteed bounds, {elapsed:.2f} s")
@@ -134,8 +134,8 @@ def test_criterion_5_iteration_count_formula():
 def test_criterion_6_bound_dominance():
     for length in (0.1, 1.0, 2.0, 17.3):
         for n in range(1, 101):
-            h = accuracy_bound(Method.HALVING, length, n).epsilon_bound
-            t = accuracy_bound(Method.TRICHOTOMY, length, n).epsilon_bound
+            h = accuracy_bound(Method.HALVING, length, n)
+            t = accuracy_bound(Method.TRICHOTOMY, length, n)
             if n == 1:
                 assert h == t
             else:

@@ -10,13 +10,10 @@ from unisearch.bench import (
     CSV_HEADER,
     FLAG_ENDPOINT_MIN,
     FLAG_GARBLED,
-    METHOD_ORDER,
     TABLE1_COUNT_TOLERANCE,
     TABLE2_BUDGETS,
     TABLE2_ERROR_FACTOR,
     VERIFY_INSET,
-    BenchReport,
-    ReportRow,
     all_cases,
     emit_report,
     fibonacci_budget_for,
@@ -82,9 +79,9 @@ class TestRegistry:
 
     def test_every_t2_case_has_nine_reference_errors(self):
         for c in registry_table2():
-            assert c.budgets == TABLE2_BUDGETS == (10, 20, 30)
+            assert TABLE2_BUDGETS == (10, 20, 30)
             keys = {(m, n) for m in (Method.HALVING, Method.TRICHOTOMY,
-                                     Method.FIBONACCI) for n in c.budgets}
+                                     Method.FIBONACCI) for n in TABLE2_BUDGETS}
             assert set(c.ref_errors) == keys
             assert all(v > 0 for v in c.ref_errors.values())
 
@@ -125,49 +122,45 @@ class TestRegistry:
             find_case("t1_99")
 
 
-def _subset(report, *case_ids):
-    """The rows of ``report`` on the given cases, as a report of the same kind."""
-    return BenchReport(report.kind, tuple(r for r in report.rows if r.case in case_ids))
+def _subset(rows, *case_ids):
+    """The ``rows`` on the given cases."""
+    return tuple(r for r in rows if r.case in case_ids)
 
 
 class TestTable1:
     def test_full_run_matches_references(self):
-        report = run_table1()
-        assert report.kind == "table1"
-        assert len(report.rows) == 60
-        gated = [r for r in report.rows if r.passed is not None]
+        rows = run_table1()
+        assert len(rows) == 60
+        gated = [r for r in rows if r.passed is not None]
         assert len(gated) == 57          # garbled case excluded from the gate
         assert all(r.passed for r in gated)
         assert all(abs(r.deviation) <= TABLE1_COUNT_TOLERANCE for r in gated)
-        assert report.all_passed()
 
     def test_garbled_case_reported_not_gated(self):
-        report = _subset(run_table1(), "t1_20")
-        assert {r.passed for r in report.rows} == {None}
-        assert all(r.measured is not None for r in report.rows)
+        rows = _subset(run_table1(), "t1_20")
+        assert {r.passed for r in rows} == {None}
+        assert all(r.measured is not None for r in rows)
 
     def test_pinned_counts(self):
-        report = _subset(run_table1(), "t1_09")
-        by_method = {r.method: r for r in report.rows}
+        rows = _subset(run_table1(), "t1_09")
+        by_method = {r.method: r for r in rows}
         assert by_method[Method.HALVING].measured == 53
         assert by_method[Method.TRICHOTOMY].measured == 43
         assert by_method[Method.GOLDEN].measured == 42
-        assert all(r.deviation == 0 for r in report.rows)
+        assert all(r.deviation == 0 for r in rows)
 
 
 class TestTable2:
     def test_full_run_within_tolerances(self):
-        report = run_table2()
-        assert report.kind == "table2"
-        assert len(report.rows) == 27
-        assert report.all_passed()
-        for r in report.rows:
+        rows = run_table2()
+        assert len(rows) == 27
+        for r in rows:
+            assert r.passed
             assert r.measured <= TABLE2_ERROR_FACTOR * r.expected
 
     def test_errors_not_degenerate(self):
         # achieved errors shrink as the budget grows, per case and method
-        report = run_table2()
-        by = {(r.case, r.method, r.n): r.measured for r in report.rows}
+        by = {(r.case, r.method, r.n): r.measured for r in run_table2()}
         for case in ("t2_01", "t2_02", "t2_03"):
             for m in (Method.HALVING, Method.TRICHOTOMY, Method.FIBONACCI):
                 assert by[(case, m, 30)] < by[(case, m, 10)]
@@ -175,11 +168,11 @@ class TestTable2:
 
 class TestFullTables:
     def test_rows_follow_the_registry(self):
-        assert [(r.case, r.method, r.n) for r in run_table1().rows] == [
+        assert [(r.case, r.method, r.n) for r in run_table1()] == [
             (c.id, m, None) for c in registry_table1()
             for m in (Method.HALVING, Method.TRICHOTOMY, Method.GOLDEN)
         ]
-        assert [(r.case, r.method, r.n) for r in run_table2().rows] == [
+        assert [(r.case, r.method, r.n) for r in run_table2()] == [
             (c.id, m, n) for c in registry_table2()
             for m in (Method.HALVING, Method.TRICHOTOMY, Method.FIBONACCI)
             for n in (10, 20, 30)
@@ -209,24 +202,23 @@ class TestFibonacciBudgetFor:
 
 class TestEmitReport:
     def test_csv_shape_and_determinism(self):
-        report = _subset(run_table1(), "t1_01", "t1_09")
-        text = emit_report(report, "csv")
+        rows = _subset(run_table1(), "t1_01", "t1_09")
+        text = emit_report(rows, "csv")
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
-        assert len(lines) == 1 + len(report.rows)
+        assert len(lines) == 1 + len(rows)
         assert text == emit_report(_subset(run_table1(), "t1_01", "t1_09"), "csv")
 
     def test_json_round_trip(self):
-        report = _subset(run_table2(), "t2_01")
-        payload = json.loads(emit_report(report, "json"))
-        assert len(payload) == len(report.rows)
+        rows = _subset(run_table2(), "t2_01")
+        payload = json.loads(emit_report(rows, "json"))
+        assert len(payload) == len(rows)
         assert payload[0]["case"] == "t2_01"
         assert set(payload[0]) == {"case", "method", "n", "measured", "paper",
                                    "pass", "deviation"}
 
     def test_markdown_table(self):
-        report = _subset(run_table1(), "t1_20")
-        lines = emit_report(report, "markdown").splitlines()
+        lines = emit_report(_subset(run_table1(), "t1_20"), "markdown").splitlines()
         assert lines[0].startswith("| case | method |")
         assert all(line.startswith("|") for line in lines)
         assert " - " in lines[2]        # ungated row renders a dash
@@ -239,26 +231,16 @@ class TestEmitReport:
 class TestVerify:
     def test_coarse_grid_agreement(self):
         rows, threshold = run_verify(grid_points=10_001)
-        assert len(rows) == 22 * len(METHOD_ORDER)
+        assert len(rows) == 22 * len(Method)
         assert all(r.passed for r in rows)
         # 10001 points cannot certify at 1e-4; threshold widens to resolution
         assert threshold > 1e-4
         for r in rows:
             assert r.diff == abs(r.x_solver - r.x_oracle)
+            assert r.passed == (r.diff <= threshold)
             assert math.isfinite(r.x_oracle)
 
     @pytest.mark.parametrize("grid_points", [0, 1, 2])
     def test_grid_too_small(self, grid_points):
         with pytest.raises(ValueError):
             run_verify(grid_points=grid_points)
-
-
-class TestReportAggregation:
-    def test_all_passed_ignores_ungated_rows(self):
-        rows = (
-            ReportRow("a", Method.HALVING, None, 10, 10, True, 0),
-            ReportRow("b", Method.HALVING, None, 11, None, None, None),
-        )
-        assert BenchReport("table1", rows).all_passed()
-        rows += (ReportRow("c", Method.HALVING, None, 15, 10, False, 5),)
-        assert not BenchReport("table1", rows).all_passed()

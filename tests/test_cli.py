@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import unisearch.bench
 import unisearch.cli as cli
-from unisearch.bench import VerifyRow, all_cases, find_case
+from unisearch.bench import ReportRow, VerifyRow, all_cases, find_case
 from unisearch.core import Objective, StopRule
 from unisearch.solvers import Method, minimize
 
@@ -122,6 +122,16 @@ class TestList:
         _, out, _ = run_cli(capsys, "list", "--flag", "garbled")
         assert out.startswith("t1_20")
         assert "[garbled]" in out
+
+    def test_table2_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "list", "--table", "2")
+        assert code == 0
+        assert err == ""
+        assert out == (
+            "t2_01  (x - 1.1)^2  on [0, 2]  budgets=10,20,30  x*=1.1\n"
+            "t2_02  -5x^2*exp(-0.5x)  on [1, 6]  budgets=10,20,30  x*=4\n"
+            "t2_03  cos(x)  on [2, 4]  budgets=10,20,30  x*=3.14159\n"
+        )
 
 
 class TestRun:
@@ -293,7 +303,7 @@ class TestTable:
         assert out1 == out2
         assert out1.splitlines()[0] == unisearch.bench.CSV_HEADER
         assert len(out1.splitlines()) == 61
-        assert "PASS: 57/57 comparisons within tolerance (3 excluded)" in err1
+        assert err1 == "PASS: 57/57 comparisons within tolerance (3 excluded)\n"
 
     def test_table2_passes(self, capsys):
         code, out, err = run_cli(capsys, "table", "2", "--quiet")
@@ -321,6 +331,27 @@ class TestTable:
         code, out, err = run_cli(capsys, "table", "1", "--format", "csv")
         assert code == 3
         assert "FAIL" in err
+
+    def test_table2_summary_line(self, capsys):
+        code, _, err = run_cli(capsys, "table", "2", "--format", "csv")
+        assert code == 0
+        assert err == "PASS: 27/27 comparisons within tolerance\n"
+
+    def test_verdict_ignores_ungated_rows(self, capsys, monkeypatch):
+        rows = (
+            ReportRow("a", Method.HALVING, None, 10, 10, True, 0),
+            ReportRow("b", Method.HALVING, None, 11, None, None, None),
+        )
+        monkeypatch.setattr(cli, "run_table1", lambda: rows)
+        code, _, err = run_cli(capsys, "table", "1", "--format", "csv")
+        assert code == 0
+        assert err == "PASS: 1/1 comparisons within tolerance (1 excluded)\n"
+
+        failed = ReportRow("c", Method.HALVING, None, 15, 10, False, 5)
+        monkeypatch.setattr(cli, "run_table1", lambda: rows + (failed,))
+        code, _, err = run_cli(capsys, "table", "1", "--format", "csv")
+        assert code == 3
+        assert err == "FAIL: 1/2 comparisons within tolerance (1 excluded)\n"
 
 
 class TestBounds:
@@ -361,7 +392,7 @@ class TestVerify:
         assert err.startswith("error:")
 
     def test_disagreement_exits_3(self, capsys, monkeypatch):
-        bad = VerifyRow("t1_01", Method.HALVING, 1.0, 2.0, 1.0, 1e-4, False)
+        bad = VerifyRow("t1_01", Method.HALVING, 1.0, 2.0, 1.0, False)
         monkeypatch.setattr(cli, "run_verify", lambda grid_points: ([bad], 1e-4))
         code, out, err = run_cli(capsys, "verify")
         assert code == 3

@@ -66,10 +66,13 @@ class TestObjective:
     def test_counts_every_evaluation(self):
         obj = Objective(lambda x: x * x)
         assert obj.count == 0
-        assert obj(2.0) == 4.0
+        assert obj.evaluate(2.0) == 4.0
         assert obj.count == 1
-        obj(3.0)
+        obj.evaluate(3.0)
         assert obj.count == 2
+
+    def test_evaluate_is_the_only_call(self):
+        assert not callable(Objective(lambda x: x))
 
     def test_budget_refusal_before_invoking(self):
         calls = []
@@ -79,9 +82,9 @@ class TestObjective:
             return x
 
         obj = Objective(f, budget=1)
-        obj(1.0)
+        obj.evaluate(1.0)
         with pytest.raises(BudgetExhausted):
-            obj(2.0)
+            obj.evaluate(2.0)
         assert calls == [1.0]       # the refused evaluation never ran
         assert obj.count == 1
 
@@ -93,21 +96,21 @@ class TestObjective:
     def test_zero_budget_refuses_immediately(self):
         obj = Objective(lambda x: x, budget=0)
         with pytest.raises(BudgetExhausted):
-            obj(1.0)
+            obj.evaluate(1.0)
         assert obj.count == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_raises_and_counts(self, bad):
         obj = Objective(lambda x: bad)
         with pytest.raises(NonFiniteValue) as info:
-            obj(0.5)
+            obj.evaluate(0.5)
         assert obj.count == 1       # the call happened, so it is counted
         assert info.value.x == 0.5
 
     def test_registry_reciprocal_row(self):
         # 2/x^2 at -1 evaluates to 2; the count advances by exactly 1
         obj = Objective(lambda x: 2.0 / (x * x))
-        assert obj(-1.0) == 2.0
+        assert obj.evaluate(-1.0) == 2.0
         assert obj.count == 1
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
@@ -115,7 +118,7 @@ class TestObjective:
         obj = Objective(lambda x: abs(x))
         seen = [obj.count]
         for x in xs:
-            obj(x)
+            obj.evaluate(x)
             seen.append(obj.count)
         assert seen == list(range(len(xs) + 1))
 
@@ -142,10 +145,6 @@ class TestStopRule:
             StopRule(budget=10.0)
         with pytest.raises(ValueError):
             StopRule(budget=True)
-
-    def test_is_budget(self):
-        assert StopRule(budget=5).is_budget
-        assert not StopRule(epsilon=0.1).is_budget
 
 
 class TestTraceEvent:

@@ -4,7 +4,9 @@ The frozen numbers in the pinned tests were derived by hand-tracing the
 update rules on dyadic-friendly inputs (so float arithmetic is exact) before
 the solvers were written.
 """
+import json
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -271,6 +273,27 @@ class TestMinimizeDispatch:
                      Interval(0.0, 1.0), StopRule(epsilon=0.1), delta=0.01)
 
 
+class TestMethodAsString:
+    """A method prints, formats, serialises and compares as its value."""
+
+    def test_text_forms(self):
+        m = Method.GOLDEN
+        assert str(m) == f"{m}" == "%s" % m == "golden"
+        assert format(m, ">8") == "  golden"
+        assert repr(m) == "<Method.GOLDEN: 'golden'>"
+
+    def test_json(self):
+        assert json.dumps(Method.GOLDEN) == '"golden"'
+        assert json.dumps({Method.GOLDEN: 1}) == '{"golden": 1}'
+
+    def test_identity_equality_hash_pickle(self):
+        m = Method.GOLDEN
+        assert Method("golden") is m
+        assert m == "golden"
+        assert hash(m) == hash("golden")
+        assert pickle.loads(pickle.dumps(m)) is m
+
+
 class TestSharedInvariants:
     EPSILON_METHODS = ("halving", "trichotomy", "dichotomous", "golden")
 
@@ -490,7 +513,7 @@ class TestOverflowingProbes:
             return f(x)
 
         run = lambda: minimize(method, Objective(fn), Interval(lo, hi), stop)
-        if method is Method.FIBONACCI or (method is Method.GOLDEN and stop.is_budget):
+        if method is Method.FIBONACCI or (method is Method.GOLDEN and stop.budget is not None):
             res = run()
             assert math.isfinite(res.x_min)
             assert res.final_interval.contains(res.x_min)
