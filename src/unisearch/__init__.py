@@ -6,7 +6,6 @@ worst-case bound calculators, a brute-force grid oracle, and a benchmark
 registry of reference cases.
 """
 from .core import (
-    BudgetExhausted,
     IncompatibleStopRule,
     Interval,
     NonFiniteValue,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkCase",
-    "BudgetExhausted",
     "DomainError",
     "GridSpec",
     "IncompatibleStopRule",

@@ -17,13 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 
-class BudgetExhausted(Exception):
-    """Raised by :class:`Objective` when an evaluation would exceed its budget.
-
-    Solvers treat this as a clean stop signal, not an error.
-    """
-
-
 class NonFiniteValue(ValueError):
     """The objective produced NaN or +/-inf; the run fails.
 
@@ -37,7 +30,7 @@ class NonFiniteValue(ValueError):
     def __init__(self, message: str, x: float | None = None):
         super().__init__(message)
         self.x = x
-        self.partial_trace: list[TraceEvent] = []
+        self.partial_trace: tuple[TraceEvent, ...] = ()
 
 
 class IncompatibleStopRule(ValueError):
@@ -95,26 +88,17 @@ class Objective:
     fn : callable
         Maps a float to something float() accepts (plain Python floats and
         numpy scalars both work).
-    budget : int, optional
-        Maximum number of evaluations this wrapper will perform.  Once
-        ``count`` reaches the budget, further calls raise
-        :class:`BudgetExhausted` without invoking ``fn``.
 
     ``count`` increases by exactly one per performed evaluation and is never
     reset or decremented.  A non-finite result raises
     :class:`NonFiniteValue` (the invocation still counts: it happened).
     """
 
-    def __init__(self, fn: Callable[[float], float], budget: int | None = None):
-        if budget is not None:
-            _check_count(budget, 0, "budget")
+    def __init__(self, fn: Callable[[float], float]):
         self.fn = fn
-        self.budget = budget
         self.count = 0
 
     def evaluate(self, x: float) -> float:
-        if self.budget is not None and self.count >= self.budget:
-            raise BudgetExhausted(f"evaluation budget of {self.budget} exhausted")
         y = float(self.fn(x))
         self.count += 1
         if not math.isfinite(y):

@@ -18,9 +18,8 @@ owns all they share: the run record (one event per iteration, with probes
 that end a run folded into the last event), the collapse guard that keeps the
 bracket non-empty at the float64 floor, the stop rules checked between
 iterations (half-width or length against epsilon, the evaluation budget,
-and a bracket that no longer shrinks), and the handling of a hard cap on the
-Objective (:class:`BudgetExhausted` ends the run cleanly) and of a
-non-finite value (:class:`NonFiniteValue` leaves with the partial trace).
+and a bracket that no longer shrinks), and the handling of a non-finite
+value (:class:`NonFiniteValue` leaves with the partial trace).
 That is the whole contract for a failing objective: any other exception
 raised by the function (``ZeroDivisionError``, ``OverflowError``, ...)
 propagates unchanged and carries no trace; the Objective's ``count`` still
@@ -64,7 +63,6 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from .core import (
-    BudgetExhausted,
     IncompatibleStopRule,
     Interval,
     NonFiniteValue,
@@ -115,12 +113,12 @@ class _Run:
             lo, hi, _ = self.marks.pop()
         self.marks.append((lo, hi, len(self.log)))
 
-    def trace(self) -> list[TraceEvent]:
+    def trace(self) -> tuple[TraceEvent, ...]:
         events, start, log = [], 0, self.log
         for i, (lo, hi, end) in enumerate(self.marks, 1):
             events.append(TraceEvent(i, Interval(lo, hi), end - start, tuple(log[start:end])))
             start = end
-        return events
+        return tuple(events)
 
     def best(self) -> tuple[float, float]:
         """The first evaluated point of least value."""
@@ -129,7 +127,7 @@ class _Run:
     def result(self, x: float, f: float) -> RunResult:
         trace = self.trace()
         return RunResult(x_min=x, f_min=f, n_evals=len(self.log), n_iters=len(trace),
-                         final_interval=trace[-1].interval_after, trace=tuple(trace))
+                         final_interval=trace[-1].interval_after, trace=trace)
 
 
 def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
@@ -145,12 +143,10 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
     ``budget`` evaluations spent, the midpoint of the final bracket is then
     evaluated as the estimate: that probe joins the last event and the
     state becomes ``(midpoint, f(midpoint))``.  An iteration cut short by
-    the objective's hard cap or by a non-finite value closes an event of its
-    own only if it paid for probes.
+    a non-finite value closes an event of its own only if it paid for probes.
 
     Returns ``(state, end)`` with ``end`` one of "epsilon", "budget",
-    "floor", "collapse" or, when the hard cap refused a probe, "exhausted";
-    then ``state`` is the one before that probe.
+    "floor" or "collapse".
     """
     a, b = iv.lo, iv.hi
     log, marks = r.log, r.marks
@@ -178,11 +174,9 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
             xm = (a + b) / 2
             state = (xm, r.probe(xm))
             r.fold(a, b)
-    except (BudgetExhausted, NonFiniteValue) as e:
+    except NonFiniteValue as e:
         if len(log) > (marks[-1][2] if marks else 0):    # the iteration paid probes
             marks.append((a, b, len(log)))
-        if isinstance(e, BudgetExhausted):
-            return state, "exhausted"
         e.partial_trace = r.trace()
         raise
     return state, end
@@ -199,8 +193,7 @@ def _halving(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
 
     Stop rules are checked between iterations, never inside one: a budget of
     N lets the iteration in progress finish, so the run spends N or N+1
-    evaluations.  A hard cap belongs on the Objective itself, which refuses
-    the overshooting probe and ends the run mid-iteration.
+    evaluations.
     """
     probe = r.probe
 
@@ -233,7 +226,7 @@ def _trichotomy(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
 
     Stop rules are checked between iterations, as in interval halving: a
     budget of N lets the iteration in progress finish (N to N+2 evaluations
-    spent); a hard cap on the Objective ends the run mid-iteration.
+    spent).
     """
     probe = r.probe
 
@@ -287,11 +280,8 @@ def _dichotomous(r: _Run, iv: Interval, stop: StopRule, delta: float) -> tuple[f
     # another pair is affordable while at most budget - 2 evaluations are
     # spent, and the answer probe while at most budget - 1 are
     budget = None if stop.budget is None else stop.budget - 1
-    best, _ = _drive(r, iv, step, None, stop.epsilon, budget, answer=True)
-    if best is None:      # the objective's own budget refused the first pair
-        raise BudgetExhausted("budget too small for a single probe pair")
     # the answer probe, or else the better probe of the last pair
-    return best
+    return _drive(r, iv, step, None, stop.epsilon, budget, answer=True)[0]
 
 
 def _two_probe(r: _Run, iv: Interval, ratios):
@@ -343,9 +333,9 @@ def _golden(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """
     step, state = _two_probe(r, iv, repeat((1 - _INVPHI, _INVPHI)))
     answer = stop.epsilon is not None
-    state, end = _drive(r, iv, step, state, stop.epsilon, stop.budget,
-                        halve=False, answer=answer)
-    return state if answer and end != "exhausted" else r.best()
+    state = _drive(r, iv, step, state, stop.epsilon, stop.budget,
+                   halve=False, answer=answer)[0]
+    return state if answer else r.best()
 
 
 def _fibonacci_numbers(n: int) -> list[int]:
@@ -391,7 +381,7 @@ def _fibonacci(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     step, state = _two_probe(r, iv, ladder)
     # no floor stop: the ladder spends its whole budget even at the FP floor
     (x, fx, _), end = _drive(r, iv, step, state, None, n, floor=False)
-    # collapsed or capped before the ladder finished: the best point so far
+    # collapsed before the ladder finished: the best point so far
     return (x, fx) if end == "budget" else r.best()
 
 
@@ -442,8 +432,7 @@ def minimize(
     A budget run may spend fewer: every method but Fibonacci stops once the
     bracket no longer shrinks (at the float64 floor or, for dichotomous
     search, as its length nears delta), and every method stops before an
-    iteration that would leave an empty bracket.  A hard cap on the
-    Objective ends a run mid-iteration.
+    iteration that would leave an empty bracket.
     """
     method = Method(method)
     if delta is not None and method is not Method.DICHOTOMOUS:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unisearch.core import (
-    BudgetExhausted,
     Interval,
     NonFiniteValue,
     Objective,
@@ -74,30 +73,10 @@ class TestObjective:
     def test_evaluate_is_the_only_call(self):
         assert not callable(Objective(lambda x: x))
 
-    def test_budget_refusal_before_invoking(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x
-
-        obj = Objective(f, budget=1)
-        obj.evaluate(1.0)
-        with pytest.raises(BudgetExhausted):
-            obj.evaluate(2.0)
-        assert calls == [1.0]       # the refused evaluation never ran
-        assert obj.count == 1
-
-    @pytest.mark.parametrize("bad", [-1, True, 2.5])
-    def test_budget_validation(self, bad):
-        with pytest.raises(ValueError):
-            Objective(lambda x: x, budget=bad)
-
-    def test_zero_budget_refuses_immediately(self):
-        obj = Objective(lambda x: x, budget=0)
-        with pytest.raises(BudgetExhausted):
-            obj.evaluate(1.0)
-        assert obj.count == 0
+    def test_takes_no_budget(self):
+        # StopRule(budget=N) is the one budget a run keeps
+        with pytest.raises(TypeError):
+            Objective(lambda x: x, budget=3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_raises_and_counts(self, bad):

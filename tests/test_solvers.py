@@ -12,7 +12,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from unisearch.core import (
-    BudgetExhausted,
     IncompatibleStopRule,
     Interval,
     NonFiniteValue,
@@ -26,6 +25,18 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def quadratic(c, scale=1.0, offset=0.0):
     return lambda x: scale * (x - c) ** 2 + offset
+
+
+def nan_at_call(f, nan_at):
+    """``f``, except that call number ``nan_at`` (1-based; None for never)
+    returns NaN."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return math.nan if calls[0] == nan_at else f(x)
+
+    return fn
 
 
 # strategy: an interval of workable size and a quadratic with its minimizer
@@ -426,24 +437,17 @@ class TestEngineInvariants:
         interval_and_quadratic(),
         st.sampled_from(list(Method)),
         st.floats(1e-9, 1e-1) | st.integers(2, 50),    # epsilon or budget stop
-        st.none() | st.integers(0, 40),                 # hard cap on the Objective
         st.none() | st.integers(1, 40),                 # first call returning NaN
     )
     @settings(max_examples=400, deadline=None)
-    def test_accounting_nesting_and_interior_probes(self, case, method, limit, cap, nan_at):
+    def test_accounting_nesting_and_interior_probes(self, case, method, limit, nan_at):
         iv, f, _ = case
         if isinstance(limit, int):
             stop = StopRule(budget=limit)
         else:
             assume(method is not Method.FIBONACCI)
             stop = StopRule(epsilon=limit)
-        calls = [0]
-
-        def fn(x):
-            calls[0] += 1
-            return math.nan if calls[0] == nan_at else f(x)
-
-        obj = Objective(fn, budget=cap)
+        obj = Objective(nan_at_call(f, nan_at))
         try:
             res = minimize(method, obj, iv, stop)
         except NonFiniteValue as e:
@@ -451,10 +455,6 @@ class TestEngineInvariants:
             # the failing call counts but is not a probe of the trace
             assert sum(ev.evals_this_iter for ev in e.partial_trace) == obj.count - 1
             check_trace(iv, e.partial_trace)
-            return
-        except BudgetExhausted:
-            # only a cap that refuses the first probe (pair, for dichotomous)
-            assert cap is not None and cap < (2 if method is Method.DICHOTOMOUS else 1)
             return
         assert res.n_evals == obj.count == sum(ev.evals_this_iter for ev in res.trace)
         assert res.n_iters == len(res.trace)
@@ -465,15 +465,15 @@ class TestEngineInvariants:
 
 class TestRunRecordAtFloor:
     """The run record where the float64 floor ends runs: brackets a few ulps
-    wide collapse, answer probes fold into the last event, and hard caps cut
-    iterations short.  Probes may touch an endpoint here (a known fault), so
-    only the accounting is checked."""
+    wide collapse, answer probes fold into the last event, and a non-finite
+    value cuts an iteration short.  Probes may touch an endpoint here (a known
+    fault), so only the accounting is checked."""
 
-    @pytest.mark.parametrize("cap", [None, 3, 30, 53, 61, 70])
+    @pytest.mark.parametrize("nan_at", [None, 3, 30, 53, 61, 70])    # first NaN call
     @pytest.mark.parametrize("limit", [1e-12, 100])
     @pytest.mark.parametrize("lo,hi", [(1e6, 1e6 + 1), (-(1e6 + 1), -1e6), (1e15, 1e15 + 8)])
     @pytest.mark.parametrize("method", list(Method))
-    def test_accounting(self, method, lo, hi, limit, cap):
+    def test_accounting(self, method, lo, hi, limit, nan_at):
         iv = Interval(lo, hi)
         if isinstance(limit, int):
             stop = StopRule(budget=limit)
@@ -481,8 +481,17 @@ class TestRunRecordAtFloor:
             stop = StopRule(budget=fibonacci_budget_for(iv.length(), limit))
         else:
             stop = StopRule(epsilon=limit)
-        obj = Objective(quadratic(lo + 0.3 * (hi - lo)), budget=cap)
-        res = minimize(method, obj, iv, stop)
+        obj = Objective(nan_at_call(quadratic(lo + 0.3 * (hi - lo)), nan_at))
+        try:
+            res = minimize(method, obj, iv, stop)
+        except NonFiniteValue as e:
+            trace = e.partial_trace
+            assert obj.count == nan_at
+            # the failing call counts but is not a probe of the trace
+            assert sum(ev.evals_this_iter for ev in trace) == obj.count - 1
+            assert all(ev.evals_this_iter == len(ev.probes) for ev in trace)
+            assert [ev.iteration for ev in trace] == list(range(1, len(trace) + 1))
+            return
         assert res.n_evals == obj.count == sum(ev.evals_this_iter for ev in res.trace)
         assert all(ev.evals_this_iter == len(ev.probes) for ev in res.trace)
         assert [ev.iteration for ev in res.trace] == list(range(1, res.n_iters + 1))
@@ -524,28 +533,6 @@ class TestOverflowingProbes:
         assert all(math.isfinite(x) for x in seen)
 
 
-class TestHardObjectiveBudget:
-    def test_hard_cap_stops_mid_iteration(self):
-        obj = Objective(quadratic(1.1), budget=7)
-        res = minimize("halving", obj, Interval(0.0, 2.0), StopRule(budget=20))
-        assert res.n_evals == 7 == obj.count
-        assert sum(ev.evals_this_iter for ev in res.trace) == 7
-        assert res.final_interval.contains(res.x_min)
-
-    def test_exhaustion_on_first_probe_propagates(self):
-        for method in ("halving", "trichotomy", "golden", "fibonacci", "dichotomous"):
-            with pytest.raises(BudgetExhausted):
-                minimize(method, Objective(lambda x: x * x, budget=0), Interval(0.0, 1.0),
-                         StopRule(budget=10))
-
-    def test_fibonacci_partial_returns_best(self):
-        obj = Objective(quadratic(0.7), budget=5)
-        res = minimize("fibonacci", obj, Interval(0.0, 2.0), StopRule(budget=12))
-        assert res.n_evals == 5
-        probed = {x for ev in res.trace for x, _ in ev.probes}
-        assert res.x_min in probed
-
-
 class TestNonFiniteHandling:
     def test_partial_trace_attached(self):
         def f(x):
@@ -556,11 +543,17 @@ class TestNonFiniteHandling:
         assert info.value.x == 0.25
         assert info.value.partial_trace
         assert info.value.partial_trace[0].probes[0][0] == 0.5
+        # a partial trace has the type of a finished one
+        assert type(info.value.partial_trace) is tuple
+        res = minimize("halving", Objective(quadratic(0.6)), Interval(0.0, 1.0),
+                       StopRule(epsilon=1e-3))
+        assert type(res.trace) is tuple
 
     def test_failure_on_first_probe(self):
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue) as info:
             minimize("trichotomy", Objective(lambda x: math.inf),
                      Interval(0.0, 1.0), StopRule(epsilon=0.1))
+        assert info.value.partial_trace == ()
 
 
 class TestOtherObjectiveExceptions:

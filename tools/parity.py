@@ -15,7 +15,7 @@ dumps one record per line:
   usage errors: stdout, stderr and exit code (``SystemExit``'s code where
   argparse exits), with help text wrapped at ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
-  and budgets 2 ... 100, and under ``Objective`` caps 0 ... 11;
+  and budgets 2 ... 100;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
   [1e15, 1e15+8], with ε down to 1e-300 and budgets up to 1400;
 * ``minimize`` with ``delta`` on the 23 registry cases under ε 1e-6 and
@@ -31,11 +31,11 @@ A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
 run is written as the exception type, message and ``partial_trace``.
 ``Objective.count`` is written for both.  An oracle scan is written as the
 minimizer and its value as ``float.hex``, or the verdict; a failed one as
-the exception type, message and ``x``.  8,497 records in all.  The tool
-prints the first differing records, then how many records of each kind
-differ (a kind is a record key's first element, and the subcommand for
-``cli``, as in ``cli run`` or ``capped``), and exits 1 on any difference, 0
-when every record is identical.
+the exception type, message and ``x``.  The tool prints the first
+differing records, then how many records of each kind differ (a kind is a
+record key's first element, and the subcommand for ``cli``, as in ``cli
+run`` or ``floor``) and how many records it compared, and exits 1 on any
+difference, 0 when every record is identical.
 """
 from __future__ import annotations
 
@@ -52,7 +52,6 @@ import numpy as np
 
 EPSILONS = tuple(10.0 ** -k for k in range(2, 16))
 BUDGETS = (2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 50, 100)
-CAPS = range(12)
 # (c, lo, hi): (x - c)**2 where one ulp of the bracket is far above ε;
 # the first four are the benchmark's floor cases
 FLOOR_CASES = (
@@ -165,17 +164,11 @@ def dump() -> None:
 
     stops = ([StopRule(epsilon=e) for e in EPSILONS]
              + [StopRule(budget=n) for n in BUDGETS])
-    capped = (StopRule(epsilon=1e-6), StopRule(budget=20))
     for case in cases:
         for method in Method:
             for stop in stops:
                 write(["minimize", case.id, method.value, repr(stop)],
                       _solve(minimize, method, Objective(case.fn), case.interval, stop))
-            for stop in capped:
-                for cap in CAPS:
-                    write(["capped", case.id, method.value, repr(stop), cap],
-                          _solve(minimize, method, Objective(case.fn, budget=cap),
-                                 case.interval, stop))
 
     for case in cases:
         for points in ORACLE_POINTS:
@@ -195,7 +188,7 @@ def dump() -> None:
                              Interval(lo, hi), stop))
 
     for case in cases:
-        for stop in capped:
+        for stop in (StopRule(epsilon=1e-6), StopRule(budget=20)):
             for delta in (*DELTAS, case.interval.length() / 4):
                 write(["delta", case.id, Method.DICHOTOMOUS.value, repr(stop), _h(delta)],
                       _solve(minimize, Method.DICHOTOMOUS, Objective(case.fn), case.interval,
