@@ -78,6 +78,27 @@ class TestObjective:
         with pytest.raises(TypeError):
             Objective(lambda x: x, budget=3)
 
+    def test_raising_function_propagates_uncounted(self):
+        # a hard wall is the caller's own exception: the call that raises is
+        # not an evaluation paid, so the count stays at the calls that returned
+        class Wall(Exception):
+            pass
+
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 1:
+                raise Wall
+            return x
+
+        obj = Objective(f)
+        obj.evaluate(1.0)
+        with pytest.raises(Wall):
+            obj.evaluate(2.0)
+        assert calls == [1.0, 2.0]
+        assert obj.count == 1
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_raises_and_counts(self, bad):
         obj = Objective(lambda x: bad)

@@ -567,3 +567,40 @@ class TestOtherObjectiveExceptions:
             minimize(method, obj, Interval(0.0, 1.0), StopRule(budget=20))
         assert not hasattr(info.value, "partial_trace")
         assert obj.count >= 1
+
+
+class Wall(Exception):
+    """The caller's own hard stop, raised from the function."""
+
+
+def wall_after(f, n):
+    """``f``, except that every call after the first ``n`` raises Wall."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        if calls[0] > n:
+            raise Wall
+        return f(x)
+
+    return fn
+
+
+class TestCallerWall:
+    # a hard wall on evaluations is an exception the caller raises from the
+    # function; it ends the run wherever it falls, and Objective.count reports
+    # exactly the evaluations paid before it
+    @pytest.mark.parametrize("method", list(Method))
+    def test_wall_stops_mid_run(self, method):
+        obj = Objective(wall_after(quadratic(1.1), 7))
+        with pytest.raises(Wall) as info:
+            minimize(method, obj, Interval(0.0, 2.0), StopRule(budget=20))
+        assert not hasattr(info.value, "partial_trace")
+        assert obj.count == 7
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_wall_on_first_probe_propagates(self, method):
+        obj = Objective(wall_after(lambda x: x * x, 0))
+        with pytest.raises(Wall):
+            minimize(method, obj, Interval(0.0, 1.0), StopRule(budget=10))
+        assert obj.count == 0
