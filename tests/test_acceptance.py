@@ -13,6 +13,7 @@ import pytest
 from unisearch.bench import (
     FLAG_ENDPOINT_MIN,
     FLAG_GARBLED,
+    VERIFY_AGREEMENT,
     emit_report,
     registry_table1,
     registry_table2,
@@ -146,9 +147,9 @@ def test_criterion_6_bound_dominance():
 
 def test_criterion_7_oracle_equivalence():
     t0 = time.perf_counter()
-    rows, threshold = run_verify()    # 10^6+1 grid, tol 1e-6
+    rows = run_verify()    # 10^6+1 grid, tol 1e-6
     elapsed = time.perf_counter() - t0
-    assert threshold == 1e-4
+    assert VERIFY_AGREEMENT == 1e-4
     assert len(rows) == 22 * 5
     for r in rows:
         assert r.diff <= 1e-4, (r.case, r.method, r.diff)

@@ -13,6 +13,7 @@ from unisearch.bench import (
     TABLE1_COUNT_TOLERANCE,
     TABLE2_BUDGETS,
     TABLE2_ERROR_FACTOR,
+    VERIFY_AGREEMENT,
     VERIFY_INSET,
     all_cases,
     emit_report,
@@ -229,18 +230,11 @@ class TestEmitReport:
 
 
 class TestVerify:
-    def test_coarse_grid_agreement(self):
-        rows, threshold = run_verify(grid_points=10_001)
+    def test_default_grid_agreement(self):
+        rows = run_verify()
         assert len(rows) == 22 * len(Method)
         assert all(r.passed for r in rows)
-        # 10001 points cannot certify at 1e-4; threshold widens to resolution
-        assert threshold > 1e-4
         for r in rows:
             assert r.diff == abs(r.x_solver - r.x_oracle)
-            assert r.passed == (r.diff <= threshold)
+            assert r.passed == (r.diff <= VERIFY_AGREEMENT)
             assert math.isfinite(r.x_oracle)
-
-    @pytest.mark.parametrize("grid_points", [0, 1, 2])
-    def test_grid_too_small(self, grid_points):
-        with pytest.raises(ValueError):
-            run_verify(grid_points=grid_points)

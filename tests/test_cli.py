@@ -37,6 +37,8 @@ class TestUsageErrors:
         ["table", "3"],
         ["bounds", "--tol", "0.1"],                                # missing length
         ["list", "--flag", "bogus"],
+        ["verify", "--grid", "3"],
+        ["verify", "--grid", "10001"],
     ])
     def test_argparse_rejects(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -377,23 +379,24 @@ class TestBounds:
 
 
 class TestVerify:
-    def test_coarse_grid(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--grid", "10001")
+    def test_default_grid(self, capsys):
+        code, out, err = run_cli(capsys, "verify")
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 110
         assert all(line.endswith(" ok") for line in lines)
-        assert "warning:" in err          # coarse grid widens the threshold
-        assert "PASS: 110/110" in err
+        assert err == "PASS: 110/110 within 1.000e-04\n"
 
-    def test_grid_too_small(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--grid", "2")
-        assert code == 2
-        assert err.startswith("error:")
+    def test_quiet_prints_same_stdout_and_no_summary(self, capsys):
+        _, loud, _ = run_cli(capsys, "verify")
+        code, out, err = run_cli(capsys, "verify", "--quiet")
+        assert code == 0
+        assert out == loud
+        assert err == ""
 
     def test_disagreement_exits_3(self, capsys, monkeypatch):
         bad = VerifyRow("t1_01", Method.HALVING, 1.0, 2.0, 1.0, False)
-        monkeypatch.setattr(cli, "run_verify", lambda grid_points: ([bad], 1e-4))
+        monkeypatch.setattr(cli, "run_verify", lambda: [bad])
         code, out, err = run_cli(capsys, "verify")
         assert code == 3
         assert out.splitlines()[0].endswith(" FAIL")

@@ -5,15 +5,16 @@
 For each tree, one fresh interpreter runs with ``PYTHONPATH=<tree>/src`` and
 dumps one record per line:
 
-* in-process ``cli.main`` on ``table 1|2`` in three formats, ``verify`` at
-  the default grid and with ``--grid 10001``, ``run`` for every registry
-  case and method under ``--tol 1e-6`` and ``--budget 20`` (json and
-  markdown with ``--trace``, markdown, csv, and one ``--trace --format
-  csv``), ``run dichotomous`` on four cases and ``run halving`` on one,
-  each with ``--delta``, a few ``bounds`` and ``list`` commands, no
-  arguments, ``--help`` of the program and of each subcommand, and nine
-  usage errors: stdout, stderr and exit code (``SystemExit``'s code where
-  argparse exits), with help text wrapped at ``COLUMNS=80``;
+* in-process ``cli.main`` on ``table 1|2`` in three formats, ``verify``
+  with and without ``--quiet``, ``run`` for every registry case and method
+  under ``--tol 1e-6`` and ``--budget 20`` (json and markdown with
+  ``--trace``, markdown, csv, and one ``--trace --format csv``), ``run
+  dichotomous`` on four cases and ``run halving`` on one, each with
+  ``--delta``, a few ``bounds`` and ``list`` commands, no arguments,
+  ``--help`` of the program and of each subcommand, and ten usage errors,
+  ``verify --grid`` among them (``verify`` takes no grid): stdout, stderr
+  and exit code (``SystemExit``'s code where argparse exits), with help
+  text wrapped at ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
   and budgets 2 ... 100;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
@@ -61,7 +62,7 @@ FLOOR_CASES = (
     (4e6 + 0.3, 4e6, 4e6 + 1.0),
     (1e15 + 2.5, 1e15, 1e15 + 8.0),
 )
-# either side of the oracle's 8192-point blocks, verify --grid 10001 and the
+# either side of the oracle's 8192-point blocks, a coarse grid and verify's
 # default grid
 ORACLE_POINTS = (3, 8191, 8192, 8193, 2 * 8192 + 1, 10_001, 1_000_001)
 FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
@@ -108,8 +109,8 @@ def _oracle(scan, case, grid):
 def _cli_commands(cases, methods):
     yield from (["table", t, "--format", f] for t in ("1", "2")
                 for f in ("markdown", "csv", "json"))
-    yield ["verify", "--grid", "10001"]
     yield ["verify"]
+    yield ["verify", "--quiet"]
     for case in cases:
         for method in methods:
             for stop in (["--tol", "1e-6"], ["--budget", "20"]):
@@ -133,7 +134,8 @@ def _cli_commands(cases, methods):
                 ["run", "nope", "t1_01", "--tol", "1e-6"],
                 ["run", "golden", "t1_01", "--tol", "1e-6", "--budget", "20"],
                 ["run", "golden", "t1_01", "--tol", "-0.1"],
-                ["table", "3"], ["bounds", "--length", "1"], ["verify", "--grid", "x"])
+                ["table", "3"], ["bounds", "--length", "1"], ["verify", "--grid", "x"],
+                ["verify", "--grid", "10001"])
 
 
 def dump() -> None:
