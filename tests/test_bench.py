@@ -238,3 +238,20 @@ class TestVerify:
             assert r.diff == abs(r.x_solver - r.x_oracle)
             assert r.passed == (r.diff <= VERIFY_AGREEMENT)
             assert math.isfinite(r.x_oracle)
+
+    def test_takes_no_grid(self):
+        with pytest.raises(TypeError):
+            run_verify(grid_points=10_001)
+
+    def test_other_grid_through_library(self):
+        # Another grid goes through brute_force_minimum with its own GridSpec:
+        # at 10,001 points each case's minimizer lies within one coarse step
+        # of the one run_verify found on the default grid.
+        fine = {r.case: r.x_oracle for r in run_verify()}
+        cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
+        assert set(fine) == {c.id for c in cases}
+        for c in cases:
+            inset = c.interval.length() * VERIFY_INSET
+            x, _ = brute_force_minimum(c.fn, c.interval, GridSpec(points=10_001, inset=inset))
+            step = (c.interval.length() - 2 * inset) / 10_000
+            assert abs(x - fine[c.id]) <= step, (c.id, x, fine[c.id], step)

@@ -39,6 +39,7 @@ class TestUsageErrors:
         ["list", "--flag", "bogus"],
         ["verify", "--grid", "3"],
         ["verify", "--grid", "10001"],
+        ["verify", "--grid", "x"],
     ])
     def test_argparse_rejects(self, argv):
         with pytest.raises(SystemExit) as info:
