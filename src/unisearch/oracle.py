@@ -4,10 +4,10 @@ Used to cross-validate solver answers: a dense uniform grid scan finds the
 grid minimizer directly, and a monotonicity scan certifies (at grid
 resolution) whether a function is unimodal on an interval.
 
-Both scan the grid in blocks of ``_BLOCK`` points, so the objective's
-temporaries are one block's size, not a grid-sized array per ufunc, and a
-scan stops at the first block holding a non-finite value.  Both scans hold
-the float64 grid plus one block.
+Both scan the grid in blocks of ``_BLOCK`` points, building each block's
+points as they go, so neither holds a grid-sized array: the objective's
+temporaries are one block's size, and a scan stops at the first block
+holding a non-finite value.
 """
 from __future__ import annotations
 
@@ -40,13 +40,19 @@ class GridSpec:
 
 
 _BLOCK = 8192   # points per block: 64 KiB per float64 temporary, inside L2
+_OFFSETS = np.arange(_BLOCK, dtype=float)   # 0.0, 1.0, ..., _BLOCK - 1
+_OFFSETS.flags.writeable = False
 
 
 def _blocks(f: Callable[[float], float], iv: Interval, grid: GridSpec):
     """Yield ``(xs, ys)`` over the grid, ``_BLOCK`` points at a time.
 
-    Every ``xs`` is a view of one ``np.linspace`` array, so the grid floats
-    do not depend on the block size.  ``ys`` is ``f`` on the block: one
+    Each ``xs`` is built alone with ``np.linspace``'s arithmetic: the
+    indices as floats (exact below 2**53) times the step, plus ``lo``, with
+    the last point set to ``hi``; when the step underflows to 0 (a bracket
+    a few subnormals wide), the indices over ``points - 1``, times the
+    width.  So the points are those of ``np.linspace(lo, hi, points)`` bit
+    for bit, whatever the block size.  ``ys`` is ``f`` on the block: one
     vectorised call, or one call per point when ``f`` refuses the array.
     Raises NonFiniteValue at the first non-finite sample, before any later
     block is evaluated.
@@ -54,9 +60,19 @@ def _blocks(f: Callable[[float], float], iv: Interval, grid: GridSpec):
     lo, hi = iv.lo + grid.inset, iv.hi - grid.inset
     if not lo < hi:
         raise ValueError("inset leaves an empty interval")
-    grid_xs = np.linspace(lo, hi, grid.points)
+    div = grid.points - 1
+    delta = hi - lo
+    step = delta / div
     for start in range(0, grid.points, _BLOCK):
-        xs = grid_xs[start:start + _BLOCK]
+        xs = _OFFSETS[:grid.points - start] + start
+        if step == 0.0:
+            xs /= div
+            xs *= delta
+        else:
+            xs *= step
+        xs += lo
+        if start + _BLOCK >= grid.points:
+            xs[-1] = hi
         try:
             ys = np.asarray(f(xs), dtype=float)
             if ys.shape != xs.shape:
@@ -81,8 +97,8 @@ def brute_force_minimum(
     Ties break to the lowest abscissa, so the result is independent of any
     evaluation order.  Resolution is (sampled length)/(points - 1).
 
-    The grid is scanned in blocks, keeping a running minimum: memory is the
-    float64 grid plus one block of temporaries.  A non-finite value raises
+    The grid is scanned in blocks, keeping a running minimum: memory is one
+    block of temporaries.  A non-finite value raises
     NonFiniteValue from the first block that holds one.
     """
     best_x = best_y = math.inf

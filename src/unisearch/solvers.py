@@ -1,10 +1,15 @@
 """Derivative-free bracketing minimizers for unimodal functions on [a, b].
 
 Five methods share a common contract: probes are strictly interior to the
-current bracket (endpoints are never evaluated), comparisons use ``<=`` so
-ties always take the left/lower branch, and every run returns a
-:class:`~unisearch.core.RunResult` whose trace accounts for each paid
-evaluation.  Interval-halving and trichotomy keep their estimate pinned to
+current bracket (endpoints are never evaluated), comparisons use ``<=``,
+and every run returns a :class:`~unisearch.core.RunResult` whose trace
+accounts for each paid evaluation.  A tie between two probes goes to the
+one compared first, so the kept bracket is not always the leftmost:
+dichotomous, golden and Fibonacci keep [a, x_high] when f(x_low) ==
+f(x_high); halving keeps the left half when f(x1) == f(x2) but the middle
+half when f(x3) == f(x2); trichotomy keeps the left side when f(x2) ==
+f(x3), but moves right when f(x4) == f(x3), and to [x4, b] when f(x5) ==
+f(x4).  Interval-halving and trichotomy keep their estimate pinned to
 the exact midpoint of the bracket; golden-section and Fibonacci carry the
 best evaluated interior point instead.
 

@@ -26,7 +26,7 @@ from unisearch.bench import (
     run_verify,
 )
 from unisearch.core import Interval
-from unisearch.oracle import GridSpec, brute_force_minimum
+from unisearch.oracle import GridSpec, brute_force_minimum, is_unimodal
 from unisearch.solvers import Method
 
 # froze spot rows of the reference tables; a silent registry edit must fail
@@ -92,6 +92,17 @@ class TestRegistry:
             grid = GridSpec(points=100_001, inset=c.interval.length() * 1e-9)
             x, _ = brute_force_minimum(c.fn, c.interval, grid)
             assert abs(x - c.x_star) <= 2 * c.interval.length() / 100_000
+
+    def test_non_unimodal_cases(self):
+        # the methods assume a unimodal function; at 10,001 points two cases
+        # are not: t1_11 rises to a maximum near x = 2.31 and falls to x = 3,
+        # and the garbled t1_20 has poles inside its bracket
+        not_unimodal = {
+            c.id for c in all_cases()
+            if not is_unimodal(c.fn, c.interval,
+                               GridSpec(points=10_001, inset=c.interval.length() * 1e-9))
+        }
+        assert not_unimodal == {"t1_11", "t1_20"}
 
     @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.id)
     def test_vector_and_scalar_calls_agree(self, case):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from unisearch.bench import VERIFY_INSET, all_cases, find_case
 from unisearch.core import Interval, NonFiniteValue
@@ -73,6 +74,7 @@ class TestBruteForceMinimum:
         x, _ = brute_force_minimum(_scalar_only, Interval(0.0, 1.0), GridSpec(points=101))
         assert x == 0.25
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_sample_raises(self):
         with np.errstate(divide="ignore"):
             with pytest.raises(NonFiniteValue) as info:
@@ -125,6 +127,7 @@ class TestIsUnimodal:
         assert is_unimodal(_narrow_dip, iv, GridSpec(points=11))
         assert not is_unimodal(_narrow_dip, iv, GridSpec(points=10_001))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteValue):
             is_unimodal(lambda x: math.nan, Interval(0.0, 1.0),
@@ -164,9 +167,53 @@ def _integer_grid(n):
 
 
 GRID_SIZES = (3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 10_001, 1_000_001)
+_TINY = 5e-324      # the least positive subnormal
+
+
+@st.composite
+def _grids(draw):
+    """An interval and a grid on it: endpoints of either sign up to about
+    1e307, widths from a few ulps of the endpoints to about 1e307, or a few
+    subnormals wide near 0, where ``np.linspace``'s step underflows to 0."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1e307, 1e307))
+        width = draw(st.one_of(st.floats(1e-300, 1e307),
+                               st.integers(1, 1000).map(lambda k: k * math.ulp(lo))))
+    else:
+        lo = draw(st.integers(-10_000, 10_000)) * _TINY
+        width = draw(st.integers(1, 4 * _BLOCK)) * _TINY
+    hi = lo + width
+    assume(lo < hi and math.isfinite(hi))
+    iv = Interval(lo, hi)
+    points = draw(st.sampled_from((3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)))
+    share = draw(st.one_of(st.just(0.0), st.just(VERIFY_INSET), st.floats(0.0, 0.45)))
+    inset = iv.length() * share
+    assume(iv.lo + inset < iv.hi - inset)
+    return iv, GridSpec(points=points, inset=inset)
 
 
 class TestBlockedScan:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(_grids())
+    @settings(max_examples=300, deadline=None)
+    @example((Interval(-1e307, 1e307), GridSpec(points=_BLOCK + 1, inset=1.0)))
+    def test_blocks_are_linspace_bit_for_bit(self, iv_grid):
+        iv, grid = iv_grid
+        lo, hi = iv.lo + grid.inset, iv.hi - grid.inset
+        xs = np.concatenate([b for b, _ in _blocks(lambda x: x, iv, grid)])
+        assert np.array_equal(_bits(xs), _bits(np.linspace(lo, hi, grid.points)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lo, n", [(0.0, 100), (-3 * _TINY, 8), (-_TINY, _BLOCK // 4)])
+    @pytest.mark.parametrize("points", [_BLOCK + 1, 2 * _BLOCK + 1])
+    def test_zero_step_grid_of_a_subnormal_bracket(self, lo, n, points):
+        # the step (hi - lo) / (points - 1) underflows to 0: np.linspace's
+        # other branch, which must not raise or warn
+        iv = Interval(lo, lo + n * _TINY)
+        assert iv.length() / (points - 1) == 0.0
+        xs = np.concatenate([b for b, _ in _blocks(lambda x: x, iv, GridSpec(points=points))])
+        assert np.array_equal(_bits(xs), _bits(np.linspace(iv.lo, iv.hi, points)))
+
     @pytest.mark.parametrize("points", GRID_SIZES)
     @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.id)
     def test_matches_whole_grid_bit_for_bit(self, case, points):
@@ -201,6 +248,7 @@ class TestBlockedScan:
             lambda x: np.where(x == last, -1.0, np.where(x == first, -2.0, 1.0)), iv, grid)
         assert x == first
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_first_nonfinite_point_in_a_later_block(self):
         iv, grid = _integer_grid(4 * _BLOCK)
         nan_at, inf_at = float(2 * _BLOCK + 5), float(2 * _BLOCK + 9)
@@ -216,6 +264,7 @@ class TestBlockedScan:
         assert str(info.value) == f"objective returned nan at grid point x={nan_at!r}"
         assert max(seen) < 3 * _BLOCK       # the fourth block is never evaluated
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_message_prints_python_floats(self):
         with np.errstate(divide="ignore"):
             with pytest.raises(NonFiniteValue) as info:
@@ -283,8 +332,8 @@ class TestBlockedScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the float64 grid is 8 MB; one block of temporaries is far less
-        assert peak < 12e6
+        # one block of temporaries, not the 8 MB float64 grid
+        assert peak < 1e6
 
     def test_peak_memory_of_a_full_unimodality_scan(self):
         case = next(c for c in all_cases() if c.id == "t1_04")
@@ -297,6 +346,6 @@ class TestBlockedScan:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the grid plus one block, as the minimum scan: not every sample
-        assert peaks[1] < 12e6
+        # one block, as the minimum scan: not the grid, not every sample
+        assert peaks[1] < 1e6
         assert peaks[1] < peaks[0] + _BLOCK * 8

@@ -305,6 +305,38 @@ class TestMethodAsString:
         assert pickle.loads(pickle.dumps(m)) is m
 
 
+def _plateau(lo, hi=math.inf):
+    """0 on [lo, hi] and 1 elsewhere: every probe ties with some other."""
+    return lambda x: 0.0 if lo <= x <= hi else 1.0
+
+
+class TestTieRules:
+    """The first bracket each method keeps on [0, 1] when probes tie exactly."""
+
+    @pytest.mark.parametrize("method, f, kept", [
+        # f(x1) == f(x2): the left half
+        ("halving", _plateau(0.0), (0.0, 0.5)),
+        # f(x1) > f(x2) == f(x3): the middle half, not the right one
+        ("halving", _plateau(0.4), (0.25, 0.75)),
+        # f(x2) == f(x3), then f(x1) == f(x2): [a, x2]
+        ("trichotomy", _plateau(0.0), (0.0, 1 / 3)),
+        # f(x2) == f(x3), then f(x1) > f(x2): [x1, x3]
+        ("trichotomy", _plateau(0.25), (1 / 6, 0.5)),
+        # f(x2) > f(x3) == f(x4): moves right; then f(x5) == f(x4): [x4, b]
+        ("trichotomy", _plateau(0.4), (2 / 3, 1.0)),
+        # f(x4) == f(x3), then f(x5) > f(x4): [x3, x5]
+        ("trichotomy", _plateau(0.4, 0.8), (0.5, 5 / 6)),
+        # f(x_low) == f(x_high): [a, x_high]
+        ("dichotomous", _plateau(0.0), (0.0, 0.5 + 1e-6 / 2)),
+        ("golden", _plateau(0.0), (0.0, _INVPHI)),
+        ("fibonacci", _plateau(0.0), (0.0, 0.625)),
+    ])
+    def test_first_bracket_on_a_tie(self, method, f, kept):
+        res = minimize(method, Objective(f), Interval(0.0, 1.0), StopRule(budget=4))
+        after = res.trace[0].interval_after
+        assert (after.lo, after.hi) == kept
+
+
 class TestSharedInvariants:
     EPSILON_METHODS = ("halving", "trichotomy", "dichotomous", "golden")
 

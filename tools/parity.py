@@ -25,14 +25,19 @@ dumps one record per line:
   without δ;
 * ``brute_force_minimum`` and ``is_unimodal`` on the 23 registry cases at
   3, 8191, 8192, 8193, 16385, 10,001 and 1,000,001 grid points, each with
-  inset 0 and 1e-9 times the bracket length.
+  inset 0 and ``VERIFY_INSET`` (1e-9) times the bracket length, verify's
+  grid among them, and every one of those grids itself;
+* the same scans of ``|x|``, and the grids, on a bracket 1,000 subnormals
+  wide, where ``np.linspace``'s step underflows to 0 at every grid size but
+  3, with inset 0 and one subnormal.
 
 A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
 run is written as the exception type, message and ``partial_trace``.
 ``Objective.count`` is written for both.  An oracle scan is written as the
 minimizer and its value as ``float.hex``, or the verdict; a failed one as
-the exception type, message and ``x``.  The tool prints the first
+the exception type, message and ``x``.  A grid is written as the SHA-256 of
+its float64 bytes, in scan order.  The tool prints the first
 differing records, then how many records of each kind differ (a kind is a
 record key's first element, and the subcommand for ``cli``, as in ``cli
 run`` or ``floor``) and how many records it compared, and exits 1 on any
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -65,6 +71,8 @@ FLOOR_CASES = (
 # either side of the oracle's 8192-point blocks, a coarse grid and verify's
 # default grid
 ORACLE_POINTS = (3, 8191, 8192, 8193, 2 * 8192 + 1, 10_001, 1_000_001)
+TINY = 5e-324            # the least positive subnormal
+SUBNORMAL_BRACKET = (-3 * TINY, 997 * TINY)
 FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
 # dichotomous offsets either side of its rule 0 < delta < L/4 (L/4 is added
@@ -97,13 +105,25 @@ def _solve(minimize, method, obj, iv, stop, **kw):
             _events(res.trace), obj.count]
 
 
-def _oracle(scan, case, grid):
+def _oracle(scan, f, iv, grid):
     try:
         with np.errstate(all="ignore"):     # the poles at inset 0 warn
-            res = scan(case.fn, case.interval, grid)
+            res = scan(f, iv, grid)
     except Exception as e:     # a failure is part of the record
         return ["error", type(e).__name__, str(e), _h(getattr(e, "x", None))]
     return [_h(v) for v in res] if isinstance(res, tuple) else res
+
+
+def _grid(brute_force_minimum, iv, grid):
+    """The SHA-256 of the grid's float64 bytes, as the oracle scans it."""
+    digest = hashlib.sha256()
+
+    def identity(xs):
+        digest.update(np.ascontiguousarray(xs, dtype=float).tobytes())
+        return xs
+
+    brute_force_minimum(identity, iv, grid)
+    return digest.hexdigest()
 
 
 def _cli_commands(cases, methods):
@@ -142,7 +162,7 @@ def dump() -> None:
     """Write every record of the imported tree to stdout, one JSON list per line."""
     import unisearch
     from unisearch import cli
-    from unisearch.bench import all_cases
+    from unisearch.bench import VERIFY_INSET, all_cases
     from unisearch.core import Interval, Objective, StopRule
     from unisearch.oracle import GridSpec, brute_force_minimum, is_unimodal
     from unisearch.solvers import Method, minimize
@@ -172,13 +192,17 @@ def dump() -> None:
                 write(["minimize", case.id, method.value, repr(stop)],
                       _solve(minimize, method, Objective(case.fn), case.interval, stop))
 
-    for case in cases:
+    oracle_runs = [(case.id, case.fn, case.interval, (0.0, case.interval.length() * VERIFY_INSET))
+                   for case in cases]
+    oracle_runs.append(("subnormal", abs, Interval(*SUBNORMAL_BRACKET), (0.0, TINY)))
+    for name, fn, iv, insets in oracle_runs:
         for points in ORACLE_POINTS:
-            for inset in (0.0, case.interval.length() * 1e-9):
+            for inset in insets:
                 grid = GridSpec(points=points, inset=inset)
+                write(["grid", name, points, _h(inset)], _grid(brute_force_minimum, iv, grid))
                 for scan in (brute_force_minimum, is_unimodal):
-                    write(["oracle", scan.__name__, case.id, points, _h(inset)],
-                          _oracle(scan, case, grid))
+                    write(["oracle", scan.__name__, name, points, _h(inset)],
+                          _oracle(scan, fn, iv, grid))
 
     floor_stops = ([StopRule(epsilon=e) for e in FLOOR_EPSILONS]
                    + [StopRule(budget=n) for n in FLOOR_BUDGETS])
