@@ -134,8 +134,8 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _run_payload(case, method, res, with_trace: bool):
-    payload = {
+def _run_payload(case, method, res):
+    return {
         "case": case.id,
         "method": method.value,
         "x_min": res.x_min,
@@ -145,27 +145,49 @@ def _run_payload(case, method, res, with_trace: bool):
         "final_lo": res.final_interval.lo,
         "final_hi": res.final_interval.hi,
     }
-    if with_trace:
-        payload["trace"] = [
-            {
-                "iter": ev.iteration,
-                "lo": ev.interval_after.lo,
-                "hi": ev.interval_after.hi,
-                "length": ev.interval_after.length(),
-                "evals": ev.evals_this_iter,
-                "probes": [[x, fx] for x, fx in ev.probes],
-            }
-            for ev in res.trace
-        ]
-    return payload
 
 
-# The trace of `run --format json` in the layout of json.dumps(indent=2),
-# one template per event and one per [x, f(x)] probe.  Their whole domain:
-# every float is finite (Interval rejects non-finite endpoints, Objective
-# raises NonFiniteValue), so float.__repr__ prints what json prints; and a
-# run has at least one event and every event at least one probe, so no
-# list is empty, which json would print as [].
+def _event_texts(trace):
+    """Yield each event as ``(iter, lo, hi, length, evals, [(x, fx), ...])``
+    with every float as its ``float.__repr__`` text.
+
+    That is what json prints for a float, and what ``str`` prints for a
+    Python float; ``repr`` of a NumPy 2 scalar is not.  Most bracket ends
+    are probe points of the same or an earlier event, so each probe ``x``
+    is converted once and ``lo``/``hi`` look its text up.  Equal nonzero
+    float64 values have the same bits, so a hit prints what a conversion
+    would; zeros are never stored, as ``0.0 == -0.0`` but they print apart.
+    """
+    r = float.__repr__
+    seen = {}
+    for ev in trace:
+        probes = []
+        for x, fx in ev.probes:
+            text = r(x)
+            if x:
+                seen[x] = text
+            probes.append((text, r(fx)))
+        lo, hi = ev.interval_after.lo, ev.interval_after.hi
+        yield (ev.iteration, seen.get(lo) or r(lo), seen.get(hi) or r(hi), r(hi - lo),
+               ev.evals_this_iter, probes)
+
+
+# `run --format json` in the layout of json.dumps(indent=2): one template for
+# the head of eight scalars, one per trace event and one per [x, f(x)] probe.
+# Their whole domain: every float is finite (Interval rejects non-finite
+# endpoints, Objective raises NonFiniteValue), so float.__repr__ prints what
+# json prints; and a run has at least one event and every event at least one
+# probe, so no list is empty, which json would print as [].
+_HEAD_JSON = """\
+{
+  "case": %s,
+  "method": %s,
+  "x_min": %s,
+  "f_min": %s,
+  "n_evals": %d,
+  "n_iters": %d,
+  "final_lo": %s,
+  "final_hi": %s"""
 _EVENT_JSON = """\
     {
       "iter": %d,
@@ -184,21 +206,26 @@ _PROBE_JSON = """\
         ]"""
 
 
-def _run_json(payload) -> str:
-    """Return ``json.dumps(payload, indent=2)``, byte for byte.
+def _run_json(case, method, res, with_trace: bool) -> str:
+    """Return ``json.dumps(payload, indent=2)`` of the run, byte for byte.
 
-    On Python 3.11 that call runs the pure-Python encoder; here only the head
-    of eight scalars does, and the trace is spliced in from the templates.
+    ``payload`` is the eight head fields and, with the trace, its events;
+    both are filled into templates, so the pure-Python ``indent=2`` encoder
+    never runs.  Strings go through ``json.dumps``, floats through
+    ``float.__repr__`` and ints through ``%d``.  Each probe ``x`` of the
+    trace is converted once (:func:`_event_texts`).
     """
-    head = json.dumps({k: v for k, v in payload.items() if k != "trace"}, indent=2)
-    if "trace" not in payload:
-        return head
-    r = float.__repr__     # what json prints for a float; repr() of a NumPy 2 scalar is not
+    r = float.__repr__
+    iv = res.final_interval
+    head = _HEAD_JSON % (json.dumps(case.id), json.dumps(method.value), r(res.x_min),
+                         r(res.f_min), res.n_evals, res.n_iters, r(iv.lo), r(iv.hi))
+    if not with_trace:
+        return head + "\n}"
     events = ",\n".join(
-        _EVENT_JSON % (ev["iter"], r(ev["lo"]), r(ev["hi"]), r(ev["length"]), ev["evals"],
-                       ",\n".join([_PROBE_JSON % (r(x), r(fx)) for x, fx in ev["probes"]]))
-        for ev in payload["trace"])
-    return f'{head[:-2]},\n  "trace": [\n{events}\n  ]\n}}'
+        _EVENT_JSON % (it, lo, hi, length, evals,
+                       ",\n".join([_PROBE_JSON % pair for pair in probes]))
+        for it, lo, hi, length, evals, probes in _event_texts(res.trace))
+    return f'{head},\n  "trace": [\n{events}\n  ]\n}}'
 
 
 def cmd_run(args) -> int:
@@ -208,11 +235,11 @@ def cmd_run(args) -> int:
     case = find_case(args.case_id)
     stop = StopRule(epsilon=args.tol) if args.tol is not None else StopRule(budget=args.budget)
     res = minimize(method, Objective(case.fn), case.interval, stop, delta=args.delta)
-    payload = _run_payload(case, method, res, args.trace)
 
     if args.format == "json":
-        print(_run_json(payload))
+        print(_run_json(case, method, res, args.trace))
         return 0
+    payload = _run_payload(case, method, res)
     # str(float) == repr(float): csv and markdown carry every digit
     if args.format == "csv":
         print(",".join(payload))
@@ -226,10 +253,9 @@ def cmd_run(args) -> int:
         iv = case.interval
         print("trace:")
         print(f"  0: [{iv.lo}, {iv.hi}] len={iv.length()} evals=0")
-        for ev in payload["trace"]:
-            probes = " ".join(f"{x}:{fx}" for x, fx in ev["probes"])
-            print(f"  {ev['iter']}: [{ev['lo']}, {ev['hi']}] len={ev['length']} "
-                  f"evals={ev['evals']} probes={probes}")
+        for it, lo, hi, length, evals, pairs in _event_texts(res.trace):
+            probes = " ".join([f"{x}:{fx}" for x, fx in pairs])
+            print(f"  {it}: [{lo}, {hi}] len={length} evals={evals} probes={probes}")
     return 0
 
 

@@ -69,13 +69,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def midpoint(self) -> float:
-        # lo + (hi - lo)/2 cannot overflow and never leaves the interval
-        return self.lo + (self.hi - self.lo) / 2
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 _set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
 

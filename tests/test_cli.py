@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import unisearch.bench
 import unisearch.cli as cli
 from unisearch.bench import ReportRow, VerifyRow, all_cases, find_case
-from unisearch.core import Objective, StopRule
+from unisearch.core import Interval, Objective, RunResult, StopRule, TraceEvent
 from unisearch.solvers import Method, minimize
 
 
@@ -211,6 +211,61 @@ def _registry_run(case, method):
     return minimize(method, Objective(case.fn), case.interval, stop), flags
 
 
+def _floor_run(case, method):
+    """As `_registry_run`, at the float64 floor: --budget 200 for fibonacci
+    and --tol 1e-300 for the other methods, where most bracket ends repeat
+    probe points."""
+    if method is Method.FIBONACCI:
+        stop, flags = StopRule(budget=200), ("--budget", "200")
+    else:
+        stop, flags = StopRule(epsilon=1e-300), ("--tol", "1e-300")
+    return minimize(method, Objective(case.fn), case.interval, stop), flags
+
+
+def _reference_payload(case, method, res, with_trace):
+    """What `run --format json` prints, as json.dumps(indent=2) input."""
+    payload = {
+        "case": case.id,
+        "method": method.value,
+        "x_min": res.x_min,
+        "f_min": res.f_min,
+        "n_evals": res.n_evals,
+        "n_iters": res.n_iters,
+        "final_lo": res.final_interval.lo,
+        "final_hi": res.final_interval.hi,
+    }
+    if with_trace:
+        payload["trace"] = [
+            {
+                "iter": ev.iteration,
+                "lo": ev.interval_after.lo,
+                "hi": ev.interval_after.hi,
+                "length": ev.interval_after.length(),
+                "evals": ev.evals_this_iter,
+                "probes": [[x, fx] for x, fx in ev.probes],
+            }
+            for ev in res.trace
+        ]
+    return payload
+
+
+def _reference_markdown(case, method, res, with_trace):
+    """What `run` prints in markdown, built field by field with str()."""
+    iv, fin = case.interval, res.final_interval
+    lines = [f"case: {case.id}  ({case.label} on [{iv.lo:g}, {iv.hi:g}])",
+             f"method: {method.value}", f"x_min: {res.x_min}", f"f_min: {res.f_min}",
+             f"n_evals: {res.n_evals}", f"n_iters: {res.n_iters}",
+             f"final_interval: [{fin.lo}, {fin.hi}]"]
+    if with_trace:
+        lines += ["trace:", f"  0: [{iv.lo}, {iv.hi}] len={iv.length()} evals=0"]
+    for ev in res.trace if with_trace else ():
+        after = ev.interval_after
+        probes = " ".join(f"{x}:{fx}" for x, fx in ev.probes)
+        lines.append(f"  {ev.iteration}: [{after.lo}, {after.hi}] len={after.length()} "
+                     f"evals={ev.evals_this_iter} probes={probes}")
+    return "\n".join(lines) + "\n"
+
+
 # floats where float.__repr__ is easy to get wrong: signed zero, the least
 # subnormal, the largest finite value, and both sides of the switches to
 # exponent form at 1e16 and 1e-4
@@ -228,30 +283,33 @@ _FLOATS = st.one_of(
 _LEAVES = _FLOATS | _FLOATS.map(np.float64)
 
 
-def _in_order(**fields):
-    """Dicts with these keys in this order (fixed_dictionaries sorts them)."""
-    return st.tuples(*fields.values()).map(lambda values: dict(zip(fields, values)))
+@st.composite
+def _run_results(draw):
+    """RunResults whose bracket ends are mostly probe points of the same or
+    an earlier event: probes and brackets draw from one small pool, which
+    often holds both 0.0 and -0.0 and the same value as float and np.float64."""
+    pool = draw(st.lists(_LEAVES, min_size=1, max_size=8))
+    pool += draw(st.sampled_from([[], [0.0, -0.0], [np.float64(-0.0), 0.0]]))
+    pool += [np.float64(v) for v in draw(st.lists(st.sampled_from(pool), max_size=2))]
+    points = st.sampled_from(pool)
 
+    def bracket():
+        lo, hi = sorted(draw(st.tuples(points, points)), key=float)
+        if not 0.0 < float(hi) - float(lo) < math.inf:
+            # equal ends, or a length that overflows: a one-ulp bracket at lo
+            hi = math.nextafter(float(lo), math.inf)
+            if hi == math.inf:
+                lo, hi = math.nextafter(float(lo), -math.inf), lo
+        return Interval(lo, hi)
 
-_EVENTS = _in_order(
-    iter=st.integers(1, 10**6),
-    lo=_LEAVES,
-    hi=_LEAVES,
-    length=_LEAVES,
-    evals=st.integers(1, 10**6),
-    probes=st.lists(st.lists(_LEAVES, min_size=2, max_size=2), min_size=1, max_size=4),
-)
-_PAYLOADS = _in_order(
-    case=st.text(max_size=8),
-    method=st.sampled_from([m.value for m in Method]),
-    x_min=_LEAVES,
-    f_min=_LEAVES,
-    n_evals=st.integers(0, 10**6),
-    n_iters=st.integers(0, 10**6),
-    final_lo=_LEAVES,
-    final_hi=_LEAVES,
-    trace=st.lists(_EVENTS, min_size=1, max_size=40),
-)
+    def event(iteration):
+        probes = draw(st.lists(st.tuples(points, _LEAVES), min_size=1, max_size=4))
+        return TraceEvent(iteration, bracket(), draw(st.integers(1, 10**6)), tuple(probes))
+
+    n_events = draw(st.integers(1, 40))
+    trace = tuple(event(draw(st.integers(1, 10**6))) for _ in range(n_events))
+    return RunResult(draw(points), draw(_LEAVES), draw(st.integers(0, 10**6)),
+                     draw(st.integers(0, 10**6)), bracket(), trace)
 
 
 class TestRunJson:
@@ -261,13 +319,15 @@ class TestRunJson:
     @pytest.mark.parametrize("method", list(Method), ids=str)
     @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.id)
     def test_registry_bytes(self, capsys, case, method):
-        res, flags = _registry_run(case, method)
-        for trace in (False, True):
-            argv = ["run", method.value, case.id, *flags, "--format", "json"]
-            code, out, err = run_cli(capsys, *argv, *(["--trace"] if trace else []))
-            assert (code, err) == (0, "")
-            assert out == json.dumps(cli._run_payload(case, method, res, trace), indent=2) + "\n"
-        # every float of the trace (out is the traced run's) reads back bit for bit
+        for run in (_registry_run, _floor_run):
+            res, flags = run(case, method)
+            for trace in (False, True):
+                argv = ["run", method.value, case.id, *flags, "--format", "json"]
+                code, out, err = run_cli(capsys, *argv, *(["--trace"] if trace else []))
+                assert (code, err) == (0, "")
+                want = json.dumps(_reference_payload(case, method, res, trace), indent=2)
+                assert out == want + "\n"
+        # every float of the trace (out is the traced floor run's) reads back bit for bit
         bits = lambda v: float(v).hex()
         got = [(ev["lo"], ev["hi"], ev["probes"]) for ev in json.loads(out)["trace"]]
         want = [(ev.interval_after.lo, ev.interval_after.hi, ev.probes) for ev in res.trace]
@@ -277,12 +337,24 @@ class TestRunJson:
             assert [[bits(x), bits(fx)] for x, fx in probes] == \
                    [[bits(x), bits(fx)] for x, fx in probes0]
 
-    @given(_PAYLOADS)
+    @given(_run_results(), st.text(max_size=8), st.sampled_from(list(Method)))
     @settings(max_examples=300, deadline=None)
-    def test_renderer_matches_json(self, payload):
-        assert cli._run_json(payload) == json.dumps(payload, indent=2)
-        untraced = {k: v for k, v in payload.items() if k != "trace"}
-        assert cli._run_json(untraced) == json.dumps(untraced, indent=2)
+    def test_renderer_matches_json(self, res, case_id, method):
+        case = dataclasses.replace(find_case("t1_01"), id=case_id)
+        for trace in (False, True):
+            want = json.dumps(_reference_payload(case, method, res, trace), indent=2)
+            assert cli._run_json(case, method, res, trace) == want
+
+    def test_signed_zero_is_converted_fresh(self):
+        # a bracket end equal to an earlier probe of the other sign of zero
+        # prints its own sign
+        trace = (TraceEvent(1, Interval(0.0, 0.5), 1, ((-0.0, 1.0),)),
+                 TraceEvent(2, Interval(-0.0, 0.25), 1, ((0.0, 2.0),)))
+        res = RunResult(0.0, 2.0, 2, 2, Interval(-0.0, 0.25), trace)
+        case, method = find_case("t1_01"), Method.HALVING
+        out = cli._run_json(case, method, res, True)
+        assert out == json.dumps(_reference_payload(case, method, res, True), indent=2)
+        assert [math.copysign(1.0, ev["lo"]) for ev in json.loads(out)["trace"]] == [1.0, -1.0]
 
     def test_every_event_pays_a_probe(self):
         # the templates print no empty list: a registry run has at least one
@@ -296,6 +368,19 @@ class TestRunJson:
                     res = minimize(method, Objective(case.fn), case.interval, stop)
                     assert res.trace
                     assert all(ev.evals_this_iter >= 1 for ev in res.trace)
+
+
+class TestRunMarkdown:
+    @pytest.mark.parametrize("method", list(Method), ids=str)
+    @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.id)
+    def test_registry_bytes(self, capsys, case, method):
+        for run in (_registry_run, _floor_run):
+            res, flags = run(case, method)
+            for trace in (False, True):
+                argv = ["run", method.value, case.id, *flags, *(["--trace"] if trace else [])]
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, err) == (0, "")
+                assert out == _reference_markdown(case, method, res, trace)
 
 
 class TestTable:

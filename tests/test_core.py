@@ -19,17 +19,14 @@ from unisearch.core import (
 
 
 class TestInterval:
-    def test_length_and_midpoint(self):
-        iv = Interval(0.5, 2.0)
-        assert iv.length() == 1.5
-        assert iv.midpoint() == 1.25
+    def test_length(self):
+        assert Interval(0.5, 2.0).length() == 1.5
 
-    def test_contains(self):
-        iv = Interval(-1.0, 1.0)
-        assert iv.contains(0.0)
-        assert iv.contains(-1.0)
-        assert iv.contains(1.0)
-        assert not iv.contains(1.0000001)
+    def test_no_midpoint_or_contains(self):
+        # removed: compare with lo and hi inline
+        iv = Interval(0.5, 2.0)
+        assert not hasattr(iv, "midpoint")
+        assert not hasattr(iv, "contains")
 
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (0.0, -0.0)])
     def test_rejects_empty_and_reversed(self, lo, hi):
@@ -47,18 +44,6 @@ class TestInterval:
         iv = Interval(0.0, 1.0)
         with pytest.raises(AttributeError):
             iv.lo = 5.0
-
-    @given(st.floats(-1e6, 1e6), st.floats(1e-9, 1e6))
-    def test_midpoint_strictly_interior(self, lo, length):
-        # lengths of a few ulps or more always admit an interior midpoint
-        hi = lo + length
-        iv = Interval(lo, hi)
-        m = iv.midpoint()
-        assert lo < m < hi
-
-    def test_midpoint_interior_near_degenerate(self):
-        assert 0.0 < Interval(0.0, 1e-300).midpoint() < 1e-300
-        assert -1e-300 < Interval(-1e-300, 1e-300).midpoint() < 1e-300
 
 
 class TestObjective:

@@ -20,15 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 
-from bench_record import run_benchmark
-
-
-def _wins(new: list[float], old: list[float], better: str) -> int:
-    sign = 1 if better == "higher" else -1
-    return sum(1 for n, o in zip(new, old) if sign * (n - o) > 0)
+from bench_record import run_pairs, summarize
 
 
 def main(argv=None) -> int:
@@ -49,31 +43,28 @@ def main(argv=None) -> int:
 
     results = {"old": [], "new": []}
     correct = True
-    for i in range(1, args.pairs + 1):
-        order = ("old", "new") if i % 2 else ("new", "old")
-        for side in order:
-            tree = old if side == "old" else new
-            results[side].append(run_benchmark(tree, args.workload, seconds, 0)["result"])
-        print(f"pair {i} ({order[0]} first)")
-        for side in ("old", "new"):
-            r = results[side][-1]
-            correct = correct and r["correct"]
-            values = "  ".join(f"{name}={r['metrics'][name]['value']:.6g}" for name, _ in metrics)
-            print(f"  {side}: {values}  failed {r['failed']}/{r['attempted']}"
-                  f"{'' if r['correct'] else '  INCORRECT'}", flush=True)
+    for i, side, run in run_pairs(old, new, args.workload, args.pairs, seconds):
+        r = run["result"]
+        results[side].append(r)
+        correct = correct and r["correct"]
+        if len(results["old"]) == len(results["new"]):
+            print(f"pair {i} ({'old' if i % 2 else 'new'} first)")
+            for s in ("old", "new"):
+                r = results[s][-1]
+                values = "  ".join(f"{name}={r['metrics'][name]['value']:.6g}"
+                                   for name, _ in metrics)
+                print(f"  {s}: {values}  failed {r['failed']}/{r['attempted']}"
+                      f"{'' if r['correct'] else '  INCORRECT'}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s, "
           f"OLD {args.old_tree}, NEW {args.new_tree}")
     print(f"{'metric':16s} {'better':6s} {'OLD median':>14s} {'NEW median':>14s} "
           f"{'NEW/OLD':>8s} {'OLD IQR':>12s} {'NEW wins':>9s}")
-    for name, better in metrics:
-        o = [r["metrics"][name]["value"] for r in results["old"]]
-        n = [r["metrics"][name]["value"] for r in results["new"]]
-        q1, _, q3 = statistics.quantiles(o, n=4)
-        mo, mn = statistics.median(o), statistics.median(n)
-        ratio = f"{mn / mo:.3f}" if mo else "-"
-        print(f"{name:16s} {better:6s} {mo:14.6g} {mn:14.6g} {ratio:>8s} {q3 - q1:12.4g} "
-              f"{_wins(n, o, better):>4d}/{args.pairs}")
+    for name, m in summarize(results["old"], results["new"], metrics).items():
+        ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+        print(f"{name:16s} {m['better']:6s} {m['old']['median']:14.6g} "
+              f"{m['new']['median']:14.6g} {ratio:>8s} {m['old_iqr']:12.4g} "
+              f"{m['new_wins']:>4d}/{args.pairs}")
     return 0 if correct else 1
 
 

@@ -7,8 +7,9 @@ dumps one record per line:
 
 * in-process ``cli.main`` on ``table 1|2`` in three formats, ``verify``
   with and without ``--quiet``, ``run`` for every registry case and method
-  under ``--tol 1e-6`` and ``--budget 20`` (json and markdown with
-  ``--trace``, markdown, csv, and one ``--trace --format csv``), ``run
+  under ``--tol 1e-6`` and ``--budget 20`` (json and markdown, each with and
+  without ``--trace``, csv, and one ``--trace --format csv``) and under
+  ``--tol 1e-300`` (json and markdown with ``--trace``), ``run
   dichotomous`` on four cases and ``run halving`` on one, each with
   ``--delta``, a few ``bounds`` and ``list`` commands, no arguments,
   ``--help`` of the program and of each subcommand, and ten usage errors,
@@ -137,8 +138,13 @@ def _cli_commands(cases, methods):
                 base = ["run", method, case, *stop]
                 yield base + ["--trace", "--format", "json"]
                 yield base + ["--trace"]
+                yield base + ["--format", "json"]
                 yield base
                 yield base + ["--format", "csv"]
+            # at the float64 floor most bracket ends repeat probe points
+            base = ["run", method, case, "--tol", "1e-300", "--trace"]
+            yield base + ["--format", "json"]
+            yield base
     yield ["run", "halving", "t1_01", "--tol", "1e-6", "--trace", "--format", "csv"]
     yield from (["run", "dichotomous", case, "--tol", "1e-6", "--delta", "1e-5"]
                 for case in DELTA_CASES)
