@@ -43,18 +43,15 @@ def main(argv=None) -> int:
 
     results = {"old": [], "new": []}
     correct = True
-    for i, side, run in run_pairs(old, new, args.workload, args.pairs, seconds):
-        r = run["result"]
-        results[side].append(r)
-        correct = correct and r["correct"]
-        if len(results["old"]) == len(results["new"]):
-            print(f"pair {i} ({'old' if i % 2 else 'new'} first)")
-            for s in ("old", "new"):
-                r = results[s][-1]
-                values = "  ".join(f"{name}={r['metrics'][name]['value']:.6g}"
-                                   for name, _ in metrics)
-                print(f"  {s}: {values}  failed {r['failed']}/{r['attempted']}"
-                      f"{'' if r['correct'] else '  INCORRECT'}", flush=True)
+    for i, order, runs in run_pairs(old, new, args.workload, args.pairs, seconds):
+        print(f"pair {i} ({order[0]} first)")
+        for side in ("old", "new"):
+            r = runs[side]["result"]
+            results[side].append(r)
+            correct = correct and r["correct"]
+            values = "  ".join(f"{name}={r['metrics'][name]['value']:.6g}" for name, _ in metrics)
+            print(f"  {side}: {values}  failed {r['failed']}/{r['attempted']}"
+                  f"{'' if r['correct'] else '  INCORRECT'}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s, "
           f"OLD {args.old_tree}, NEW {args.new_tree}")

@@ -62,11 +62,13 @@ def run_benchmark(tree: str, workload: str, seconds: float, trace: int) -> dict:
 
 
 def run_pairs(old: str, new: str, workload: str, pairs: int, seconds: float):
-    """Yield ``(pair, side, run)`` for K alternating untraced pairs, where
-    side is "old" or "new" and odd pairs run OLD first."""
+    """Yield ``(pair, order, runs)`` for K alternating untraced pairs: odd
+    pairs run in the order ("old", "new"), even ones in ("new", "old"), and
+    ``runs`` maps each side to its run."""
     for i in range(1, pairs + 1):
-        for side in ("old", "new") if i % 2 else ("new", "old"):
-            yield i, side, run_benchmark(old if side == "old" else new, workload, seconds, 0)
+        order = ("old", "new") if i % 2 else ("new", "old")
+        yield i, order, {side: run_benchmark(old if side == "old" else new, workload, seconds, 0)
+                         for side in order}
 
 
 def _wins(new: list[float], old: list[float], better: str) -> int:
@@ -124,9 +126,10 @@ def main(argv=None) -> int:
                      for t in (0, 1)]
             continue
         paired = {"old": [], "new": []}
-        for i, side, run in run_pairs(parent, tree, name, PAIRS, seconds):
-            runs.append({"tree": sides[side], "pair": i, **run})
-            paired[side].append(run["result"])
+        for i, order, pair in run_pairs(parent, tree, name, PAIRS, seconds):
+            for side in order:
+                runs.append({"tree": sides[side], "pair": i, **pair[side]})
+                paired[side].append(pair[side]["result"])
         runs += [{"tree": sides[side], "pair": None, **run_benchmark(t, name, seconds, 1)}
                  for side, t in (("old", parent), ("new", tree))]
         claims[name] = {"pairs": PAIRS,
