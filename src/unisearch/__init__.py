@@ -6,7 +6,6 @@ worst-case bound calculators, a brute-force grid oracle, and a benchmark
 registry of reference cases.
 """
 from .core import (
-    IncompatibleStopRule,
     Interval,
     NonFiniteValue,
     Objective,
@@ -44,7 +43,6 @@ __all__ = [
     "BenchmarkCase",
     "DomainError",
     "GridSpec",
-    "IncompatibleStopRule",
     "Interval",
     "IterationBound",
     "Method",

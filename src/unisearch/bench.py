@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import accuracy_bound
 from .core import Interval, NonFiniteValue, Objective, StopRule
 from .oracle import GridSpec, brute_force_minimum
-from .solvers import Method, fibonacci_budget_for, minimize
+from .solvers import Method, minimize
 
 FLAG_ENDPOINT_MIN = "endpoint-min"   # minimizer sits on the bracket boundary
 FLAG_GARBLED = "garbled"             # reference row is corrupt; report, don't gate
@@ -247,7 +247,7 @@ def run_verify() -> list[VerifyRow]:
     """Check every solver against the grid oracle on every non-garbled case.
 
     This is acceptance criterion 7: each solver runs at half-width
-    ``VERIFY_TOL`` (Fibonacci at the budget that guarantees it), the oracle
+    ``VERIFY_TOL`` (Fibonacci at the N it plans from it), the oracle
     scans the default 10^6+1-point grid inset by ``VERIFY_INSET`` of the
     bracket, and a row passes when the two agree within ``VERIFY_AGREEMENT``.
     For another grid, call :func:`brute_force_minimum` with its own
@@ -255,15 +255,11 @@ def run_verify() -> list[VerifyRow]:
     """
     cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
     rows = []
+    stop = StopRule(epsilon=VERIFY_TOL)
     for case in cases:
         grid = GridSpec(inset=case.interval.length() * VERIFY_INSET)
         x_oracle, _ = brute_force_minimum(case.fn, case.interval, grid)
         for method in Method:
-            if method is Method.FIBONACCI:
-                budget = fibonacci_budget_for(case.interval.length(), VERIFY_TOL)
-                stop = StopRule(budget=budget)
-            else:
-                stop = StopRule(epsilon=VERIFY_TOL)
             res = minimize(method, Objective(case.fn), case.interval, stop)
             diff = abs(res.x_min - x_oracle)
             rows.append(VerifyRow(case.id, method, res.x_min, x_oracle, diff, diff <= VERIFY_AGREEMENT))

@@ -13,8 +13,9 @@ Arguments argparse can check itself (choices, numbers that are not finite
 and positive, budgets below 2) end in its usage message.  Every other error
 is mapped to an exit code in one place, :func:`main`: a non-finite objective
 value is a failed run (3, ``run failed: ...``); an unknown case id, a value
-the library rejects (``ValueError``, including ``IncompatibleStopRule`` and
-``DomainError``), ``run --trace --format csv`` (a csv row has no trace) or an
+the library rejects (``ValueError``, including ``DomainError``, a ``--tol``
+that no Fibonacci budget up to 1400 reaches and one whose dichotomous offset
+underflows), ``run --trace --format csv`` (a csv row has no trace) or an
 ``--out`` path that cannot be written is a usage error (2, ``error: ...``).
 """
 from __future__ import annotations
@@ -98,8 +99,6 @@ def _parser() -> argparse.ArgumentParser:
     g = p_run.add_mutually_exclusive_group(required=True)
     g.add_argument("--tol", type=_positive_float, help="half-width target")
     g.add_argument("--budget", type=_budget_int, help="evaluation budget")
-    p_run.add_argument("--delta", type=_positive_float,
-                       help="dichotomous probe offset (default: derived)")
     p_run.add_argument("--trace", action="store_true", help="include per-iteration trace")
     p_run.add_argument("--format", choices=_FORMATS, default="markdown")
 
@@ -234,7 +233,7 @@ def cmd_run(args) -> int:
     method = Method(args.method)
     case = find_case(args.case_id)
     stop = StopRule(epsilon=args.tol) if args.tol is not None else StopRule(budget=args.budget)
-    res = minimize(method, Objective(case.fn), case.interval, stop, delta=args.delta)
+    res = minimize(method, Objective(case.fn), case.interval, stop)
 
     if args.format == "json":
         print(_run_json(case, method, res, args.trace))

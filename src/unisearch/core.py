@@ -33,10 +33,6 @@ class NonFiniteValue(ValueError):
         self.partial_trace: tuple[TraceEvent, ...] = ()
 
 
-class IncompatibleStopRule(ValueError):
-    """The requested method cannot run under the given stop rule."""
-
-
 def _check_count(value, minimum: int, what: str, error: type[Exception] = ValueError) -> None:
     """Raise ``error`` unless ``value`` is an int, not a bool, and >= ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
@@ -104,12 +100,14 @@ class StopRule:
     """Termination rule: exactly one of ``epsilon`` or ``budget``.
 
     Both are checked between iterations, never inside one, and each method
-    keeps them in its own way (the table in :func:`unisearch.solvers.minimize`):
+    keeps them in its own way (the table in :func:`unisearch.solvers.minimize`);
+    every method accepts both:
 
     * ``StopRule(epsilon=e)`` — stop once the bracket half-width (b-a)/2 <= e;
       golden section tests the full length b-a <= e instead.  Golden section
       and dichotomous search then pay one answer probe at the midpoint.
-      Fibonacci search refuses an epsilon stop.
+      Fibonacci search instead plans the fewest N evaluations with
+      length/F(N+1) <= e and spends exactly N.
     * ``StopRule(budget=n)``, n >= 2 — halving spends n or n+1 evaluations
       and trichotomy n to n+2, since the iteration in progress finishes;
       dichotomous, golden and Fibonacci search spend exactly n.  A run may

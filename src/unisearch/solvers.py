@@ -13,10 +13,12 @@ f(x4).  Interval-halving and trichotomy keep their estimate pinned to
 the exact midpoint of the bracket; golden-section and Fibonacci carry the
 best evaluated interior point instead.
 
-One public function, :func:`minimize`, runs every method.  It checks its
-arguments once, opens the run record, calls the method's private body, which
-returns only the estimate ``(x, f(x))``, and builds the one
-:class:`~unisearch.core.RunResult` from the record.
+One public function, :func:`minimize`, runs every method with one signature
+and one contract.  It opens the run record, calls the method's private body,
+which derives its own parameters (dichotomous search its offset delta,
+Fibonacci search its number of evaluations) and checks them before its first
+evaluation, and returns only the estimate ``(x, f(x))``; :func:`minimize`
+builds the one :class:`~unisearch.core.RunResult` from the record.
 
 One private engine, :func:`_drive`, runs the iterations of every method and
 owns all they share: the run record (one event per iteration, with probes
@@ -68,7 +70,6 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from .core import (
-    IncompatibleStopRule,
     Interval,
     NonFiniteValue,
     Objective,
@@ -259,18 +260,28 @@ def _trichotomy(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     return _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)[0]
 
 
-def _dichotomous(r: _Run, iv: Interval, stop: StopRule, delta: float) -> tuple[float, float]:
+def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Dichotomous search: probe a symmetric pair around the bracket midpoint.
 
     Each iteration evaluates f(m - delta/2) and f(m + delta/2) at the current
-    midpoint m and keeps [a, m + delta/2] or [m - delta/2, b].  The estimate
-    is the midpoint of the final bracket, evaluated as a final answer probe;
-    under a budget that cannot afford the answer probe, the better probe of
-    the last completed pair is returned instead (it lies in the final
-    bracket).  Budget affordability is checked per pair, so a trailing odd
-    evaluation funds the answer probe rather than half a pair: a budget of N
-    spends exactly N evaluations.
+    midpoint m and keeps [a, m + delta/2] or [m - delta/2, b], with the offset
+    delta = min(epsilon/2, L*1e-6) under an epsilon stop and L*1e-6 under a
+    budget, for the bracket length L.  The estimate is the midpoint of the
+    final bracket, evaluated as a final answer probe; under a budget that
+    cannot afford the answer probe, the better probe of the last completed
+    pair is returned instead (it lies in the final bracket).  Budget
+    affordability is checked per pair, so a trailing odd evaluation funds the
+    answer probe rather than half a pair: a budget of N spends exactly N
+    evaluations.
     """
+    length, epsilon = iv.length(), stop.epsilon
+    delta = length * 1e-6
+    if epsilon is not None:
+        delta = min(epsilon / 2, delta)
+    if not delta > 0.0:     # a zero offset would probe one point twice
+        cause = (f"length*1e-6 on a bracket of length {length!r}" if length * 1e-6 == 0.0
+                 else f"epsilon/2 at epsilon={epsilon!r}")
+        raise ValueError(f"dichotomous delta = {cause} underflows to 0.0")
     probe = r.probe
 
     def step(a, b, state):
@@ -357,31 +368,31 @@ _FIB_STAGES = [None, None] + [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
                               for m in range(2, len(_FIB))]
 
 
-def fibonacci_budget_for(length: float, tol: float) -> int:
-    """Smallest evaluation count whose Fibonacci estimate error is <= tol.
-
-    An n-evaluation run's estimate is off by at most length/F(n+1).  Raises
-    ValueError when no budget that Fibonacci search accepts is enough.
-    """
-    for n in range(2, _FIB_MAX_BUDGET + 1):
-        if length / _FIB[n + 1] <= tol:
-            return n
-    raise ValueError(f"no Fibonacci budget up to {_FIB_MAX_BUDGET} reaches tol={tol!r} "
-                     f"on length {length!r}")
-
-
 def _fibonacci(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
-    """Fibonacci search consuming exactly the budget N of ``stop``.
+    """Fibonacci search consuming exactly N evaluations.
 
-    With F(0) = F(1) = 1, the stage with index m places interior points at
-    a + F(m-2)/F(m)*L and a + F(m-1)/F(m)*L; the ladder starts at
-    m = N + 1 and pays one new evaluation per stage.  The run ends with the
-    surviving probe at the midpoint of a bracket two lattice units wide, and
-    that evaluated midpoint is the estimate, so the error is at most
-    length/F(N + 1) -- no tie-breaking offset probe is needed.  Requires a
-    budget stop rule: there is no epsilon-driven variant.
+    N is the budget of ``stop``, at most 1400; under an epsilon stop it is
+    planned as the fewest evaluations with length/F(N + 1) <= epsilon, and
+    the run is then the budget-N run.  With F(0) = F(1) = 1, the stage with
+    index m places interior points at a + F(m-2)/F(m)*L and
+    a + F(m-1)/F(m)*L; the ladder starts at m = N + 1 and pays one new
+    evaluation per stage.  The run ends with the surviving probe at the
+    midpoint of a bracket two lattice units wide, and that evaluated midpoint
+    is the estimate, so the error is at most length/F(N + 1), the final
+    half-width -- no tie-breaking offset probe is needed.
     """
     n = stop.budget
+    if n is None:
+        length = iv.length()
+        for n in range(2, _FIB_MAX_BUDGET + 1):
+            if length / _FIB[n + 1] <= stop.epsilon:
+                break
+        else:
+            raise ValueError(f"no Fibonacci budget up to {_FIB_MAX_BUDGET} reaches "
+                             f"epsilon={stop.epsilon!r} on length {length!r}")
+    elif n > _FIB_MAX_BUDGET:
+        raise ValueError("budget too large: Fibonacci ratios overflow float64 "
+                         f"beyond {_FIB_MAX_BUDGET}")
     ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
     step, state = _two_probe(r, iv, ladder)
     # no floor stop: the ladder spends its whole budget even at the FP floor
@@ -399,26 +410,16 @@ _METHODS = {
 }
 
 
-def minimize(
-    method: Method | str,
-    obj: Objective,
-    iv: Interval,
-    stop: StopRule,
-    *,
-    delta: float | None = None,
-) -> RunResult:
+def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule) -> RunResult:
     """Run ``method`` on ``obj`` over ``iv`` under ``stop``; the one entry point.
 
-    Every argument is checked here, before the first evaluation:
-
-    * ``method`` is a :class:`Method` or its value;
-    * ``delta``, the probe offset of dichotomous search, is accepted for
-      that method only.  It defaults to min(epsilon/2, L*1e-6) under an
-      epsilon stop and to L*1e-6 under a budget, for the bracket length L,
-      and must satisfy 0 < delta < L/4;
-    * Fibonacci search requires a budget stop rule, and raises
-      :class:`~unisearch.core.IncompatibleStopRule` otherwise; its budget
-      is at most 1400.
+    ``method`` is a :class:`Method` or its value.  Every method accepts both
+    stop rules and derives its own parameters before its first evaluation:
+    dichotomous search its probe offset delta = min(epsilon/2, L*1e-6), or
+    L*1e-6 under a budget, for the bracket length L (a delta that underflows
+    to 0 raises ``ValueError``); Fibonacci search its number of evaluations N,
+    the budget, at most 1400, or under an epsilon stop the fewest N with
+    L/F(N+1) <= epsilon (``ValueError`` when N would pass 1400).
 
     Each method keeps ``stop`` as follows, checked between iterations:
 
@@ -431,7 +432,9 @@ def minimize(
                  one answer probe
     golden       b - a <= epsilon, then one    exactly N
                  answer probe
-    fibonacci    (budget only)                 exactly N
+    fibonacci    the planned N evaluations,    exactly N
+                 the fewest with L/F(N+1)
+                 <= epsilon
     ===========  ============================  ==================
 
     A budget run may spend fewer: every method but Fibonacci stops once the
@@ -440,24 +443,5 @@ def minimize(
     iteration that would leave an empty bracket.
     """
     method = Method(method)
-    if delta is not None and method is not Method.DICHOTOMOUS:
-        raise ValueError("delta applies to the dichotomous method only")
-    args = ()
-    if method is Method.DICHOTOMOUS:
-        if delta is None:
-            delta = iv.length() * 1e-6
-            if stop.epsilon is not None:
-                delta = min(stop.epsilon / 2, delta)
-        if not (0 < delta < iv.length() / 4):
-            raise ValueError(
-                f"dichotomous delta must satisfy 0 < delta < length/4, got {delta!r}"
-            )
-        args = (delta,)
-    elif method is Method.FIBONACCI:
-        if stop.budget is None:
-            raise IncompatibleStopRule("fibonacci search requires a budget stop rule")
-        if stop.budget > _FIB_MAX_BUDGET:
-            raise ValueError("budget too large: Fibonacci ratios overflow float64 "
-                             f"beyond {_FIB_MAX_BUDGET}")
     r = _Run(obj)
-    return r.result(*_METHODS[method](r, iv, stop, *args))
+    return r.result(*_METHODS[method](r, iv, stop))

@@ -17,7 +17,6 @@ from unisearch.bench import (
     VERIFY_INSET,
     all_cases,
     emit_report,
-    fibonacci_budget_for,
     find_case,
     registry_table1,
     registry_table2,
@@ -189,27 +188,6 @@ class TestFullTables:
             for m in (Method.HALVING, Method.TRICHOTOMY, Method.FIBONACCI)
             for n in (10, 20, 30)
         ]
-
-
-class TestFibonacciBudgetFor:
-    def test_values(self):
-        assert fibonacci_budget_for(2.0, 1e-6) == 30    # F(31) = 2178309 >= 2e6
-        assert fibonacci_budget_for(1.0, 0.5) == 2      # F(3) = 3 suffices
-        assert fibonacci_budget_for(3.0, 1.0) == 2
-
-    def test_bound_definition(self):
-        fib = [1, 1]
-        while len(fib) < 60:
-            fib.append(fib[-1] + fib[-2])
-        for tol in (1e-3, 1e-5, 1e-8):
-            n = fibonacci_budget_for(2.0, tol)
-            assert 2.0 / fib[n + 1] <= tol
-            assert n == 2 or 2.0 / fib[n] > tol
-
-    def test_no_accepted_budget_is_enough(self):
-        # 1400 evaluations reach length/F(1401), about 2.2e-293 here
-        with pytest.raises(ValueError):
-            fibonacci_budget_for(1.0, 1e-300)
 
 
 class TestEmitReport:

@@ -1,4 +1,4 @@
-"""Iteration-count and accuracy guarantees for the midpoint-pinned methods."""
+"""Iteration-count and accuracy guarantees, and the worst-case bounds runs attain."""
 import math
 
 import pytest
@@ -117,3 +117,48 @@ class TestAccuracyBound:
             res = minimize(method, Objective(lambda x: (x - 1.1) ** 2), Interval(0.0, 2.0),
                            StopRule(budget=n))
             assert abs(res.x_min - 1.1) <= bound
+
+
+_FIB = [1, 1]                       # F(0) = F(1) = 1
+while len(_FIB) < 42:
+    _FIB.append(_FIB[-1] + _FIB[-2])
+
+
+@st.composite
+def bracket_and_minimizer(draw):
+    """A finite bracket well above the float64 floor and the minimizer c of
+    |x - c|^p, drawn at an endpoint two times in three."""
+    lo = draw(st.floats(-100, 100))
+    iv = Interval(lo, lo + draw(st.floats(1e-3, 1e3)))
+    where = draw(st.sampled_from(("lo", "hi", "inside")))
+    if where == "inside":
+        c = min(iv.lo + draw(st.floats(0, 1)) * iv.length(), iv.hi)
+    else:
+        c = getattr(iv, where)
+    return iv, c, draw(st.sampled_from((1, 2, 4)))
+
+
+class TestWorstCaseBounds:
+    """Each run's error stays within its method's worst-case bound, up to
+    2 ulps of the bracket's largest magnitude for the rounding of its probes:
+    halving and trichotomy within ``accuracy_bound`` of their budget N,
+    Fibonacci within L/F(N+1) under a budget N and within epsilon under an
+    epsilon stop.  A right-endpoint minimizer with an odd N attains halving's
+    bound exactly."""
+
+    @given(bracket_and_minimizer(), st.integers(2, 40), st.floats(1e-9, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_error_within_bound(self, case, n, relative_epsilon):
+        iv, c, p = case
+        length = iv.length()
+        slack = 2 * math.ulp(max(abs(iv.lo), abs(iv.hi)))
+
+        def error(method, stop):
+            res = minimize(method, Objective(lambda x: abs(x - c) ** p), iv, stop)
+            return abs(res.x_min - c)
+
+        for method in (Method.HALVING, Method.TRICHOTOMY):
+            assert error(method, StopRule(budget=n)) <= accuracy_bound(method, length, n) + slack
+        assert error(Method.FIBONACCI, StopRule(budget=n)) <= length / _FIB[n + 1] + slack
+        epsilon = length * relative_epsilon
+        assert error(Method.FIBONACCI, StopRule(epsilon=epsilon)) <= epsilon + slack

@@ -52,16 +52,11 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:")
 
-    def test_delta_restricted_to_dichotomous(self, capsys):
-        code, _, err = run_cli(capsys, "run", "halving", "t1_01",
-                               "--tol", "0.1", "--delta", "0.01")
+    def test_fibonacci_epsilon_beyond_largest_budget(self, capsys):
+        code, out, err = run_cli(capsys, "run", "fibonacci", "t1_01", "--tol", "1e-300")
         assert code == 2
-        assert "dichotomous" in err
-
-    def test_fibonacci_needs_budget(self, capsys):
-        code, _, err = run_cli(capsys, "run", "fibonacci", "t1_01", "--tol", "0.1")
-        assert code == 2
-        assert err.startswith("error:")
+        assert out == ""
+        assert err.startswith("error: no Fibonacci budget up to 1400")
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--length", "1e308", "--tol", "1e-308"],
@@ -83,7 +78,7 @@ class TestParserContract:
         ["run", "golden", "t1_01", "--tol", "1e-6", "--trace", "--format", "json"],
         ["run", "golden", "t1_01"],                                # argparse exit 2
         ["--help"],                                                # exit 0
-        ["run", "halving", "t1_01", "--tol", "1e-6", "--delta", "0.01"],  # library error
+        ["run", "fibonacci", "t1_01", "--tol", "1e-300"],          # library error
         ["table", "1", "--format", "csv"],
     )
 
@@ -191,6 +186,14 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", "fibonacci", "t1_01", "--budget", "2")
         assert code == 0
         assert "n_evals: 2" in out
+
+    def test_fibonacci_tol_runs_the_planned_budget(self, capsys):
+        # t1_01 is 0.5 wide: 27 evaluations reach 0.5/F(28) <= 1e-6
+        fmt = ("--trace", "--format", "json")
+        code, by_tol, _ = run_cli(capsys, "run", "fibonacci", "t1_01", "--tol", "1e-6", *fmt)
+        assert code == 0
+        assert json.loads(by_tol)["n_evals"] == 27
+        assert run_cli(capsys, "run", "fibonacci", "t1_01", "--budget", "27", *fmt) == (0, by_tol, "")
 
     def test_nonfinite_objective_fails_with_3(self, capsys, monkeypatch):
         broken = dataclasses.replace(find_case("t1_01"), fn=lambda x: math.nan)

@@ -4,21 +4,21 @@ The frozen numbers in the pinned tests were derived by hand-tracing the
 update rules on dyadic-friendly inputs (so float arithmetic is exact) before
 the solvers were written.
 """
+import inspect
 import json
 import math
 import pickle
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from unisearch.core import (
-    IncompatibleStopRule,
     Interval,
     NonFiniteValue,
     Objective,
     StopRule,
 )
-from unisearch.solvers import Method, fibonacci_budget_for, minimize
+from unisearch.solvers import Method, minimize
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -142,25 +142,32 @@ class TestTrichotomyPinned:
 
 class TestDichotomousPinned:
     def test_single_iteration_length(self):
-        # keeps [a, m + delta/2]: length 1 + delta/2 = 1.005
+        # delta = min(0.51/2, 2*1e-6) = 2e-6; the pair -/+1e-6 ties on x^2,
+        # so it keeps [a, m + delta/2] = [-1, 1e-6]: length 1 + delta/2
         res = minimize(
             "dichotomous", Objective(lambda x: x * x), Interval(-1.0, 1.0),
-            StopRule(epsilon=0.51), delta=0.01,
+            StopRule(epsilon=0.51),
         )
         assert res.n_iters == 1
-        assert math.isclose(res.final_interval.length(), 1.005, abs_tol=1e-15)
+        assert [x for x, _ in res.trace[0].probes[:2]] == [-1e-6, 1e-6]
+        assert res.final_interval == Interval(-1.0, 1e-6)
+        assert math.isclose(res.final_interval.length(), 1.000001, abs_tol=1e-15)
         assert res.n_evals == 3    # one pair plus the answer probe
         fin = res.final_interval
         assert res.x_min == (fin.lo + fin.hi) / 2
 
-    def test_delta_validation(self):
-        obj = Objective(lambda x: x * x)
-        with pytest.raises(ValueError):
-            minimize("dichotomous", obj, Interval(0.0, 1.0), StopRule(epsilon=0.1),
-                     delta=0.25)
-        with pytest.raises(ValueError):
-            minimize("dichotomous", obj, Interval(0.0, 1.0), StopRule(epsilon=0.1),
-                     delta=0.0)
+    @pytest.mark.parametrize("iv,stop,cause", [
+        (Interval(0.0, 1e-318), StopRule(budget=10), "length 1e-318"),
+        (Interval(0.0, 1.0), StopRule(epsilon=5e-324), "epsilon=5e-324"),
+    ])
+    def test_underflowed_delta_names_its_cause(self, iv, stop, cause):
+        # the derived offset rounds to 0.0, which would probe one point twice
+        obj = Objective(abs)
+        with pytest.raises(ValueError, match="underflows") as info:
+            minimize("dichotomous", obj, iv, stop)
+        assert cause in str(info.value)
+        assert "got" not in str(info.value)
+        assert obj.count == 0
 
     def test_default_delta_policy(self):
         # half the tolerance, capped at a millionth of the bracket length; the
@@ -261,10 +268,40 @@ class TestFibonacci:
         with pytest.raises(ValueError):
             minimize("fibonacci", obj, Interval(0.0, 1.0), StopRule(budget=1401))
 
-    def test_requires_budget_stop_rule(self):
-        with pytest.raises(IncompatibleStopRule):
-            minimize(Method.FIBONACCI, Objective(lambda x: x * x),
-                     Interval(0.0, 1.0), StopRule(epsilon=0.1))
+    @pytest.mark.parametrize("length,epsilon,n", [
+        (2.0, 1e-6, 30),    # F(31) = 2178309 >= 2e6
+        (1.0, 0.5, 2),      # F(3) = 3 suffices
+        (3.0, 1.0, 2),
+    ])
+    def test_epsilon_plans_fewest_budget(self, length, epsilon, n):
+        res = minimize("fibonacci", Objective(quadratic(0.3)), Interval(0.0, length),
+                       StopRule(epsilon=epsilon))
+        assert res.n_evals == n
+
+    def test_planned_budget_definition(self):
+        fib = [1, 1]
+        while len(fib) < 60:
+            fib.append(fib[-1] + fib[-2])
+        for tol in (1e-3, 1e-5, 1e-8):
+            n = minimize("fibonacci", Objective(quadratic(0.7)), Interval(0.0, 2.0),
+                         StopRule(epsilon=tol)).n_evals
+            assert 2.0 / fib[n + 1] <= tol
+            assert n == 2 or 2.0 / fib[n] > tol
+
+    @given(interval_and_quadratic(), st.floats(1e-12, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_epsilon_run_is_the_planned_budget_run(self, case, epsilon):
+        iv, f, _ = case
+        by_eps = minimize("fibonacci", Objective(f), iv, StopRule(epsilon=epsilon))
+        by_budget = minimize("fibonacci", Objective(f), iv, StopRule(budget=by_eps.n_evals))
+        assert by_eps == by_budget    # trace included
+
+    def test_no_accepted_budget_reaches_epsilon(self):
+        # 1400 evaluations reach length/F(1401), about 2.2e-293 here
+        obj = Objective(lambda x: x * x)
+        with pytest.raises(ValueError, match="no Fibonacci budget up to 1400"):
+            minimize(Method.FIBONACCI, obj, Interval(0.0, 1.0), StopRule(epsilon=1e-300))
+        assert obj.count == 0
 
 
 class TestMinimizeDispatch:
@@ -279,10 +316,9 @@ class TestMinimizeDispatch:
             minimize("newton", Objective(lambda x: x), Interval(0.0, 1.0),
                      StopRule(epsilon=0.1))
 
-    def test_delta_only_for_dichotomous(self):
-        with pytest.raises(ValueError):
-            minimize(Method.HALVING, Objective(lambda x: x * x),
-                     Interval(0.0, 1.0), StopRule(epsilon=0.1), delta=0.01)
+    def test_one_signature(self):
+        # no method takes an argument of its own
+        assert list(inspect.signature(minimize).parameters) == ["method", "obj", "iv", "stop"]
 
 
 class TestMethodAsString:
@@ -476,11 +512,7 @@ class TestEngineInvariants:
     @settings(max_examples=400, deadline=None)
     def test_accounting_nesting_and_interior_probes(self, case, method, limit, nan_at):
         iv, f, _ = case
-        if isinstance(limit, int):
-            stop = StopRule(budget=limit)
-        else:
-            assume(method is not Method.FIBONACCI)
-            stop = StopRule(epsilon=limit)
+        stop = StopRule(budget=limit) if isinstance(limit, int) else StopRule(epsilon=limit)
         obj = Objective(nan_at_call(f, nan_at))
         try:
             res = minimize(method, obj, iv, stop)
@@ -509,12 +541,7 @@ class TestRunRecordAtFloor:
     @pytest.mark.parametrize("method", list(Method))
     def test_accounting(self, method, lo, hi, limit, nan_at):
         iv = Interval(lo, hi)
-        if isinstance(limit, int):
-            stop = StopRule(budget=limit)
-        elif method is Method.FIBONACCI:    # the budget that reaches epsilon
-            stop = StopRule(budget=fibonacci_budget_for(iv.length(), limit))
-        else:
-            stop = StopRule(epsilon=limit)
+        stop = StopRule(budget=limit) if isinstance(limit, int) else StopRule(epsilon=limit)
         obj = Objective(nan_at_call(quadratic(lo + 0.3 * (hi - lo)), nan_at))
         try:
             res = minimize(method, obj, iv, stop)

@@ -9,21 +9,17 @@ dumps one record per line:
   with and without ``--quiet``, ``run`` for every registry case and method
   under ``--tol 1e-6`` and ``--budget 20`` (json and markdown, each with and
   without ``--trace``, csv, and one ``--trace --format csv``) and under
-  ``--tol 1e-300`` (json and markdown with ``--trace``), ``run
-  dichotomous`` on four cases and ``run halving`` on one, each with
-  ``--delta``, a few ``bounds`` and ``list`` commands, no arguments,
-  ``--help`` of the program and of each subcommand, and ten usage errors,
-  ``verify --grid`` among them (``verify`` takes no grid): stdout, stderr
-  and exit code (``SystemExit``'s code where argparse exits), with help
-  text wrapped at ``COLUMNS=80``;
+  ``--tol 1e-300`` (json and markdown with ``--trace``), a few ``bounds``
+  and ``list`` commands, no arguments, ``--help`` of the program and of
+  each subcommand, and ten usage errors, ``verify --grid`` among them
+  (``verify`` takes no grid): stdout, stderr and exit code (``SystemExit``'s
+  code where argparse exits), with help text wrapped at ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
   and budgets 2 ... 100;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
   [1e15, 1e15+8], with ε down to 1e-300 and budgets up to 1400;
-* ``minimize`` with ``delta`` on the 23 registry cases under ε 1e-6 and
-  budget 20: dichotomous at δ 1e-3, 1e-5, 1e-9, 0 and L/4, and every other
-  method at δ 0.01; Fibonacci at budgets 1400 and 1401, and under ε with and
-  without δ;
+* ``minimize`` on the 23 registry cases: Fibonacci at budgets 1400 and
+  1401, and under ε 1e-6;
 * ``brute_force_minimum`` and ``is_unimodal`` on the 23 registry cases at
   3, 8191, 8192, 8193, 16385, 10,001 and 1,000,001 grid points, each with
   inset 0 and ``VERIFY_INSET`` (1e-9) times the bracket length, verify's
@@ -76,12 +72,7 @@ TINY = 5e-324            # the least positive subnormal
 SUBNORMAL_BRACKET = (-3 * TINY, 997 * TINY)
 FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
-# dichotomous offsets either side of its rule 0 < delta < L/4 (L/4 is added
-# per case), and one offset for every other method, which refuses it
-DELTAS = (1e-3, 1e-5, 1e-9, 0.0)
-OTHER_DELTA = 0.01
 FIB_BUDGETS = (1400, 1401)     # the largest budget Fibonacci accepts, and one more
-DELTA_CASES = ("t1_01", "t1_10", "t1_14", "t2_03")
 SHOWN = 5                # differing records printed
 
 
@@ -95,9 +86,9 @@ def _events(trace):
             for ev in trace]
 
 
-def _solve(minimize, method, obj, iv, stop, **kw):
+def _solve(minimize, method, obj, iv, stop):
     try:
-        res = minimize(method, obj, iv, stop, **kw)
+        res = minimize(method, obj, iv, stop)
     except Exception as e:     # a failure is part of the record
         return ["error", type(e).__name__, str(e),
                 _events(getattr(e, "partial_trace", ())), obj.count]
@@ -146,9 +137,6 @@ def _cli_commands(cases, methods):
             yield base + ["--format", "json"]
             yield base
     yield ["run", "halving", "t1_01", "--tol", "1e-6", "--trace", "--format", "csv"]
-    yield from (["run", "dichotomous", case, "--tol", "1e-6", "--delta", "1e-5"]
-                for case in DELTA_CASES)
-    yield ["run", "halving", "t1_01", "--tol", "1e-6", "--delta", "0.01"]
     yield from (["bounds", "--length", length, *rule] for length in ("1", "2", "1e-300")
                 for rule in (["--tol", "0.1"], ["--tol", "0.6"], ["--budget", "10"],
                              ["--budget", "2000"]))
@@ -220,24 +208,13 @@ def dump() -> None:
                              Interval(lo, hi), stop))
 
     for case in cases:
-        for stop in (StopRule(epsilon=1e-6), StopRule(budget=20)):
-            for delta in (*DELTAS, case.interval.length() / 4):
-                write(["delta", case.id, Method.DICHOTOMOUS.value, repr(stop), _h(delta)],
-                      _solve(minimize, Method.DICHOTOMOUS, Objective(case.fn), case.interval,
-                             stop, delta=delta))
-            for method in Method:
-                if method is not Method.DICHOTOMOUS:
-                    write(["delta", case.id, method.value, repr(stop), _h(OTHER_DELTA)],
-                          _solve(minimize, method, Objective(case.fn), case.interval, stop,
-                                 delta=OTHER_DELTA))
         for n in FIB_BUDGETS:
             write(["fibonacci", case.id, n],
                   _solve(minimize, Method.FIBONACCI, Objective(case.fn), case.interval,
                          StopRule(budget=n)))
-        for delta in (None, OTHER_DELTA):
-            write(["fibonacci", case.id, "epsilon", _h(delta)],
-                  _solve(minimize, Method.FIBONACCI, Objective(case.fn), case.interval,
-                         StopRule(epsilon=1e-6), delta=delta))
+        write(["fibonacci", case.id, "epsilon"],
+              _solve(minimize, Method.FIBONACCI, Objective(case.fn), case.interval,
+                     StopRule(epsilon=1e-6)))
 
 
 def _records(tree: str) -> list[str]:
