@@ -3,12 +3,17 @@
 Everything here is plain float64: intervals, an instrumented objective
 wrapper, stop rules, and the run/trace records the solvers emit.
 
-A run builds about one :class:`TraceEvent` and one :class:`Interval` per
-evaluation, so the records are slotted frozen dataclasses whose
-hand-written ``__init__`` stores each field through its slot descriptor,
-bound once below the class.  The generated frozen ``__init__`` stores
+A run builds one :class:`TraceEvent`, its last, and reading its trace
+builds about one more event and one :class:`Interval` per evaluation, so
+the records are slotted frozen dataclasses whose hand-written ``__init__``
+stores each field through its slot descriptor, bound once below the class.  The generated frozen ``__init__`` stores
 through ``object.__setattr__`` instead and, on CPython 3.11, costs 1.5 to
 1.8 times as much.
+
+A solver stores a pending builder in ``RunResult.trace``: the trace is
+built on its first read, once, and that read happens wherever the field is
+read, equality, hashing, copying, pickling and ``dataclasses.replace``
+included.  ``repr`` leaves the trace out and so does not build it.
 """
 from __future__ import annotations
 
@@ -152,7 +157,11 @@ _set_probes = TraceEvent.probes.__set__
 
 @dataclass(frozen=True, slots=True, init=False)
 class RunResult:
-    """Outcome of one minimization run."""
+    """Outcome of one minimization run.
+
+    ``trace`` may be given as a callable that returns the tuple; it is then
+    called on the first read of ``trace``, once (see the module docstring).
+    """
 
     x_min: float
     f_min: float
@@ -176,4 +185,24 @@ _set_f_min = RunResult.f_min.__set__
 _set_n_evals = RunResult.n_evals.__set__
 _set_n_iters = RunResult.n_iters.__set__
 _set_final_interval = RunResult.final_interval.__set__
-_set_trace = RunResult.trace.__set__
+_get_trace, _set_trace = RunResult.trace.__get__, RunResult.trace.__set__
+
+
+class _LazyTrace:
+    """``RunResult.trace`` over its slot: a callable stored there is a pending
+    builder, called on the first read and replaced by the tuple it returns."""
+
+    def __get__(self, res, owner=None):
+        if res is None:
+            return self
+        trace = _get_trace(res)
+        if callable(trace):
+            trace = trace()
+            _set_trace(res, trace)
+        return trace
+
+    def __set__(self, res, trace) -> None:
+        _set_trace(res, trace)
+
+
+RunResult.trace = _LazyTrace()

@@ -51,9 +51,11 @@ answer probe at the midpoint of the final bracket, also made by the engine.
 
 A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
 with one mark per event: the bracket the event left and the length of the
-log when it closed.  The trace (and a :class:`NonFiniteValue`'s partial
-trace), ``n_evals``, ``n_iters``, the final bracket and the best point are
-derived from that record when the run ends.
+log when it closed.  ``n_evals``, ``n_iters``, the final bracket, the best
+point and the last trace event are derived from that record when the run
+ends, and so is a :class:`NonFiniteValue`'s partial trace.  The result
+keeps the log and the marks, not the objective, and builds the rest of its
+trace from them on the first read.
 
 Every probe must be finite.  Halving, trichotomy, dichotomous search and
 the answer probe compute probes as sums of bracket points, such as
@@ -119,21 +121,28 @@ class _Run:
             lo, hi, _ = self.marks.pop()
         self.marks.append((lo, hi, len(self.log)))
 
-    def trace(self) -> tuple[TraceEvent, ...]:
-        events, start, log = [], 0, self.log
-        for i, (lo, hi, end) in enumerate(self.marks, 1):
-            events.append(TraceEvent(i, Interval(lo, hi), end - start, tuple(log[start:end])))
-            start = end
-        return tuple(events)
-
     def best(self) -> tuple[float, float]:
         """The first evaluated point of least value."""
         return min(self.log, key=itemgetter(1))
 
     def result(self, x: float, f: float) -> RunResult:
-        trace = self.trace()
-        return RunResult(x_min=x, f_min=f, n_evals=len(self.log), n_iters=len(trace),
-                         final_interval=trace[-1].interval_after, trace=trace)
+        """The run's result: its last event now, the others on the first read."""
+        log, marks = self.log, self.marks
+        n = len(marks)
+        final, = _events(log, marks, n - 1)
+        return RunResult(x, f, len(log), n, final.interval_after,
+                         lambda: (*_events(log, marks, 0, n - 1), final))
+
+
+def _events(log, marks, first: int = 0, stop: int | None = None) -> list[TraceEvent]:
+    """The trace events of the record ``log`` and ``marks``, counted from 0,
+    from ``first`` up to ``stop`` (the end, by default)."""
+    events, start = [], marks[first - 1][2] if first else 0
+    for i in range(first, len(marks) if stop is None else stop):
+        lo, hi, end = marks[i]
+        events.append(TraceEvent(i + 1, Interval(lo, hi), end - start, tuple(log[start:end])))
+        start = end
+    return events
 
 
 def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
@@ -183,7 +192,7 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
     except NonFiniteValue as e:
         if len(log) > (marks[-1][2] if marks else 0):    # the iteration paid probes
             marks.append((a, b, len(log)))
-        e.partial_trace = r.trace()
+        e.partial_trace = tuple(_events(log, marks))
         raise
     return state, end
 

@@ -143,8 +143,8 @@ class TestWorstCaseBounds:
     2 ulps of the bracket's largest magnitude for the rounding of its probes:
     halving and trichotomy within ``accuracy_bound`` of their budget N,
     Fibonacci within L/F(N+1) under a budget N and within epsilon under an
-    epsilon stop.  A right-endpoint minimizer with an odd N attains halving's
-    bound exactly."""
+    epsilon stop, golden section within L*phi^-(N-1) under a budget N.  A
+    right-endpoint minimizer with an odd N attains halving's bound exactly."""
 
     @given(bracket_and_minimizer(), st.integers(2, 40), st.floats(1e-9, 0.5))
     @settings(max_examples=300, deadline=None)
@@ -160,5 +160,7 @@ class TestWorstCaseBounds:
         for method in (Method.HALVING, Method.TRICHOTOMY):
             assert error(method, StopRule(budget=n)) <= accuracy_bound(method, length, n) + slack
         assert error(Method.FIBONACCI, StopRule(budget=n)) <= length / _FIB[n + 1] + slack
+        golden = length * ((math.sqrt(5.0) - 1.0) / 2.0) ** (n - 1)
+        assert error(Method.GOLDEN, StopRule(budget=n)) <= golden + slack
         epsilon = length * relative_epsilon
         assert error(Method.FIBONACCI, StopRule(epsilon=epsilon)) <= epsilon + slack

@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from unisearch import solvers
 from unisearch.core import (
     Interval,
     NonFiniteValue,
@@ -16,6 +17,7 @@ from unisearch.core import (
     StopRule,
     TraceEvent,
 )
+from unisearch.solvers import Method, minimize
 
 
 class TestInterval:
@@ -218,3 +220,62 @@ class TestRecordContract:
             assert type(c) is type(rec) and c == rec
             assert [getattr(c, f.name) for f in dataclasses.fields(c)] == \
                 [getattr(rec, f.name) for f in dataclasses.fields(rec)]
+
+
+
+def _run(method=Method.GOLDEN, stop=StopRule(budget=12)):
+    """A fresh ``minimize`` result, its trace not read."""
+    return minimize(method, Objective(lambda x: (x - 0.3) ** 2), Interval(0.0, 1.0), stop)
+
+
+_USES = [pytest.param(use, id=name) for name, use in [
+    ("eq", lambda res: res == _run()),
+    ("hash", hash),
+    ("copy", copy.copy),
+    ("deepcopy", copy.deepcopy),
+    ("replace", lambda res: dataclasses.replace(res, x_min=0.5)),
+]] + [pytest.param(lambda res, p=p: pickle.loads(pickle.dumps(res, p)), id=f"pickle{p}")
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+class TestLazyTrace:
+    """A ``minimize`` result builds its trace on the first read, once; every
+    use of an unread result agrees with the same use of a read one."""
+
+    def test_repr_does_not_build_the_trace(self, monkeypatch):
+        built = []
+        event = solvers.TraceEvent
+        monkeypatch.setattr(solvers, "TraceEvent", lambda *a: built.append(a) or event(*a))
+        res = _run()
+        assert len(built) == 1      # the last event, for final_interval
+        assert repr(res).startswith("RunResult(x_min=")
+        assert len(built) == 1
+        assert len(res.trace) == res.n_iters == len(built) > 1
+
+    @pytest.mark.parametrize("use", _USES)
+    def test_unread_and_read_agree(self, use):
+        unread, read = _run(), _run()
+        assert read.trace
+        got, want = use(unread), use(read)
+        assert got == want
+        if isinstance(got, RunResult):
+            assert type(got.trace) is tuple and got.trace == read.trace
+        assert unread == read and unread.trace == read.trace
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("stop", [StopRule(epsilon=1e-3), StopRule(budget=9)])
+    def test_one_build_shared_by_every_read(self, method, stop):
+        res = _run(method, stop)
+        trace = res.trace
+        assert res.trace is trace and type(trace) is tuple
+        assert trace[-1].interval_after is res.final_interval
+        assert [ev.iteration for ev in trace] == list(range(1, res.n_iters + 1))
+        assert sum(ev.evals_this_iter for ev in trace) == res.n_evals
+
+    def test_callable_trace_is_called_on_first_read(self):
+        iv, ev, _ = _records()
+        calls = []
+        lazy = RunResult(0.75, 3.0, 2, 1, iv, lambda: calls.append(1) or (ev,))
+        assert calls == []
+        assert lazy.trace == (ev,) and lazy.trace is lazy.trace
+        assert calls == [1]

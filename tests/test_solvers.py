@@ -4,14 +4,17 @@ The frozen numbers in the pinned tests were derived by hand-tracing the
 update rules on dyadic-friendly inputs (so float arithmetic is exact) before
 the solvers were written.
 """
+import gc
 import inspect
 import json
 import math
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unisearch import solvers
 from unisearch.core import (
     Interval,
     NonFiniteValue,
@@ -527,6 +530,49 @@ class TestEngineInvariants:
         check_trace(iv, res.trace)
         assert res.final_interval == res.trace[-1].interval_after
         assert res.final_interval.lo <= res.x_min <= res.final_interval.hi
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` so that each call appends its arguments to the
+    returned list, as ``perfbench/tracer.py`` wraps the layers it times."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestLazyTraceBuilds:
+    """What a run builds before and after its trace is read.  The traced
+    benchmark counts ``solvers.TraceEvent`` and ``solvers.Interval`` calls and
+    divides by them, so an unread run must still build its last event."""
+
+    @pytest.mark.parametrize("stop", [StopRule(epsilon=1e-6), StopRule(budget=20)])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_event_until_read(self, monkeypatch, method, stop):
+        events = count_calls(monkeypatch, solvers, "TraceEvent")
+        intervals = count_calls(monkeypatch, solvers, "Interval")
+        evaluations = count_calls(monkeypatch, Objective, "evaluate")
+        obj = Objective(quadratic(0.3))
+        res = minimize(method, obj, Interval(0.0, 1.0), stop)
+        assert len(events) == len(intervals) == 1
+        assert len(evaluations) == res.n_evals == obj.count
+        assert len(res.trace) == res.n_iters > 1
+        assert len(events) == len(intervals) == res.n_iters
+        assert len(evaluations) == res.n_evals
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_pending_trace_does_not_keep_the_objective(self, method):
+        obj = Objective(quadratic(0.3))
+        alive = weakref.ref(obj)
+        res = minimize(method, obj, Interval(0.0, 1.0), StopRule(budget=20))
+        del obj
+        gc.collect()
+        assert alive() is None
+        assert len(res.trace) == res.n_iters
 
 
 class TestRunRecordAtFloor:
