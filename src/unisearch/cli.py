@@ -42,7 +42,7 @@ from .bench import (
 )
 from .bounds import accuracy_bound, iteration_bound
 from .core import NonFiniteValue, Objective, StopRule, _check_count, _check_positive
-from .solvers import Method, minimize
+from .solvers import Method, _trace_rows, minimize
 
 _FORMATS = ("markdown", "csv", "json")
 
@@ -146,9 +146,12 @@ def _run_payload(case, method, res):
     }
 
 
-def _event_texts(trace):
-    """Yield each event as ``(iter, lo, hi, length, evals, [(x, fx), ...])``
-    with every float as its ``float.__repr__`` text.
+def _event_texts(rows):
+    """Yield each row ``(iteration, lo, hi, evals, probes)`` of
+    :func:`~unisearch.solvers._trace_rows` as ``(k, values)``: its ``k``
+    probes and the values that fill the event templates, ``(iter, lo, hi,
+    length, evals, x1, fx1, ..., xk, fxk)``, with every float as its
+    ``float.__repr__`` text.
 
     That is what json prints for a float, and what ``str`` prints for a
     Python float; ``repr`` of a NumPy 2 scalar is not.  Most bracket ends
@@ -159,20 +162,19 @@ def _event_texts(trace):
     """
     r = float.__repr__
     seen = {}
-    for ev in trace:
-        probes = []
-        for x, fx in ev.probes:
+    for it, lo, hi, evals, probes in rows:
+        texts = []
+        for x, fx in probes:
             text = r(x)
             if x:
                 seen[x] = text
-            probes.append((text, r(fx)))
-        lo, hi = ev.interval_after.lo, ev.interval_after.hi
-        yield (ev.iteration, seen.get(lo) or r(lo), seen.get(hi) or r(hi), r(hi - lo),
-               ev.evals_this_iter, probes)
+            texts += text, r(fx)
+        yield len(probes), (it, seen.get(lo) or r(lo), seen.get(hi) or r(hi), r(hi - lo),
+                            evals, *texts)
 
 
 # `run --format json` in the layout of json.dumps(indent=2): one template for
-# the head of eight scalars, one per trace event and one per [x, f(x)] probe.
+# the head of eight scalars and one per trace event with k [x, f(x)] probes.
 # Their whole domain: every float is finite (Interval rejects non-finite
 # endpoints, Objective raises NonFiniteValue), so float.__repr__ prints what
 # json prints; and a run has at least one event and every event at least one
@@ -195,9 +197,7 @@ _EVENT_JSON = """\
       "length": %s,
       "evals": %d,
       "probes": [
-%s
-      ]
-    }"""
+"""
 _PROBE_JSON = """\
         [
           %s,
@@ -205,14 +205,26 @@ _PROBE_JSON = """\
         ]"""
 
 
+@functools.cache
+def _event_json(k: int) -> str:
+    """The json template of a trace event with ``k`` probes."""
+    return _EVENT_JSON + ",\n".join([_PROBE_JSON] * k) + "\n      ]\n    }"
+
+
+@functools.cache
+def _event_markdown(k: int) -> str:
+    """The markdown trace line of an event with ``k`` probes."""
+    return "  %d: [%s, %s] len=%s evals=%d probes=" + " ".join(["%s:%s"] * k)
+
+
 def _run_json(case, method, res, with_trace: bool) -> str:
     """Return ``json.dumps(payload, indent=2)`` of the run, byte for byte.
 
     ``payload`` is the eight head fields and, with the trace, its events;
-    both are filled into templates, so the pure-Python ``indent=2`` encoder
-    never runs.  Strings go through ``json.dumps``, floats through
-    ``float.__repr__`` and ints through ``%d``.  Each probe ``x`` of the
-    trace is converted once (:func:`_event_texts`).
+    both are filled into templates, one ``%`` per event, so the pure-Python
+    ``indent=2`` encoder never runs.  Strings go through ``json.dumps``,
+    floats through ``float.__repr__`` and ints through ``%d``.  The trace is
+    rendered from the run's record (:func:`_event_texts`).
     """
     r = float.__repr__
     iv = res.final_interval
@@ -220,10 +232,8 @@ def _run_json(case, method, res, with_trace: bool) -> str:
                          r(res.f_min), res.n_evals, res.n_iters, r(iv.lo), r(iv.hi))
     if not with_trace:
         return head + "\n}"
-    events = ",\n".join(
-        _EVENT_JSON % (it, lo, hi, length, evals,
-                       ",\n".join([_PROBE_JSON % pair for pair in probes]))
-        for it, lo, hi, length, evals, probes in _event_texts(res.trace))
+    events = ",\n".join([_event_json(k) % values
+                         for k, values in _event_texts(_trace_rows(res))])
     return f'{head},\n  "trace": [\n{events}\n  ]\n}}'
 
 
@@ -252,9 +262,8 @@ def cmd_run(args) -> int:
         iv = case.interval
         print("trace:")
         print(f"  0: [{iv.lo}, {iv.hi}] len={iv.length()} evals=0")
-        for it, lo, hi, length, evals, pairs in _event_texts(res.trace):
-            probes = " ".join([f"{x}:{fx}" for x, fx in pairs])
-            print(f"  {it}: [{lo}, {hi}] len={length} evals={evals} probes={probes}")
+        for k, values in _event_texts(_trace_rows(res)):
+            print(_event_markdown(k) % values)
     return 0
 
 

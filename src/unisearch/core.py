@@ -4,11 +4,11 @@ Everything here is plain float64: intervals, an instrumented objective
 wrapper, stop rules, and the run/trace records the solvers emit.
 
 A run builds one :class:`TraceEvent`, its last, and reading its trace
-builds about one more event and one :class:`Interval` per evaluation, so
-the records are slotted frozen dataclasses whose hand-written ``__init__``
-stores each field through its slot descriptor, bound once below the class.  The generated frozen ``__init__`` stores
-through ``object.__setattr__`` instead and, on CPython 3.11, costs 1.5 to
-1.8 times as much.
+builds one more event and one :class:`Interval` per iteration, so the
+records are slotted frozen dataclasses whose hand-written ``__init__``
+stores each field through its slot descriptor, bound once below the class.
+The generated frozen ``__init__`` stores through ``object.__setattr__``
+instead and, on CPython 3.11, costs 1.5 to 1.8 times as much.
 
 A solver stores a pending builder in ``RunResult.trace``: the trace is
 built on its first read, once, and that read happens wherever the field is

@@ -55,7 +55,8 @@ log when it closed.  ``n_evals``, ``n_iters``, the final bracket, the best
 point and the last trace event are derived from that record when the run
 ends, and so is a :class:`NonFiniteValue`'s partial trace.  The result
 keeps the log and the marks, not the objective, and builds the rest of its
-trace from them on the first read.
+trace from them on the first read.  ``run --trace`` reads the record itself
+while the trace is pending and so builds no trace at all.
 
 Every probe must be finite.  Halving, trichotomy, dichotomous search and
 the answer probe compute probes as sums of bracket points, such as
@@ -78,6 +79,7 @@ from .core import (
     RunResult,
     StopRule,
     TraceEvent,
+    _get_trace,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi = 0.6180339887498949
@@ -129,20 +131,52 @@ class _Run:
         """The run's result: its last event now, the others on the first read."""
         log, marks = self.log, self.marks
         n = len(marks)
-        final, = _events(log, marks, n - 1)
-        return RunResult(x, f, len(log), n, final.interval_after,
-                         lambda: (*_events(log, marks, 0, n - 1), final))
+        lo, hi, end = marks[-1]
+        start = marks[-2][2] if n > 1 else 0
+        final = TraceEvent(n, Interval(lo, hi), end - start, tuple(log[start:end]))
+        return RunResult(x, f, len(log), n, final.interval_after, _Record(log, marks, final))
 
 
-def _events(log, marks, first: int = 0, stop: int | None = None) -> list[TraceEvent]:
-    """The trace events of the record ``log`` and ``marks``, counted from 0,
-    from ``first`` up to ``stop`` (the end, by default)."""
-    events, start = [], marks[first - 1][2] if first else 0
-    for i in range(first, len(marks) if stop is None else stop):
-        lo, hi, end = marks[i]
-        events.append(TraceEvent(i + 1, Interval(lo, hi), end - start, tuple(log[start:end])))
+class _Record:
+    """A run's pending trace: its probe log, its marks and its last event.
+
+    Called on the first read of ``RunResult.trace``, it builds the events;
+    ``run --trace`` reads the rows straight from it (:func:`_trace_rows`).
+    """
+
+    __slots__ = ("log", "marks", "final")
+
+    def __init__(self, log, marks, final: TraceEvent):
+        self.log, self.marks, self.final = log, marks, final
+
+    def __call__(self) -> tuple[TraceEvent, ...]:
+        return (*_events(self.log, self.marks, len(self.marks) - 1), self.final)
+
+
+def _rows(log, marks, stop: int | None = None):
+    """Yield ``(iteration, lo, hi, evals, probes)`` for each event of the
+    record ``log`` and ``marks``, up to ``stop`` (the end, by default)."""
+    start = 0
+    for i, (lo, hi, end) in enumerate(marks[:stop], 1):
+        yield i, lo, hi, end - start, tuple(log[start:end])
         start = end
-    return events
+
+
+def _events(log, marks, stop: int | None = None) -> list[TraceEvent]:
+    """The trace events of the record ``log`` and ``marks``, up to ``stop``."""
+    return [TraceEvent(i, Interval(lo, hi), evals, probes)
+            for i, lo, hi, evals, probes in _rows(log, marks, stop)]
+
+
+def _trace_rows(res: RunResult):
+    """The rows of :func:`_rows` for the trace of ``res``: read from the run's
+    record while its trace is pending, so that no event is built, and from
+    the built events otherwise."""
+    pending = _get_trace(res)
+    if isinstance(pending, _Record):
+        return _rows(pending.log, pending.marks)
+    return ((ev.iteration, ev.interval_after.lo, ev.interval_after.hi, ev.evals_this_iter,
+             ev.probes) for ev in res.trace)
 
 
 def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,

@@ -142,9 +142,12 @@ class TestWorstCaseBounds:
     """Each run's error stays within its method's worst-case bound, up to
     2 ulps of the bracket's largest magnitude for the rounding of its probes:
     halving and trichotomy within ``accuracy_bound`` of their budget N,
-    Fibonacci within L/F(N+1) under a budget N and within epsilon under an
-    epsilon stop, golden section within L*phi^-(N-1) under a budget N.  A
-    right-endpoint minimizer with an odd N attains halving's bound exactly."""
+    trichotomy also within L/(2*3^floor((N-1)/3)), the worst case its code
+    attains (at most 3 evaluations per iteration after the first, where the
+    paper's exponent (N-1)/4 charges 4), Fibonacci within L/F(N+1) under a
+    budget N and within epsilon under an epsilon stop, golden section within
+    L*phi^-(N-1) under a budget N.  A right-endpoint minimizer with an odd N
+    attains halving's bound exactly."""
 
     @given(bracket_and_minimizer(), st.integers(2, 40), st.floats(1e-9, 0.5))
     @settings(max_examples=300, deadline=None)
@@ -159,6 +162,8 @@ class TestWorstCaseBounds:
 
         for method in (Method.HALVING, Method.TRICHOTOMY):
             assert error(method, StopRule(budget=n)) <= accuracy_bound(method, length, n) + slack
+        attained = length / (2 * 3 ** ((n - 1) // 3))
+        assert error(Method.TRICHOTOMY, StopRule(budget=n)) <= attained + slack
         assert error(Method.FIBONACCI, StopRule(budget=n)) <= length / _FIB[n + 1] + slack
         golden = length * ((math.sqrt(5.0) - 1.0) / 2.0) ** (n - 1)
         assert error(Method.GOLDEN, StopRule(budget=n)) <= golden + slack

@@ -1,19 +1,24 @@
 """CLI contract: subcommands, exit codes, stdout/stderr separation."""
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import shutil
 import subprocess
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from test_solvers import count_calls
 
 import unisearch.bench
 import unisearch.cli as cli
+from unisearch import core, solvers
 from unisearch.bench import ReportRow, VerifyRow, all_cases, find_case
 from unisearch.core import Interval, Objective, RunResult, StopRule, TraceEvent
-from unisearch.solvers import Method, minimize
+from unisearch.solvers import Method, _trace_rows, minimize
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +389,61 @@ class TestRunMarkdown:
                 code, out, err = run_cli(capsys, *argv)
                 assert (code, err) == (0, "")
                 assert out == _reference_markdown(case, method, res, trace)
+
+
+def _markdown(case, method, res):
+    """What `run METHOD CASE --trace` prints when its run returns ``res``."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "minimize", lambda *args: res), contextlib.redirect_stdout(out):
+        assert cli.main(["run", method.value, case.id, "--budget", "2", "--trace"]) == 0
+    return out.getvalue()
+
+
+class TestTraceRows:
+    """`run --trace` renders a pending trace from the run's record and a read
+    one from its events: both sources give the same rows and the same bytes."""
+
+    @given(st.sampled_from(all_cases()), st.sampled_from(list(Method)),
+           st.sampled_from([1e-2, 1e-6, 1e-12, 1e-300]).map(lambda e: StopRule(epsilon=e))
+           | st.integers(2, 300).map(lambda n: StopRule(budget=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_record_and_trace_agree(self, case, method, stop):
+        try:
+            res = minimize(method, Objective(case.fn), case.interval, stop)
+        except ValueError:      # no Fibonacci budget up to 1400 reaches epsilon
+            assume(False)
+        rows = list(_trace_rows(res))
+        text, markdown = cli._run_json(case, method, res, True), _markdown(case, method, res)
+        assert isinstance(core._get_trace(res), solvers._Record)     # still pending
+        assert len(res.trace) == res.n_iters
+        assert list(_trace_rows(res)) == rows
+        assert cli._run_json(case, method, res, True) == text
+        assert _markdown(case, method, res) == markdown
+        assert text == json.dumps(_reference_payload(case, method, res, True), indent=2)
+        assert markdown == _reference_markdown(case, method, res, True)
+
+
+class TestRunBuildsNoTrace:
+    """`run --trace` builds one event, the last, which the run builds for its
+    final interval: the traced benchmark divides by these calls."""
+
+    @pytest.mark.parametrize("run", [_registry_run, _floor_run])
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("method", list(Method), ids=str)
+    def test_one_event(self, monkeypatch, capsys, method, fmt, run):
+        case = find_case("t1_02")
+        res, flags = run(case, method)
+        want = (cli._run_json(case, method, res, True) + "\n" if fmt == "json"
+                else _reference_markdown(case, method, res, True))
+        events = count_calls(monkeypatch, solvers, "TraceEvent")
+        intervals = count_calls(monkeypatch, solvers, "Interval")
+        evaluations = count_calls(monkeypatch, Objective, "evaluate")
+        code, out, err = run_cli(capsys, "run", method.value, case.id, *flags, "--trace",
+                                 "--format", fmt)
+        assert (code, out, err) == (0, want, "")
+        assert len(events) == len(intervals) == 1
+        assert len(evaluations) == res.n_evals
+        assert res.n_iters > 1
 
 
 class TestTable:
