@@ -17,6 +17,15 @@ the library rejects (``ValueError``, including ``DomainError``, a ``--tol``
 that no Fibonacci budget up to 1400 reaches and one whose dichotomous offset
 underflows), ``run --trace --format csv`` (a csv row has no trace) or an
 ``--out`` path that cannot be written is a usage error (2, ``error: ...``).
+
+A well-formed ``run`` command skips argparse: exactly ``run METHOD CASE``
+followed by ``--tol V`` or ``--budget N``, an optional ``--trace`` and an
+optional ``--format F``, in any order, each at most once, with METHOD and F
+among their choices and no CASE or value starting with ``-``
+(:func:`_parse_run`).  Its namespace is the one argparse gives, field for
+field.  Every other form (``--tol=V``, an abbreviation, ``--``, an option
+before the positionals, a repeated flag, ``--help``) and every argv argparse
+rejects goes through argparse, with the same output bytes and exit codes.
 """
 from __future__ import annotations
 
@@ -45,6 +54,7 @@ from .core import NonFiniteValue, Objective, StopRule, _check_count, _check_posi
 from .solvers import Method, _trace_rows, minimize
 
 _FORMATS = ("markdown", "csv", "json")
+_METHODS = tuple(m.value for m in Method)
 
 
 def _positive_float(text: str) -> float:
@@ -76,6 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     with that copy, but adding arguments or defaults to it would reach every
     later call.  Parsing, its usage errors and ``--help`` keep their state
     in the namespace and in locals, so they never change the shared parser.
+
+    :func:`main` calls it for every command but a well-formed ``run``
+    command, which :func:`_parse_run` parses without it.
     """
     return copy.copy(_parser())
 
@@ -94,7 +107,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="restrict to flagged cases")
 
     p_run = sub.add_parser("run", help="run one method on one registry case")
-    p_run.add_argument("method", choices=[m.value for m in Method])
+    p_run.add_argument("method", choices=_METHODS)
     p_run.add_argument("case_id", metavar="case")
     g = p_run.add_mutually_exclusive_group(required=True)
     g.add_argument("--tol", type=_positive_float, help="half-width target")
@@ -118,6 +131,44 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--quiet", action="store_true", help="suppress the summary line")
 
     return parser
+
+
+_RUN_VALUE_FLAGS = ("--tol", "--budget", "--format")
+
+
+def _parse_run(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns for a
+    well-formed ``run`` command (see the module docstring), or None for
+    every other argv, including each one argparse would reject or answer
+    with help.  A value is converted by the same ``type`` function argparse
+    calls, and one it rejects gives None, so argparse reports it."""
+    if (len(argv) < 5 or argv[0] != "run" or argv[1] not in _METHODS
+            or argv[2].startswith("-")):
+        return None
+    found = {}
+    rest = iter(argv[3:])
+    for flag in rest:
+        if flag in found:
+            return None
+        if flag == "--trace":
+            found[flag] = True
+            continue
+        # a missing value reads as "-", which no value may start with
+        value = next(rest, "-")
+        if flag not in _RUN_VALUE_FLAGS or value.startswith("-"):
+            return None
+        found[flag] = value
+    tol, budget = found.get("--tol"), found.get("--budget")
+    fmt = found.get("--format", "markdown")
+    if (tol is None) == (budget is None) or fmt not in _FORMATS:
+        return None
+    try:
+        tol = None if tol is None else _positive_float(tol)
+        budget = None if budget is None else _budget_int(budget)
+    except argparse.ArgumentTypeError:
+        return None
+    return argparse.Namespace(command="run", method=argv[1], case_id=argv[2], tol=tol,
+                              budget=budget, trace="--trace" in found, format=fmt)
 
 
 def cmd_list(args) -> int:
@@ -312,7 +363,9 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_run(argv) or build_parser().parse_args(argv)
     handler = {
         "list": cmd_list,
         "run": cmd_run,

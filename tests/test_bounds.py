@@ -146,7 +146,12 @@ class TestWorstCaseBounds:
     attains (at most 3 evaluations per iteration after the first, where the
     paper's exponent (N-1)/4 charges 4), Fibonacci within L/F(N+1) under a
     budget N and within epsilon under an epsilon stop, golden section within
-    L*phi^-(N-1) under a budget N.  A right-endpoint minimizer with an odd N
+    L*phi^-(N-1) under a budget N and within epsilon/2 under an epsilon stop
+    (it stops once b - a <= epsilon and answers the midpoint), dichotomous
+    search within epsilon under an epsilon stop (it stops once (b - a)/2 <=
+    epsilon) and within its final bracket's length under a budget N, not
+    half of it, since it answers the better pair probe when the midpoint
+    probe is not affordable.  A right-endpoint minimizer with an odd N
     attains halving's bound exactly."""
 
     @given(bracket_and_minimizer(), st.integers(2, 40), st.floats(1e-9, 0.5))
@@ -156,9 +161,11 @@ class TestWorstCaseBounds:
         length = iv.length()
         slack = 2 * math.ulp(max(abs(iv.lo), abs(iv.hi)))
 
+        def run(method, stop):
+            return minimize(method, Objective(lambda x: abs(x - c) ** p), iv, stop)
+
         def error(method, stop):
-            res = minimize(method, Objective(lambda x: abs(x - c) ** p), iv, stop)
-            return abs(res.x_min - c)
+            return abs(run(method, stop).x_min - c)
 
         for method in (Method.HALVING, Method.TRICHOTOMY):
             assert error(method, StopRule(budget=n)) <= accuracy_bound(method, length, n) + slack
@@ -167,5 +174,9 @@ class TestWorstCaseBounds:
         assert error(Method.FIBONACCI, StopRule(budget=n)) <= length / _FIB[n + 1] + slack
         golden = length * ((math.sqrt(5.0) - 1.0) / 2.0) ** (n - 1)
         assert error(Method.GOLDEN, StopRule(budget=n)) <= golden + slack
+        res = run(Method.DICHOTOMOUS, StopRule(budget=n))
+        assert abs(res.x_min - c) <= res.final_interval.length() + slack
         epsilon = length * relative_epsilon
         assert error(Method.FIBONACCI, StopRule(epsilon=epsilon)) <= epsilon + slack
+        assert error(Method.GOLDEN, StopRule(epsilon=epsilon)) <= epsilon / 2 + slack
+        assert error(Method.DICHOTOMOUS, StopRule(epsilon=epsilon)) <= epsilon + slack

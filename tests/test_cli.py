@@ -2,6 +2,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import shutil
@@ -106,6 +107,95 @@ class TestParserContract:
         first = [run(argv) for argv in self.SEQUENCE]
         assert [code for _, _, code in first] == [0, 2, 0, 2, 0]
         assert [run(argv) for argv in self.SEQUENCE] == first
+
+
+_GOOD_VALUES = {"--tol": ("1e-6", "0.5", "1_0", " 3"), "--budget": ("20", "2"),
+                "--format": cli._FORMATS}
+_NEAR_MISSES = ("--tol", "--budget", "--trace", "--format", "--tol=1e-6", "--format=json",
+                "--tr", "--form", "--", "-", "-1", "-t1_01", "--help", "-h", "--quiet",
+                "nan", "inf", "1e400", "1", "0", "-0.5", "", "newton", "golden", "json")
+
+
+@st.composite
+def _run_argvs(draw):
+    """A well-formed `run` argv bent by up to three near misses: a token
+    inserted, replaced or dropped (a missing value, both stop flags or
+    neither), one more option with a value (a repeated flag) or the
+    positionals moved behind the options."""
+    stop = draw(st.sampled_from(["--tol", "--budget"]))
+    options = [[stop, draw(st.sampled_from(_GOOD_VALUES[stop]))]]
+    if draw(st.booleans()):
+        options.append(["--trace"])
+    if draw(st.booleans()):
+        options.append(["--format", draw(st.sampled_from(cli._FORMATS))])
+    argv = ["run", draw(st.sampled_from([m.value for m in Method])),
+            draw(st.sampled_from(["t1_01", "t2_03", "t1_99"])),
+            *sum(draw(st.permutations(options)), [])]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "replace", "drop", "option", "lead")))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(_NEAR_MISSES)))
+        elif edit == "option":
+            flag = draw(st.sampled_from(list(_GOOD_VALUES)))
+            value = st.sampled_from(_GOOD_VALUES[flag]) | st.sampled_from(_NEAR_MISSES)
+            argv[at:at] = [flag, draw(value)]
+        elif edit == "lead":
+            argv = [argv[0], *argv[3:], *argv[1:3]]
+        elif at < len(argv):
+            argv[at:at + 1] = [draw(st.sampled_from(_NEAR_MISSES))] if edit == "replace" else []
+    return argv
+
+
+class TestRunFastPath:
+    """`cli._parse_run` returns argparse's namespace for a well-formed `run`
+    command and None for every argv argparse rejects or answers with help."""
+
+    @given(_run_argvs())
+    @settings(max_examples=1000, deadline=None)
+    def test_namespace_or_none(self, argv):
+        fast = cli._parse_run(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                expected = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            assert fast is None
+        else:
+            assert fast is None or fast == expected
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_takes_every_well_formed_command(self, method):
+        forms = [["run", method, "t1_01", *itertools.chain(*options)]
+                 for stop in (["--tol", "1e-6"], ["--budget", "20"])
+                 for trace in ([], ["--trace"])
+                 for fmt in ([], *(["--format", f] for f in cli._FORMATS))
+                 for options in itertools.permutations([stop, trace, fmt])]
+        fast = [cli._parse_run(argv) for argv in forms]
+        assert None not in fast
+        assert fast == [cli.build_parser().parse_args(argv) for argv in forms]
+
+    @pytest.mark.parametrize("tail", [
+        ["--tol=1e-6"], ["--tol", "1e-6", "--tr"], ["--tol", "1e-6", "--form", "json"],
+        ["--tol", "nan", "--tol", "1e-6"], ["--tol", "1e-6", "--trace", "--trace"],
+        ["--budget", "20", "--format", "csv", "--format", "json"],
+        ["--tol", "1e-6", "--budget", "20"], ["--trace"], ["--", "--tol", "1e-6"],
+        ["--tol", "-1"], ["--tol", "inf"], ["--tol", "1e400"], ["--budget", "1"],
+        ["--tol"], ["--budget", "20", "--format"], ["--tol", "1e-6", "--help"],
+    ])
+    def test_refuses_near_misses(self, tail):
+        for argv in (["run", "golden", "t1_01", *tail], ["run", *tail, "golden", "t1_01"],
+                     ["run", "golden", "-t1_01", *tail]):
+            assert cli._parse_run(argv) is None
+
+    def test_main_skips_the_parser(self, capsys, monkeypatch):
+        argv = ["run", "golden", "t1_01", "--tol", "1e-6", "--trace", "--format", "json"]
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "build_parser", None)     # a call would raise
+        assert run_cli(capsys, *argv) == expected
+        monkeypatch.setattr(cli.sys, "argv", ["unisearch", *argv])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == expected[1]
 
 
 class TestList:

@@ -11,9 +11,14 @@ dumps one record per line:
   without ``--trace``, csv, and one ``--trace --format csv``) and under
   ``--tol 1e-300`` (json and markdown with ``--trace``), a few ``bounds``
   and ``list`` commands, no arguments, ``--help`` of the program and of
-  each subcommand, and ten usage errors, ``verify --grid`` among them
-  (``verify`` takes no grid): stdout, stderr and exit code (``SystemExit``'s
-  code where argparse exits), with help text wrapped at ``COLUMNS=80``;
+  each subcommand, ten usage errors, ``verify --grid`` among them
+  (``verify`` takes no grid), and 23 near misses of the ``run`` form that
+  ``main`` parses without argparse (``--tol=1e-6``, ``--tr``, a repeated
+  flag, both stop flags or neither, ``--``, an option before the
+  positionals, a case or value starting with ``-``, ``nan``, ``inf``,
+  ``1e400``, ``--budget 1``, a missing value, ``--help``): stdout, stderr
+  and exit code (``SystemExit``'s code where argparse exits), with help text
+  wrapped at ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
   and budgets 2 ... 100;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
@@ -150,6 +155,21 @@ def _cli_commands(cases, methods):
                 ["run", "golden", "t1_01", "--tol", "-0.1"],
                 ["table", "3"], ["bounds", "--length", "1"], ["verify", "--grid", "x"],
                 ["verify", "--grid", "10001"])
+    # near misses of the `run` form that main parses without argparse; each
+    # goes through argparse, which takes or rejects it
+    yield from (["run", "golden", "t1_01", *tail] for tail in (
+        ["--tol=1e-6"], ["--tol", "1e-6", "--tr"], ["--tol", "1e-6", "--form", "json"],
+        ["--tol", "1e-3", "--tol", "1e-6"], ["--tol", "nan", "--tol", "1e-6"],
+        ["--tol", "1e-6", "--trace", "--trace"], ["--budget", "20", "--format", "csv",
+                                                  "--format", "json"],
+        ["--tol", "1e-6", "--budget", "20"], ["--trace"], ["--", "--tol", "1e-6"],
+        ["--tol", "1e-6", "--"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+        ["--tol", "1e400"], ["--budget", "1"], ["--tol"], ["--budget", "20", "--format"],
+        ["--tol", "1e-6", "--help"]))
+    yield from (["run", "--tol", "1e-6", "golden", "t1_01"],
+                ["run", "--trace", "golden", "t1_01", "--tol", "1e-6"],
+                ["run", "golden", "-t1_01", "--tol", "1e-6"],
+                ["run", "golden", "-1", "--tol", "1e-6"])
 
 
 def dump() -> None:
