@@ -149,7 +149,9 @@ def _run_argvs(draw):
 
 class TestRunFastPath:
     """`cli._parse_run` returns argparse's namespace for a well-formed `run`
-    command and None for every argv argparse rejects or answers with help."""
+    command and None for every argv argparse rejects or answers with help,
+    and for the forms argparse takes outside that grammar (`--tol=V`,
+    abbreviations, repeated flags, options before the positionals)."""
 
     @given(_run_argvs())
     @settings(max_examples=1000, deadline=None)
