@@ -184,25 +184,22 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _run_payload(case, method, res):
-    return {
-        "case": case.id,
-        "method": method.value,
-        "x_min": res.x_min,
-        "f_min": res.f_min,
-        "n_evals": res.n_evals,
-        "n_iters": res.n_iters,
-        "final_lo": res.final_interval.lo,
-        "final_hi": res.final_interval.hi,
-    }
+# The head fields of `run`, in the order every format prints them.
+_HEAD = ("case", "method", "x_min", "f_min", "n_evals", "n_iters", "final_lo", "final_hi")
+
+
+def _head(case, method, res) -> tuple:
+    """The values of the :data:`_HEAD` fields for the run ``res``."""
+    iv = res.final_interval
+    return case.id, method.value, res.x_min, res.f_min, res.n_evals, res.n_iters, iv.lo, iv.hi
 
 
 def _event_texts(rows):
-    """Yield each row ``(iteration, lo, hi, evals, probes)`` of
-    :func:`~unisearch.solvers._trace_rows` as ``(k, values)``: its ``k``
-    probes and the values that fill the event templates, ``(iter, lo, hi,
-    length, evals, x1, fx1, ..., xk, fxk)``, with every float as its
-    ``float.__repr__`` text.
+    """Yield each trace row ``(iteration, lo, hi, evals, probes)``, as
+    :func:`~unisearch.solvers._trace_rows` reads them from a run's record, as
+    ``(k, values)``: its ``k`` probes and the values that fill the event
+    templates, ``(iter, lo, hi, length, evals, x1, fx1, ..., xk, fxk)``, with
+    every float as its ``float.__repr__`` text.
 
     That is what json prints for a float, and what ``str`` prints for a
     Python float; ``repr`` of a NumPy 2 scalar is not.  Most bracket ends
@@ -225,21 +222,12 @@ def _event_texts(rows):
 
 
 # `run --format json` in the layout of json.dumps(indent=2): one template for
-# the head of eight scalars and one per trace event with k [x, f(x)] probes.
-# Their whole domain: every float is finite (Interval rejects non-finite
-# endpoints, Objective raises NonFiniteValue), so float.__repr__ prints what
-# json prints; and a run has at least one event and every event at least one
-# probe, so no list is empty, which json would print as [].
-_HEAD_JSON = """\
-{
-  "case": %s,
-  "method": %s,
-  "x_min": %s,
-  "f_min": %s,
-  "n_evals": %d,
-  "n_iters": %d,
-  "final_lo": %s,
-  "final_hi": %s"""
+# the head and one per trace event with k [x, f(x)] probes.  Their whole
+# domain: every float is finite (Interval rejects non-finite endpoints,
+# Objective raises NonFiniteValue), so float.__repr__ prints what json prints;
+# and a run has at least one event and every event at least one probe, so no
+# list is empty, which json would print as [].
+_HEAD_JSON = "{\n" + ",\n".join(f'  "{key}": %s' for key in _HEAD)
 _EVENT_JSON = """\
     {
       "iter": %d,
@@ -268,24 +256,38 @@ def _event_markdown(k: int) -> str:
     return "  %d: [%s, %s] len=%s evals=%d probes=" + " ".join(["%s:%s"] * k)
 
 
-def _run_json(case, method, res, with_trace: bool) -> str:
-    """Return ``json.dumps(payload, indent=2)`` of the run, byte for byte.
+def _run_json(head: tuple, rows) -> str:
+    """Return ``json.dumps(payload, indent=2)`` of a run, byte for byte.
 
-    ``payload`` is the eight head fields and, with the trace, its events;
-    both are filled into templates, one ``%`` per event, so the pure-Python
-    ``indent=2`` encoder never runs.  Strings go through ``json.dumps``,
-    floats through ``float.__repr__`` and ints through ``%d``.  The trace is
-    rendered from the run's record (:func:`_event_texts`).
+    ``payload`` is the :data:`_HEAD` fields with the values ``head`` and,
+    unless ``rows`` is None, the trace events of the rows of
+    :func:`~unisearch.solvers._trace_rows`.  Both are filled into
+    templates, one ``%`` per event, so the pure-Python ``indent=2`` encoder
+    never runs.  Strings go through ``json.dumps``, floats through
+    ``float.__repr__`` (:func:`_event_texts` for the events) and ints
+    through ``%s``.
     """
     r = float.__repr__
-    iv = res.final_interval
-    head = _HEAD_JSON % (json.dumps(case.id), json.dumps(method.value), r(res.x_min),
-                         r(res.f_min), res.n_evals, res.n_iters, r(iv.lo), r(iv.hi))
-    if not with_trace:
-        return head + "\n}"
-    events = ",\n".join([_event_json(k) % values
-                         for k, values in _event_texts(_trace_rows(res))])
-    return f'{head},\n  "trace": [\n{events}\n  ]\n}}'
+    case, method, x, f, n_evals, n_iters, lo, hi = head
+    text = _HEAD_JSON % (json.dumps(case), json.dumps(method), r(x), r(f), n_evals, n_iters,
+                         r(lo), r(hi))
+    if rows is None:
+        return text + "\n}"
+    events = ",\n".join([_event_json(k) % values for k, values in _event_texts(rows)])
+    return f'{text},\n  "trace": [\n{events}\n  ]\n}}'
+
+
+def _run_markdown(case, head: tuple, rows) -> str:
+    """What ``run`` prints in markdown for ``head`` and, unless ``rows`` is
+    None, the trace of those rows; every float prints as ``str`` does."""
+    iv = case.interval
+    lines = [f"case: {case.id}  ({case.label} on [{iv.lo:g}, {iv.hi:g}])"]
+    lines += [f"{key}: {value}" for key, value in zip(_HEAD[1:6], head[1:6])]
+    lines.append(f"final_interval: [{head[6]}, {head[7]}]")
+    if rows is not None:
+        lines += ["trace:", f"  0: [{iv.lo}, {iv.hi}] len={iv.length()} evals=0"]
+        lines += [_event_markdown(k) % values for k, values in _event_texts(rows)]
+    return "\n".join(lines)
 
 
 def cmd_run(args) -> int:
@@ -295,27 +297,26 @@ def cmd_run(args) -> int:
     case = find_case(args.case_id)
     stop = StopRule(epsilon=args.tol) if args.tol is not None else StopRule(budget=args.budget)
     res = minimize(method, Objective(case.fn), case.interval, stop)
-
+    head = _head(case, method, res)
+    rows = _trace_rows(res) if args.trace else None
     if args.format == "json":
-        print(_run_json(case, method, res, args.trace))
-        return 0
-    payload = _run_payload(case, method, res)
-    # str(float) == repr(float): csv and markdown carry every digit
-    if args.format == "csv":
-        print(",".join(payload))
-        print(",".join(map(str, payload.values())))
-        return 0
-    print(f"case: {case.id}  ({case.label} on [{case.interval.lo:g}, {case.interval.hi:g}])")
-    for key in ("method", "x_min", "f_min", "n_evals", "n_iters"):
-        print(f"{key}: {payload[key]}")
-    print(f"final_interval: [{payload['final_lo']}, {payload['final_hi']}]")
-    if args.trace:
-        iv = case.interval
-        print("trace:")
-        print(f"  0: [{iv.lo}, {iv.hi}] len={iv.length()} evals=0")
-        for k, values in _event_texts(_trace_rows(res)):
-            print(_event_markdown(k) % values)
+        print(_run_json(head, rows))
+    elif args.format == "csv":
+        # str(float) == repr(float): a csv row carries every digit
+        print(",".join(_HEAD))
+        print(",".join(map(str, head)))
+    else:
+        print(_run_markdown(case, head, rows))
     return 0
+
+
+def _verdict(args, passed: int, total: int, what: str) -> int:
+    """Print ``PASS|FAIL: passed/total what`` to stderr unless ``--quiet``;
+    return 0 when all ``total`` passed and 3 otherwise."""
+    ok = passed == total
+    if not args.quiet:
+        print(f"{'PASS' if ok else 'FAIL'}: {passed}/{total} {what}", file=sys.stderr)
+    return 0 if ok else 3
 
 
 def cmd_table(args) -> int:
@@ -327,13 +328,9 @@ def cmd_table(args) -> int:
     else:
         sys.stdout.write(text)
     gated = [r.passed for r in rows if r.passed is not None]
-    passed = all(gated)
-    if not args.quiet:
-        excluded = len(rows) - len(gated)
-        note = f" ({excluded} excluded)" if excluded else ""
-        print(f"{'PASS' if passed else 'FAIL'}: {sum(gated)}/{len(gated)} "
-              f"comparisons within tolerance{note}", file=sys.stderr)
-    return 0 if passed else 3
+    excluded = len(rows) - len(gated)
+    note = f" ({excluded} excluded)" if excluded else ""
+    return _verdict(args, sum(gated), len(gated), f"comparisons within tolerance{note}")
 
 
 def cmd_bounds(args) -> int:
@@ -349,17 +346,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     rows = run_verify()
-    failures = 0
     for r in rows:
-        mark = "ok" if r.passed else "FAIL"
-        failures += 0 if r.passed else 1
         print(f"{r.case} {r.method.value}: x={r.x_solver!r} oracle={r.x_oracle!r} "
-              f"diff={r.diff:.3e} {mark}")
-    if not args.quiet:
-        verdict = "PASS" if failures == 0 else "FAIL"
-        print(f"{verdict}: {len(rows) - failures}/{len(rows)} within {VERIFY_AGREEMENT:.3e}",
-              file=sys.stderr)
-    return 0 if failures == 0 else 3
+              f"diff={r.diff:.3e} {'ok' if r.passed else 'FAIL'}")
+    passed = sum(r.passed for r in rows)
+    return _verdict(args, passed, len(rows), f"within {VERIFY_AGREEMENT:.3e}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -53,10 +53,11 @@ A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
 with one mark per event: the bracket the event left and the length of the
 log when it closed.  ``n_evals``, ``n_iters``, the final bracket, the best
 point and the last trace event are derived from that record when the run
-ends, and so is a :class:`NonFiniteValue`'s partial trace.  The result
-keeps the log and the marks, not the objective, and builds the rest of its
-trace from them on the first read.  ``run --trace`` reads the record itself
-while the trace is pending and so builds no trace at all.
+ends, and so is a :class:`NonFiniteValue`'s partial trace.  The record
+itself, with its objective dropped, is the result's pending trace: it builds
+the other events on the first read of ``RunResult.trace``.  ``run --trace``
+reads its rows from the record while the trace is pending, so it builds no
+event beyond the last.
 
 Every probe must be finite.  Halving, trichotomy, dichotomous search and
 the answer probe compute probes as sums of bracket points, such as
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import math
 from enum import StrEnum
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from .core import (
@@ -99,8 +100,12 @@ class _Run:
     ``log`` holds ``(x, f(x))`` for each paid evaluation, in order, and
     ``marks`` holds ``(lo, hi, end)`` for each event: the bracket it left and
     ``len(log)`` when it closed.  The trace, the counts, the final bracket and
-    the best point are all derived from these two lists.
+    the best point are all derived from these two lists.  Once the run ends
+    it is its result's pending trace: called on the first read of
+    ``RunResult.trace``, it builds the events.
     """
+
+    __slots__ = ("obj", "log", "marks", "final")
 
     def __init__(self, obj: Objective):
         self.obj = obj
@@ -128,26 +133,16 @@ class _Run:
         return min(self.log, key=itemgetter(1))
 
     def result(self, x: float, f: float) -> RunResult:
-        """The run's result: its last event now, the others on the first read."""
+        """The run's result: its last event now, the others on the first read.
+
+        The run drops its objective and becomes the result's pending trace."""
         log, marks = self.log, self.marks
         n = len(marks)
         lo, hi, end = marks[-1]
         start = marks[-2][2] if n > 1 else 0
-        final = TraceEvent(n, Interval(lo, hi), end - start, tuple(log[start:end]))
-        return RunResult(x, f, len(log), n, final.interval_after, _Record(log, marks, final))
-
-
-class _Record:
-    """A run's pending trace: its probe log, its marks and its last event.
-
-    Called on the first read of ``RunResult.trace``, it builds the events;
-    ``run --trace`` reads the rows straight from it (:func:`_trace_rows`).
-    """
-
-    __slots__ = ("log", "marks", "final")
-
-    def __init__(self, log, marks, final: TraceEvent):
-        self.log, self.marks, self.final = log, marks, final
+        self.final = TraceEvent(n, Interval(lo, hi), end - start, tuple(log[start:end]))
+        del self.obj
+        return RunResult(x, f, len(log), n, self.final.interval_after, self)
 
     def __call__(self) -> tuple[TraceEvent, ...]:
         return (*_events(self.log, self.marks, len(self.marks) - 1), self.final)
@@ -169,14 +164,11 @@ def _events(log, marks, stop: int | None = None) -> list[TraceEvent]:
 
 
 def _trace_rows(res: RunResult):
-    """The rows of :func:`_rows` for the trace of ``res``: read from the run's
-    record while its trace is pending, so that no event is built, and from
-    the built events otherwise."""
-    pending = _get_trace(res)
-    if isinstance(pending, _Record):
-        return _rows(pending.log, pending.marks)
-    return ((ev.iteration, ev.interval_after.lo, ev.interval_after.hi, ev.evals_this_iter,
-             ev.probes) for ev in res.trace)
+    """The rows of :func:`_rows` for the trace of ``res``, read from the run's
+    record, so that no event is built.  The trace must still be pending: the
+    first read of ``res.trace`` replaces the record with the events."""
+    run = _get_trace(res)
+    return _rows(run.log, run.marks)
 
 
 def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
@@ -343,21 +335,19 @@ def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     return _drive(r, iv, step, None, stop.epsilon, budget, answer=True)[0]
 
 
-def _two_probe(r: _Run, iv: Interval, ratios):
+def _two_probe(r: _Run, iv: Interval, t_open: float, ratios):
     """The step rule of golden section and Fibonacci, and its opening state.
 
     ``ratios`` yields one ``(t_low, t_high)`` per iteration.  The run opens
-    with a probe at a + t_low*(b - a) of the first pair; each iteration
-    probes the missing one of a + t_low*(b - a) and a + t_high*(b - a),
-    compares the two, and keeps [a, x_high] or [x_low, b].  The probe kept
-    inside is the survivor, and the next probe goes on the other side of it:
-    the state is ``(survivor, f(survivor), low)``.  The opening probe is
-    paid here.
+    with a probe at a + t_open*(b - a), the t_low of the first pair; each
+    iteration probes the missing one of a + t_low*(b - a) and
+    a + t_high*(b - a), compares the two, and keeps [a, x_high] or
+    [x_low, b].  The probe kept inside is the survivor, and the next probe
+    goes on the other side of it: the state is ``(survivor, f(survivor),
+    low)``.  The opening probe is paid here.
     """
     probe = r.probe
     ratios = iter(ratios)
-    first = next(ratios)
-    ratios = chain((first,), ratios)    # the opening and the first step share it
 
     def step(a, b, state):
         x, fx, low = state
@@ -374,7 +364,7 @@ def _two_probe(r: _Run, iv: Interval, ratios):
             return a, xh, (xl, f_l, True)
         return xl, b, (xh, f_h, False)
 
-    xl = iv.lo + first[0] * (iv.hi - iv.lo)
+    xl = iv.lo + t_open * (iv.hi - iv.lo)
     return step, (xl, probe(xl), False)
 
 
@@ -390,7 +380,7 @@ def _golden(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     the method spends everything on shrink steps (exactly N evaluations) and
     returns the best evaluated interior point.
     """
-    step, state = _two_probe(r, iv, repeat((1 - _INVPHI, _INVPHI)))
+    step, state = _two_probe(r, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)))
     answer = stop.epsilon is not None
     state = _drive(r, iv, step, state, stop.epsilon, stop.budget,
                    halve=False, answer=answer)[0]
@@ -437,7 +427,7 @@ def _fibonacci(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
         raise ValueError("budget too large: Fibonacci ratios overflow float64 "
                          f"beyond {_FIB_MAX_BUDGET}")
     ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
-    step, state = _two_probe(r, iv, ladder)
+    step, state = _two_probe(r, iv, ladder[0][0], ladder)
     # no floor stop: the ladder spends its whole budget even at the FP floor
     (x, fx, _), end = _drive(r, iv, step, state, None, n, floor=False)
     # collapsed before the ladder finished: the best point so far

@@ -146,8 +146,10 @@ class TestWorstCaseBounds:
     attains (at most 3 evaluations per iteration after the first, where the
     paper's exponent (N-1)/4 charges 4), Fibonacci within L/F(N+1) under a
     budget N and within epsilon under an epsilon stop, golden section within
-    L*phi^-(N-1) under a budget N and within epsilon/2 under an epsilon stop
-    (it stops once b - a <= epsilon and answers the midpoint), dichotomous
+    L*phi^-N under a budget N (its N-1 iterations leave a bracket of length
+    L*phi^-(N-1), and the point it answers, the survivor, sits at the 1/phi
+    split of that bracket) and within epsilon/2 under an epsilon stop (it
+    stops once b - a <= epsilon and answers the midpoint), dichotomous
     search within epsilon under an epsilon stop (it stops once (b - a)/2 <=
     epsilon) and within its final bracket's length under a budget N, not
     half of it, since it answers the better pair probe when the midpoint
@@ -172,7 +174,7 @@ class TestWorstCaseBounds:
         attained = length / (2 * 3 ** ((n - 1) // 3))
         assert error(Method.TRICHOTOMY, StopRule(budget=n)) <= attained + slack
         assert error(Method.FIBONACCI, StopRule(budget=n)) <= length / _FIB[n + 1] + slack
-        golden = length * ((math.sqrt(5.0) - 1.0) / 2.0) ** (n - 1)
+        golden = length * ((math.sqrt(5.0) - 1.0) / 2.0) ** n
         assert error(Method.GOLDEN, StopRule(budget=n)) <= golden + slack
         res = run(Method.DICHOTOMOUS, StopRule(budget=n))
         assert abs(res.x_min - c) <= res.final_interval.length() + slack

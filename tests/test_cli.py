@@ -5,8 +5,12 @@ import io
 import itertools
 import json
 import math
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
+import tomllib
 from unittest import mock
 
 import numpy as np
@@ -366,6 +370,12 @@ def _reference_markdown(case, method, res, with_trace):
     return "\n".join(lines) + "\n"
 
 
+def _event_rows(trace):
+    """The rows of ``solvers._trace_rows`` for built trace events."""
+    return [(ev.iteration, ev.interval_after.lo, ev.interval_after.hi, ev.evals_this_iter,
+             ev.probes) for ev in trace]
+
+
 # floats where float.__repr__ is easy to get wrong: signed zero, the least
 # subnormal, the largest finite value, and both sides of the switches to
 # exponent form at 1e16 and 1e-4
@@ -441,9 +451,10 @@ class TestRunJson:
     @settings(max_examples=300, deadline=None)
     def test_renderer_matches_json(self, res, case_id, method):
         case = dataclasses.replace(find_case("t1_01"), id=case_id)
+        head = cli._head(case, method, res)
         for trace in (False, True):
             want = json.dumps(_reference_payload(case, method, res, trace), indent=2)
-            assert cli._run_json(case, method, res, trace) == want
+            assert cli._run_json(head, _event_rows(res.trace) if trace else None) == want
 
     def test_signed_zero_is_converted_fresh(self):
         # a bracket end equal to an earlier probe of the other sign of zero
@@ -452,7 +463,7 @@ class TestRunJson:
                  TraceEvent(2, Interval(-0.0, 0.25), 1, ((0.0, 2.0),)))
         res = RunResult(0.0, 2.0, 2, 2, Interval(-0.0, 0.25), trace)
         case, method = find_case("t1_01"), Method.HALVING
-        out = cli._run_json(case, method, res, True)
+        out = cli._run_json(cli._head(case, method, res), _event_rows(trace))
         assert out == json.dumps(_reference_payload(case, method, res, True), indent=2)
         assert [math.copysign(1.0, ev["lo"]) for ev in json.loads(out)["trace"]] == [1.0, -1.0]
 
@@ -492,8 +503,8 @@ def _markdown(case, method, res):
 
 
 class TestTraceRows:
-    """`run --trace` renders a pending trace from the run's record and a read
-    one from its events: both sources give the same rows and the same bytes."""
+    """`run --trace` renders a pending trace from the run's record: the record
+    gives the rows of the events the trace builds, and the same bytes."""
 
     @given(st.sampled_from(all_cases()), st.sampled_from(list(Method)),
            st.sampled_from([1e-2, 1e-6, 1e-12, 1e-300]).map(lambda e: StopRule(epsilon=e))
@@ -504,13 +515,13 @@ class TestTraceRows:
             res = minimize(method, Objective(case.fn), case.interval, stop)
         except ValueError:      # no Fibonacci budget up to 1400 reaches epsilon
             assume(False)
-        rows = list(_trace_rows(res))
-        text, markdown = cli._run_json(case, method, res, True), _markdown(case, method, res)
-        assert isinstance(core._get_trace(res), solvers._Record)     # still pending
+        rows, head = list(_trace_rows(res)), cli._head(case, method, res)
+        text, markdown = cli._run_json(head, rows), _markdown(case, method, res)
+        assert isinstance(core._get_trace(res), solvers._Run)     # still pending
         assert len(res.trace) == res.n_iters
-        assert list(_trace_rows(res)) == rows
-        assert cli._run_json(case, method, res, True) == text
-        assert _markdown(case, method, res) == markdown
+        assert _event_rows(res.trace) == rows
+        assert cli._run_json(head, _event_rows(res.trace)) == text
+        assert cli._run_markdown(case, head, _event_rows(res.trace)) + "\n" == markdown
         assert text == json.dumps(_reference_payload(case, method, res, True), indent=2)
         assert markdown == _reference_markdown(case, method, res, True)
 
@@ -525,8 +536,8 @@ class TestRunBuildsNoTrace:
     def test_one_event(self, monkeypatch, capsys, method, fmt, run):
         case = find_case("t1_02")
         res, flags = run(case, method)
-        want = (cli._run_json(case, method, res, True) + "\n" if fmt == "json"
-                else _reference_markdown(case, method, res, True))
+        want = (json.dumps(_reference_payload(case, method, res, True), indent=2) + "\n"
+                if fmt == "json" else _reference_markdown(case, method, res, True))
         events = count_calls(monkeypatch, solvers, "TraceEvent")
         intervals = count_calls(monkeypatch, solvers, "Interval")
         evaluations = count_calls(monkeypatch, Objective, "evaluate")
@@ -651,3 +662,24 @@ def test_console_script_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 3
+
+
+def test_console_script_entry_without_install():
+    # the `unisearch` script that an install creates calls unisearch.cli:entry;
+    # make that call from the source tree
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"]["unisearch"] == "unisearch.cli:entry"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def entry(*argv):
+        return subprocess.run([sys.executable, "-c", "from unisearch.cli import entry; entry()",
+                               *argv], capture_output=True, text=True, env=env)
+
+    proc = entry("list", "--table", "2")
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 3
+    proc = entry("run", "halving", "t1_01")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: unisearch run")
