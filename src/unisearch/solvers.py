@@ -20,17 +20,17 @@ Fibonacci search its number of evaluations) and checks them before its first
 evaluation, and returns only the estimate ``(x, f(x))``; :func:`minimize`
 builds the one :class:`~unisearch.core.RunResult` from the record.
 
-One private engine, :func:`_drive`, runs the iterations of every method and
-owns all they share: the run record (one event per iteration, with probes
-that end a run folded into the last event), the collapse guard that keeps the
-bracket non-empty at the float64 floor, the stop rules checked between
-iterations (half-width or length against epsilon, the evaluation budget,
-and a bracket that no longer shrinks), and the handling of a non-finite
-value (:class:`NonFiniteValue` leaves with the partial trace).
-That is the whole contract for a failing objective: any other exception
-raised by the function (``ZeroDivisionError``, ``OverflowError``, ...)
-propagates unchanged and carries no trace; the Objective's ``count`` still
-reports the evaluations paid before it.
+One private engine, :func:`_drive`, is the iteration loop of every method.
+It marks one event per iteration in the run record, undoes an iteration
+that would leave an empty bracket at the float64 floor (its probes join the
+previous event), and checks the stop rules between iterations (half-width
+or length against epsilon, the evaluation budget, and a bracket that no
+longer shrinks).  A non-finite value is handled once, in :func:`minimize`:
+:class:`NonFiniteValue` leaves with the partial trace.  That is the whole
+contract for a failing objective: any other exception raised by the
+function (``ZeroDivisionError``, ``OverflowError``, ...) propagates
+unchanged and carries no trace; the Objective's ``count`` still reports the
+evaluations paid before it.
 
 Each method supplies only its step rule, ``step(a, b, state) -> (a, b,
 state)``: it pays for its probes and returns the bracket it keeps with the
@@ -47,7 +47,8 @@ state it carries into the next iteration.
   better probe of the last pair.
 
 Dichotomous search, and golden section under an epsilon stop, end with one
-answer probe at the midpoint of the final bracket, also made by the engine.
+answer probe at the midpoint of the final bracket, made by the run record
+(:meth:`_Run.answer`), which folds it into the last event.
 
 A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
 with one mark per event: the bracket the event left and the length of the
@@ -128,6 +129,15 @@ class _Run:
             lo, hi, _ = self.marks.pop()
         self.marks.append((lo, hi, len(self.log)))
 
+    def answer(self) -> tuple[float, float]:
+        """Probe the midpoint of the last event's bracket as the estimate; the
+        probe joins that event."""
+        lo, hi, _ = self.marks[-1]
+        xm = (lo + hi) / 2
+        fm = self.probe(xm)
+        self.fold(lo, hi)
+        return xm, fm
+
     def best(self) -> tuple[float, float]:
         """The first evaluated point of least value."""
         return min(self.log, key=itemgetter(1))
@@ -145,22 +155,22 @@ class _Run:
         return RunResult(x, f, len(log), n, self.final.interval_after, self)
 
     def __call__(self) -> tuple[TraceEvent, ...]:
-        return (*_events(self.log, self.marks, len(self.marks) - 1), self.final)
+        return (*_events(self.log, self.marks[:-1]), self.final)
 
 
-def _rows(log, marks, stop: int | None = None):
+def _rows(log, marks):
     """Yield ``(iteration, lo, hi, evals, probes)`` for each event of the
-    record ``log`` and ``marks``, up to ``stop`` (the end, by default)."""
+    record ``log`` and ``marks``."""
     start = 0
-    for i, (lo, hi, end) in enumerate(marks[:stop], 1):
+    for i, (lo, hi, end) in enumerate(marks, 1):
         yield i, lo, hi, end - start, tuple(log[start:end])
         start = end
 
 
-def _events(log, marks, stop: int | None = None) -> list[TraceEvent]:
-    """The trace events of the record ``log`` and ``marks``, up to ``stop``."""
+def _events(log, marks) -> list[TraceEvent]:
+    """The trace events of the record ``log`` and ``marks``."""
     return [TraceEvent(i, Interval(lo, hi), evals, probes)
-            for i, lo, hi, evals, probes in _rows(log, marks, stop)]
+            for i, lo, hi, evals, probes in _rows(log, marks)]
 
 
 def _trace_rows(res: RunResult):
@@ -172,19 +182,14 @@ def _trace_rows(res: RunResult):
 
 
 def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
-           budget: int | None, *, halve: bool = True, floor: bool = True,
-           answer: bool = False):
+           budget: int | None, *, halve: bool = True, floor: bool = True):
     """Run ``step`` from ``iv`` until a stop rule holds; see the module docstring.
 
     After each iteration the loop stops when (b - a)/2 (or b - a, with
     ``halve`` false) is at most ``epsilon``, when at least ``budget``
     evaluations are spent, or, with ``floor``, when the bracket did not
     shrink.  An iteration that would leave an empty bracket is undone, its
-    probes joining the previous event.  With ``answer``, and at most
-    ``budget`` evaluations spent, the midpoint of the final bracket is then
-    evaluated as the estimate: that probe joins the last event and the
-    state becomes ``(midpoint, f(midpoint))``.  An iteration cut short by
-    a non-finite value closes an event of its own only if it paid for probes.
+    probes joining the previous event.
 
     Returns ``(state, end)`` with ``end`` one of "epsilon", "budget",
     "floor" or "collapse".
@@ -192,35 +197,20 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
     a, b = iv.lo, iv.hi
     log, marks = r.log, r.marks
     divisor = 2 if halve else 1
-    try:
-        while True:
-            na, nb, state = step(a, b, state)
-            length = nb - na
-            if not length > 0.0:    # bracket collapsed at the FP floor
-                r.fold(a, b)
-                end = "collapse"
-                break
-            marks.append((na, nb, len(log)))
-            span, a, b = b - a, na, nb
-            if epsilon is not None and length / divisor <= epsilon:
-                end = "epsilon"
-                break
-            if budget is not None and len(log) >= budget:
-                end = "budget"
-                break
-            if floor and not length < span:   # numerical resolution floor
-                end = "floor"
-                break
-        if answer and (budget is None or len(log) <= budget):
-            xm = (a + b) / 2
-            state = (xm, r.probe(xm))
+    while True:
+        na, nb, state = step(a, b, state)
+        length = nb - na
+        if not length > 0.0:    # bracket collapsed at the FP floor
             r.fold(a, b)
-    except NonFiniteValue as e:
-        if len(log) > (marks[-1][2] if marks else 0):    # the iteration paid probes
-            marks.append((a, b, len(log)))
-        e.partial_trace = tuple(_events(log, marks))
-        raise
-    return state, end
+            return state, "collapse"
+        marks.append((na, nb, len(log)))
+        if epsilon is not None and length / divisor <= epsilon:
+            return state, "epsilon"
+        if budget is not None and len(log) >= budget:
+            return state, "budget"
+        if floor and not length < b - a:   # numerical resolution floor
+            return state, "floor"
+        a, b = na, nb
 
 
 def _halving(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
@@ -331,8 +321,9 @@ def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     # another pair is affordable while at most budget - 2 evaluations are
     # spent, and the answer probe while at most budget - 1 are
     budget = None if stop.budget is None else stop.budget - 1
+    state = _drive(r, iv, step, None, stop.epsilon, budget)[0]
     # the answer probe, or else the better probe of the last pair
-    return _drive(r, iv, step, None, stop.epsilon, budget, answer=True)[0]
+    return r.answer() if budget is None or len(r.log) <= budget else state
 
 
 def _two_probe(r: _Run, iv: Interval, t_open: float, ratios):
@@ -381,21 +372,14 @@ def _golden(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     returns the best evaluated interior point.
     """
     step, state = _two_probe(r, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)))
-    answer = stop.epsilon is not None
-    state = _drive(r, iv, step, state, stop.epsilon, stop.budget,
-                   halve=False, answer=answer)[0]
-    return state if answer else r.best()
-
-
-def _fibonacci_numbers(n: int) -> list[int]:
-    fib = [1, 1]
-    while len(fib) <= n:
-        fib.append(fib[-1] + fib[-2])
-    return fib
+    _drive(r, iv, step, state, stop.epsilon, stop.budget, halve=False)
+    return r.answer() if stop.epsilon is not None else r.best()
 
 
 _FIB_MAX_BUDGET = 1400     # beyond it the ratios F(m-2)/F(m) overflow float64
-_FIB = _fibonacci_numbers(_FIB_MAX_BUDGET + 1)    # stages up to m = budget + 1
+_FIB = [1, 1]              # F(0) = F(1) = 1, up to the stage m = budget + 1
+while len(_FIB) <= _FIB_MAX_BUDGET + 1:
+    _FIB.append(_FIB[-1] + _FIB[-2])
 # (t_low, t_high) = (F(m-2)/F(m), F(m-1)/F(m)) of the stage with index m >= 2
 _FIB_STAGES = [None, None] + [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
                               for m in range(2, len(_FIB))]
@@ -474,7 +458,19 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
     bracket no longer shrinks (at the float64 floor or, for dichotomous
     search, as its length nears delta), and every method stops before an
     iteration that would leave an empty bracket.
+
+    A non-finite value of the objective raises :class:`NonFiniteValue`, with
+    the events the run closed as its ``partial_trace``.  The iteration it cut
+    short is one more event, on the bracket that iteration started from, when
+    it paid for probes; a failure at an opening probe carries ``()``.
     """
     method = Method(method)
     r = _Run(obj)
-    return r.result(*_METHODS[method](r, iv, stop))
+    try:
+        return r.result(*_METHODS[method](r, iv, stop))
+    except NonFiniteValue as e:
+        lo, hi, end = r.marks[-1] if r.marks else (iv.lo, iv.hi, 0)
+        if len(r.log) > end:    # the iteration cut short paid probes
+            r.marks.append((lo, hi, len(r.log)))
+        e.partial_trace = tuple(_events(r.log, r.marks))
+        raise

@@ -20,6 +20,7 @@ from unisearch.core import (
     NonFiniteValue,
     Objective,
     StopRule,
+    TraceEvent,
 )
 from unisearch.solvers import Method, minimize
 
@@ -656,11 +657,35 @@ class TestNonFiniteHandling:
                        StopRule(epsilon=1e-3))
         assert type(res.trace) is tuple
 
-    def test_failure_on_first_probe(self):
+    @pytest.mark.parametrize("stop", [StopRule(epsilon=0.1), StopRule(budget=10)])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_failure_on_first_probe(self, method, stop):
+        # the opening probe belongs to no event yet: the partial trace is empty
+        obj = Objective(lambda x: math.inf)
         with pytest.raises(NonFiniteValue) as info:
-            minimize("trichotomy", Objective(lambda x: math.inf),
-                     Interval(0.0, 1.0), StopRule(epsilon=0.1))
+            minimize(method, obj, Interval(0.0, 1.0), stop)
         assert info.value.partial_trace == ()
+        assert obj.count == 1
+
+    @pytest.mark.parametrize("method, stop", [
+        ("dichotomous", StopRule(epsilon=1e-6)),
+        ("dichotomous", StopRule(budget=21)),
+        ("golden", StopRule(epsilon=1e-6)),
+    ])
+    def test_failure_at_answer_probe(self, method, stop):
+        # the answer probe is the run's last evaluation; when it fails, the
+        # partial trace is the clean trace without that probe
+        f, iv = quadratic(0.3), Interval(0.0, 1.0)
+        clean = minimize(method, Objective(f), iv, stop)
+        *head, last = clean.trace
+        assert last.probes[-1] == (clean.x_min, clean.f_min)
+        obj = Objective(nan_at_call(f, clean.n_evals))
+        with pytest.raises(NonFiniteValue) as info:
+            minimize(method, obj, iv, stop)
+        assert info.value.partial_trace == (
+            *head, TraceEvent(last.iteration, last.interval_after,
+                              last.evals_this_iter - 1, last.probes[:-1]))
+        assert obj.count == clean.n_evals
 
 
 class TestOtherObjectiveExceptions:

@@ -25,6 +25,9 @@ dumps one record per line:
   [1e15, 1e15+8], with ε down to 1e-300 and budgets up to 1400;
 * ``minimize`` on the 23 registry cases: Fibonacci at budgets 1400 and
   1401, and under ε 1e-6;
+* ``minimize`` on t1_02 and t2_01, every method under ε 1e-6 and budgets
+  20 and 21, with NaN returned at call k for every k from 1 to the clean
+  run's ``n_evals``: the ``NonFiniteValue`` failure path;
 * ``brute_force_minimum`` and ``is_unimodal`` on the 23 registry cases at
   3, 8191, 8192, 8193, 16385, 10,001 and 1,000,001 grid points, each with
   inset 0 and ``VERIFY_INSET`` (1e-9) times the bracket length, verify's
@@ -52,6 +55,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,6 +82,7 @@ SUBNORMAL_BRACKET = (-3 * TINY, 997 * TINY)
 FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
 FIB_BUDGETS = (1400, 1401)     # the largest budget Fibonacci accepts, and one more
+NAN_CASES = ("t1_02", "t2_01")
 SHOWN = 5                # differing records printed
 
 
@@ -100,6 +105,17 @@ def _solve(minimize, method, obj, iv, stop):
     return [_h(res.x_min), _h(res.f_min), res.n_evals, res.n_iters,
             _h(res.final_interval.lo), _h(res.final_interval.hi),
             _events(res.trace), obj.count]
+
+
+def _nan_at(f, k):
+    """``f``, except that call number ``k`` (1-based) returns NaN."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return math.nan if calls[0] == k else f(x)
+
+    return fn
 
 
 def _oracle(scan, f, iv, grid):
@@ -235,6 +251,16 @@ def dump() -> None:
         write(["fibonacci", case.id, "epsilon"],
               _solve(minimize, Method.FIBONACCI, Objective(case.fn), case.interval,
                      StopRule(epsilon=1e-6)))
+
+    by_id = {case.id: case for case in cases}
+    for case in map(by_id.get, NAN_CASES):
+        for method in Method:
+            for stop in (StopRule(epsilon=1e-6), StopRule(budget=20), StopRule(budget=21)):
+                clean = minimize(method, Objective(case.fn), case.interval, stop)
+                for k in range(1, clean.n_evals + 1):
+                    write(["nan", case.id, method.value, repr(stop), k],
+                          _solve(minimize, method, Objective(_nan_at(case.fn, k)),
+                                 case.interval, stop))
 
 
 def _records(tree: str) -> list[str]:
