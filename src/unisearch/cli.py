@@ -189,9 +189,11 @@ _HEAD = ("case", "method", "x_min", "f_min", "n_evals", "n_iters", "final_lo", "
 
 
 def _head(case, method, res) -> tuple:
-    """The values of the :data:`_HEAD` fields for the run ``res``."""
+    """The values of the :data:`_HEAD` fields for the run ``res``.  The
+    method is kept as given, a :class:`Method` or its value: a ``Method`` is a
+    ``StrEnum``, so json, ``str`` and ``format`` all print it as its value."""
     iv = res.final_interval
-    return case.id, method.value, res.x_min, res.f_min, res.n_evals, res.n_iters, iv.lo, iv.hi
+    return case.id, method, res.x_min, res.f_min, res.n_evals, res.n_iters, iv.lo, iv.hi
 
 
 def _event_texts(rows):
@@ -222,32 +224,26 @@ def _event_texts(rows):
 
 
 # `run --format json` in the layout of json.dumps(indent=2): one template for
-# the head and one per trace event with k [x, f(x)] probes.  Their whole
-# domain: every float is finite (Interval rejects non-finite endpoints,
+# the head and one per trace event with k [x, f(x)] probes, each the
+# json.dumps of a payload of None values with every null made a %s.  Their
+# whole domain: every float is finite (Interval rejects non-finite endpoints,
 # Objective raises NonFiniteValue), so float.__repr__ prints what json prints;
 # and a run has at least one event and every event at least one probe, so no
 # list is empty, which json would print as [].
-_HEAD_JSON = "{\n" + ",\n".join(f'  "{key}": %s' for key in _HEAD)
-_EVENT_JSON = """\
-    {
-      "iter": %d,
-      "lo": %s,
-      "hi": %s,
-      "length": %s,
-      "evals": %d,
-      "probes": [
-"""
-_PROBE_JSON = """\
-        [
-          %s,
-          %s
-        ]"""
+def _json_template(payload) -> str:
+    return json.dumps(payload, indent=2).replace("null", "%s")
+
+
+_HEAD_JSON = _json_template(dict.fromkeys(_HEAD))[:-2]     # left open for the trace
 
 
 @functools.cache
 def _event_json(k: int) -> str:
-    """The json template of a trace event with ``k`` probes."""
-    return _EVENT_JSON + ",\n".join([_PROBE_JSON] * k) + "\n      ]\n    }"
+    """The json template of a trace event with ``k`` probes, indented as an
+    item of the run's ``trace`` list."""
+    event = {**dict.fromkeys(("iter", "lo", "hi", "length", "evals")),
+             "probes": [[None, None]] * k}
+    return "    " + _json_template(event).replace("\n", "\n    ")
 
 
 @functools.cache
@@ -261,11 +257,12 @@ def _run_json(head: tuple, rows) -> str:
 
     ``payload`` is the :data:`_HEAD` fields with the values ``head`` and,
     unless ``rows`` is None, the trace events of the rows of
-    :func:`~unisearch.solvers._trace_rows`.  Both are filled into
-    templates, one ``%`` per event, so the pure-Python ``indent=2`` encoder
-    never runs.  Strings go through ``json.dumps``, floats through
-    ``float.__repr__`` (:func:`_event_texts` for the events) and ints
-    through ``%s``.
+    :func:`~unisearch.solvers._trace_rows`.  Both are filled into templates
+    that ``json.dumps`` laid out once (:data:`_HEAD_JSON`,
+    :func:`_event_json`), one ``%`` per event, so the pure-Python
+    ``indent=2`` encoder never runs on a run.  Strings go through
+    ``json.dumps``, floats through ``float.__repr__`` (:func:`_event_texts`
+    for the events) and ints through ``%s``.
     """
     r = float.__repr__
     case, method, x, f, n_evals, n_iters, lo, hi = head
@@ -293,11 +290,9 @@ def _run_markdown(case, head: tuple, rows) -> str:
 def cmd_run(args) -> int:
     if args.trace and args.format == "csv":
         raise ValueError("--trace has no csv form; use --format json or markdown")
-    method = Method(args.method)
     case = find_case(args.case_id)
-    stop = StopRule(epsilon=args.tol) if args.tol is not None else StopRule(budget=args.budget)
-    res = minimize(method, Objective(case.fn), case.interval, stop)
-    head = _head(case, method, res)
+    res = minimize(args.method, Objective(case.fn), case.interval, StopRule(args.tol, args.budget))
+    head = _head(case, args.method, res)
     rows = _trace_rows(res) if args.trace else None
     if args.format == "json":
         print(_run_json(head, rows))

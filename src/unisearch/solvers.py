@@ -376,7 +376,10 @@ def _golden(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     return r.answer() if stop.epsilon is not None else r.best()
 
 
-_FIB_MAX_BUDGET = 1400     # beyond it the ratios F(m-2)/F(m) overflow float64
+# The stage ratios F(m-2)/F(m) divide ints with correct rounding at any m, but
+# the epsilon planning's length/F(N + 1) converts F(N + 1) to float64, which
+# raises OverflowError from F(1476) on; the cap keeps clear of that.
+_FIB_MAX_BUDGET = 1400
 _FIB = [1, 1]              # F(0) = F(1) = 1, up to the stage m = budget + 1
 while len(_FIB) <= _FIB_MAX_BUDGET + 1:
     _FIB.append(_FIB[-1] + _FIB[-2])
@@ -408,8 +411,8 @@ def _fibonacci(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
             raise ValueError(f"no Fibonacci budget up to {_FIB_MAX_BUDGET} reaches "
                              f"epsilon={stop.epsilon!r} on length {length!r}")
     elif n > _FIB_MAX_BUDGET:
-        raise ValueError("budget too large: Fibonacci ratios overflow float64 "
-                         f"beyond {_FIB_MAX_BUDGET}")
+        raise ValueError("budget too large: Fibonacci search takes at most "
+                         f"{_FIB_MAX_BUDGET} evaluations")
     ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
     step, state = _two_probe(r, iv, ladder[0][0], ladder)
     # no floor stop: the ladder spends its whole budget even at the FP floor

@@ -134,6 +134,17 @@ def trichotomy_attained(length, n):
     return length / (2 * 3 ** ((n + 1) // 3))
 
 
+def dichotomous_attained(length, n):
+    """Dichotomous search's worst-case error at budget N: its p = floor(N/2)
+    pairs with offset delta = L*1e-6 leave a bracket of length
+    L_p = L/2^p + delta*(1 - 2^-p); an odd N pays the answer probe at its
+    midpoint, within L_p/2, and an even N answers the better pair probe,
+    within L_p."""
+    p = n // 2
+    final = length / 2 ** p + length * 1e-6 * (1 - 2.0 ** -p)
+    return final / 2 if n % 2 else final
+
+
 @st.composite
 def bracket_and_minimizer(draw):
     """A finite bracket well above the float64 floor and the minimizer c of
@@ -163,9 +174,10 @@ class TestWorstCaseBounds:
     answers, the survivor, sits at the 1/phi split of that bracket) and
     within epsilon/2 under an epsilon stop (it stops once b - a <= epsilon
     and answers the midpoint), dichotomous search within epsilon under an
-    epsilon stop (it stops once (b - a)/2 <= epsilon) and within its final
-    bracket's length under a budget N, not half of it, since it answers the
-    better pair probe when the midpoint probe is not affordable.  A
+    epsilon stop (it stops once (b - a)/2 <= epsilon) and within
+    ``dichotomous_attained`` under a budget N: half its final bracket's
+    length when N is odd and the answer probe is affordable, the whole
+    length when N is even and it answers the better pair probe.  A
     right-endpoint minimizer with an odd N attains halving's bound exactly."""
 
     @given(bracket_and_minimizer(), st.integers(2, 40), st.floats(1e-9, 0.5))
@@ -175,11 +187,8 @@ class TestWorstCaseBounds:
         length = iv.length()
         slack = 2 * math.ulp(max(abs(iv.lo), abs(iv.hi)))
 
-        def run(method, stop):
-            return minimize(method, Objective(lambda x: abs(x - c) ** p), iv, stop)
-
         def error(method, stop):
-            return abs(run(method, stop).x_min - c)
+            return abs(minimize(method, Objective(lambda x: abs(x - c) ** p), iv, stop).x_min - c)
 
         for method in (Method.HALVING, Method.TRICHOTOMY):
             assert error(method, StopRule(budget=n)) <= accuracy_bound(method, length, n) + slack
@@ -189,8 +198,8 @@ class TestWorstCaseBounds:
         assert error(Method.FIBONACCI, StopRule(budget=n)) <= length / _FIB[n + 1] + slack
         golden = length * ((math.sqrt(5.0) - 1.0) / 2.0) ** n
         assert error(Method.GOLDEN, StopRule(budget=n)) <= golden + slack
-        res = run(Method.DICHOTOMOUS, StopRule(budget=n))
-        assert abs(res.x_min - c) <= res.final_interval.length() + slack
+        assert (error(Method.DICHOTOMOUS, StopRule(budget=n))
+                <= dichotomous_attained(length, n) + slack)
         epsilon = length * relative_epsilon
         assert error(Method.FIBONACCI, StopRule(epsilon=epsilon)) <= epsilon + slack
         assert error(Method.GOLDEN, StopRule(epsilon=epsilon)) <= epsilon / 2 + slack

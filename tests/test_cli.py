@@ -413,7 +413,7 @@ def _run_results(draw):
         return Interval(lo, hi)
 
     def event(iteration):
-        probes = draw(st.lists(st.tuples(points, _LEAVES), min_size=1, max_size=4))
+        probes = draw(st.lists(st.tuples(points, _LEAVES), min_size=1, max_size=8))
         return TraceEvent(iteration, bracket(), draw(st.integers(1, 10**6)), tuple(probes))
 
     n_events = draw(st.integers(1, 40))

@@ -269,7 +269,7 @@ class TestFibonacci:
         for bad in (1, 0, -3, 2.0, True, None):
             with pytest.raises(ValueError):
                 minimize("fibonacci", obj, Interval(0.0, 1.0), StopRule(budget=bad))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="takes at most 1400 evaluations"):
             minimize("fibonacci", obj, Interval(0.0, 1.0), StopRule(budget=1401))
 
     @pytest.mark.parametrize("length,epsilon,n", [
