@@ -3,10 +3,11 @@
 Two registries of test problems with published reference results: table 1
 fixes a half-width tolerance per case and compares evaluation counts; table
 2 fixes evaluation budgets (``TABLE2_BUDGETS``: 10, 20, 30) and compares
-the achieved error |x_hat - x*|.  :func:`run_table1` and :func:`run_table2`
-return their :class:`ReportRow` tuples, and :func:`emit_report` renders
-them.  Functions are hard-coded closures (numpy ufuncs, so the same
-closure serves scalar solver calls and vectorized oracle grids); there is no
+the achieved error |x_hat - x*|; :func:`run_verify` compares every solver's
+minimizer with the grid oracle's.  All three harnesses return tuples of one
+row type, :class:`ReportRow`, and :func:`emit_report` renders the tables'
+rows.  Functions are hard-coded closures (numpy ufuncs, so the same closure
+serves scalar solver calls and vectorized oracle grids); there is no
 expression parsing.
 
 A table-1 count passes when it lands within +/-2 of the reference; a table-2
@@ -176,9 +177,9 @@ def find_case(case_id: str) -> BenchmarkCase:
 class ReportRow:
     case: str
     method: Method
-    n: int | None                 # budget column; empty for table 1
-    measured: float | None        # count (table 1) or |x_hat - x*| (table 2)
-    expected: float | None        # published reference value
+    n: int | None                 # budget column; empty for table 1 and verify
+    measured: float | None        # count (table 1), |x_hat - x*| (table 2) or x_hat (verify)
+    expected: float | None        # published reference value, or the oracle's minimizer
     passed: bool | None           # None = excluded from pass/fail
     deviation: float | None       # measured - expected
 
@@ -233,25 +234,16 @@ def run_table2() -> tuple[ReportRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class VerifyRow:
-    case: str
-    method: Method
-    x_solver: float
-    x_oracle: float
-    diff: float
-    passed: bool
-
-
-def run_verify() -> list[VerifyRow]:
+def run_verify() -> tuple[ReportRow, ...]:
     """Check every solver against the grid oracle on every non-garbled case.
 
     This is acceptance criterion 7: each solver runs at half-width
     ``VERIFY_TOL`` (Fibonacci at the N it plans from it), the oracle
     scans the default 10^6+1-point grid inset by ``VERIFY_INSET`` of the
     bracket, and a row passes when the two agree within ``VERIFY_AGREEMENT``.
-    For another grid, call :func:`brute_force_minimum` with its own
-    :class:`GridSpec`.
+    A row holds the solver's minimizer as ``measured`` and the oracle's as
+    ``expected``; a non-finite objective value propagates.  For another
+    grid, call :func:`brute_force_minimum` with its own :class:`GridSpec`.
     """
     cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
     rows = []
@@ -260,10 +252,10 @@ def run_verify() -> list[VerifyRow]:
         grid = GridSpec(inset=case.interval.length() * VERIFY_INSET)
         x_oracle, _ = brute_force_minimum(case.fn, case.interval, grid)
         for method in Method:
-            res = minimize(method, Objective(case.fn), case.interval, stop)
-            diff = abs(res.x_min - x_oracle)
-            rows.append(VerifyRow(case.id, method, res.x_min, x_oracle, diff, diff <= VERIFY_AGREEMENT))
-    return rows
+            x = minimize(method, Objective(case.fn), case.interval, stop).x_min
+            rows.append(ReportRow(case.id, method, None, x, x_oracle,
+                                  abs(x - x_oracle) <= VERIFY_AGREEMENT, x - x_oracle))
+    return tuple(rows)
 
 
 def _fmt(value, sig17: bool) -> str:
@@ -287,24 +279,23 @@ def _record(r: ReportRow) -> dict:
 
 
 def emit_report(rows: tuple[ReportRow, ...], fmt: str = "markdown") -> str:
-    """Render report rows as csv, markdown, or json (byte-deterministic)."""
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        lines += [",".join(_fmt(v, True) for v in _record(r).values()) for r in rows]
-        return "\n".join(lines) + "\n"
+    """Render report rows as csv, markdown, or json (byte-deterministic).
+
+    Every format names its columns by :data:`CSV_HEADER`; markdown prints a
+    float in 3 significant digits and the verdict as yes, NO or -.
+    """
+    records = [_record(r) for r in rows]
     if fmt == "json":
-        return json.dumps([_record(r) for r in rows], indent=2) + "\n"
-    if fmt == "markdown":
-        lines = [
-            "| case | method | n | measured | paper | pass | deviation |",
-            "|------|--------|---|----------|-------|------|-----------|",
-        ]
-        for r in rows:
-            lines.append("| " + " | ".join([
-                r.case, r.method.value,
-                _fmt(r.n, True), _fmt(r.measured, False), _fmt(r.expected, False),
-                {True: "yes", False: "NO", None: "-"}[r.passed],
-                _fmt(r.deviation, False),
-            ]) + " |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+        return json.dumps(records, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [CSV_HEADER] + [",".join(_fmt(v, True) for v in rec.values()) for rec in records]
+    elif fmt == "markdown":
+        cols = CSV_HEADER.split(",")
+        lines = ["| " + " | ".join(cols) + " |",
+                 "|" + "|".join("-" * (len(c) + 2) for c in cols) + "|"]
+        for rec in records:
+            rec["pass"] = {True: "yes", False: "NO", None: "-"}[rec["pass"]]
+            lines.append("| " + " | ".join(_fmt(v, False) for v in rec.values()) + " |")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return "\n".join(lines) + "\n"

@@ -305,12 +305,16 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _verdict(args, passed: int, total: int, what: str) -> int:
-    """Print ``PASS|FAIL: passed/total what`` to stderr unless ``--quiet``;
-    return 0 when all ``total`` passed and 3 otherwise."""
-    ok = passed == total
+def _verdict(args, rows, what: str) -> int:
+    """Print ``PASS|FAIL: passed/gated what`` to stderr unless ``--quiet``,
+    noting the rows excluded from pass/fail (``passed`` None); return 0 when
+    every gated row passed and 3 otherwise."""
+    gated = [r.passed for r in rows if r.passed is not None]
+    excluded = len(rows) - len(gated)
+    ok = all(gated)
     if not args.quiet:
-        print(f"{'PASS' if ok else 'FAIL'}: {passed}/{total} {what}", file=sys.stderr)
+        note = f" ({excluded} excluded)" if excluded else ""
+        print(f"{'PASS' if ok else 'FAIL'}: {sum(gated)}/{len(gated)} {what}{note}", file=sys.stderr)
     return 0 if ok else 3
 
 
@@ -322,10 +326,7 @@ def cmd_table(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    gated = [r.passed for r in rows if r.passed is not None]
-    excluded = len(rows) - len(gated)
-    note = f" ({excluded} excluded)" if excluded else ""
-    return _verdict(args, sum(gated), len(gated), f"comparisons within tolerance{note}")
+    return _verdict(args, rows, "comparisons within tolerance")
 
 
 def cmd_bounds(args) -> int:
@@ -342,10 +343,9 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     rows = run_verify()
     for r in rows:
-        print(f"{r.case} {r.method.value}: x={r.x_solver!r} oracle={r.x_oracle!r} "
-              f"diff={r.diff:.3e} {'ok' if r.passed else 'FAIL'}")
-    passed = sum(r.passed for r in rows)
-    return _verdict(args, passed, len(rows), f"within {VERIFY_AGREEMENT:.3e}")
+        print(f"{r.case} {r.method.value}: x={r.measured!r} oracle={r.expected!r} "
+              f"diff={abs(r.deviation):.3e} {'ok' if r.passed else 'FAIL'}")
+    return _verdict(args, rows, f"within {VERIFY_AGREEMENT:.3e}")
 
 
 def main(argv: list[str] | None = None) -> int:

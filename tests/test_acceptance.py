@@ -152,7 +152,7 @@ def test_criterion_7_oracle_equivalence():
     assert VERIFY_AGREEMENT == 1e-4
     assert len(rows) == 22 * 5
     for r in rows:
-        assert r.diff <= 1e-4, (r.case, r.method, r.diff)
+        assert abs(r.deviation) <= 1e-4, (r.case, r.method, r.deviation)
     assert elapsed < 30.0
     print(f"criterion 7 pass: 110/110 solver-oracle agreements within 1e-4, "
           f"{elapsed:.2f} s")

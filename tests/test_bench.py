@@ -1,4 +1,5 @@
 """Benchmark registry, table harnesses, report emission, oracle verify."""
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import unisearch.bench
 from unisearch.bench import (
     CSV_HEADER,
     FLAG_ENDPOINT_MIN,
@@ -138,6 +140,12 @@ def _subset(rows, *case_ids):
     return tuple(r for r in rows if r.case in case_ids)
 
 
+def nan_cases():
+    """t1_01 with an objective that returns NaN, and a garbled copy of it."""
+    nan = dataclasses.replace(find_case("t1_01"), id="nan", fn=lambda x: math.nan)
+    return nan, dataclasses.replace(nan, id="garbled", flags=frozenset({FLAG_GARBLED}))
+
+
 class TestTable1:
     def test_full_run_matches_references(self):
         rows = run_table1()
@@ -151,6 +159,21 @@ class TestTable1:
         rows = _subset(run_table1(), "t1_20")
         assert {r.passed for r in rows} == {None}
         assert all(r.measured is not None for r in rows)
+
+    def test_nonfinite_value_fails_the_row(self, monkeypatch):
+        # a failed run has no measurement: it fails a gated row and leaves a
+        # garbled one ungated, and both render their missing cells empty
+        monkeypatch.setattr(unisearch.bench, "_TABLE1", nan_cases())
+        rows = run_table1()
+        assert len(rows) == 6
+        assert all(r.measured is None and r.deviation is None for r in rows)
+        assert [r.passed for r in rows] == [False] * 3 + [None] * 3
+        csv = emit_report(rows, "csv").splitlines()
+        assert csv[1] == "nan,halving,,,15,false,"
+        assert csv[4] == "garbled,halving,,,15,,"
+        markdown = emit_report(rows, "markdown").splitlines()
+        assert markdown[2] == "| nan | halving |  |  | 15 | NO |  |"
+        assert markdown[5] == "| garbled | halving |  |  | 15 | - |  |"
 
     def test_pinned_counts(self):
         rows = _subset(run_table1(), "t1_09")
@@ -209,7 +232,8 @@ class TestEmitReport:
 
     def test_markdown_table(self):
         lines = emit_report(_subset(run_table1(), "t1_20"), "markdown").splitlines()
-        assert lines[0].startswith("| case | method |")
+        assert lines[0] == "| case | method | n | measured | paper | pass | deviation |"
+        assert lines[1] == "|------|--------|---|----------|-------|------|-----------|"
         assert all(line.startswith("|") for line in lines)
         assert " - " in lines[2]        # ungated row renders a dash
 
@@ -224,9 +248,9 @@ class TestVerify:
         assert len(rows) == 22 * len(Method)
         assert all(r.passed for r in rows)
         for r in rows:
-            assert r.diff == abs(r.x_solver - r.x_oracle)
-            assert r.passed == (r.diff <= VERIFY_AGREEMENT)
-            assert math.isfinite(r.x_oracle)
+            assert abs(r.deviation) == abs(r.measured - r.expected)
+            assert r.passed == (abs(r.deviation) <= VERIFY_AGREEMENT)
+            assert math.isfinite(r.expected)
 
     def test_takes_no_grid(self):
         with pytest.raises(TypeError):
@@ -236,7 +260,7 @@ class TestVerify:
         # Another grid goes through brute_force_minimum with its own GridSpec:
         # at 10,001 points each case's minimizer lies within one coarse step
         # of the one run_verify found on the default grid.
-        fine = {r.case: r.x_oracle for r in run_verify()}
+        fine = {r.case: r.expected for r in run_verify()}
         cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
         assert set(fine) == {c.id for c in cases}
         for c in cases:

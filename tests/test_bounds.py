@@ -28,6 +28,18 @@ class TestIterationBound:
         assert b.k_formula == 3
         assert b.k_exact == 2
 
+    @pytest.mark.parametrize("method, base, top", [("halving", 2, 1023), ("trichotomy", 3, 33)])
+    def test_exact_at_every_power_and_its_neighbours(self, method, base, top):
+        # length/(2*0.5) is the length itself, and base**k is a float64 up to
+        # top; the float log of such a power can land just off k, which
+        # neither count may follow
+        for k in range(1, top + 1):
+            power = float(base**k)
+            below, above = math.nextafter(power, 0.0), math.nextafter(power, math.inf)
+            assert iteration_bound(method, below, 0.5) == IterationBound(k, k)
+            assert iteration_bound(method, power, 0.5) == IterationBound(k + 1, k)
+            assert iteration_bound(method, above, 0.5) == IterationBound(k + 1, k + 1)
+
     def test_accepts_method_strings(self):
         assert iteration_bound("halving", 1.0, 0.1) == iteration_bound(
             Method.HALVING, 1.0, 0.1
@@ -65,8 +77,8 @@ class TestIterationBound:
                 half /= beta
                 k += 1
             b = iteration_bound(method, length, epsilon)
-            # FP rounding inside log() can move an almost-integer across the
-            # ceiling; the simulated count is authoritative within that slack
+            # the simulation's own rounding of half /= beta can move its count
+            # across an exact power; iteration_bound is exact within that slack
             assert abs(b.k_exact - k) <= 1
             assert b.k_formula >= b.k_exact
 

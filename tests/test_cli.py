@@ -16,12 +16,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from test_bench import nan_cases
 from test_solvers import count_calls
 
 import unisearch.bench
 import unisearch.cli as cli
 from unisearch import core, solvers
-from unisearch.bench import ReportRow, VerifyRow, all_cases, find_case
+from unisearch.bench import ReportRow, all_cases, find_case
 from unisearch.core import Interval, Objective, RunResult, StopRule, TraceEvent
 from unisearch.solvers import Method, _trace_rows, minimize
 
@@ -586,6 +587,13 @@ class TestTable:
         assert code == 3
         assert "FAIL" in err
 
+    def test_nonfinite_value_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(unisearch.bench, "_TABLE1", nan_cases())
+        code, out, err = run_cli(capsys, "table", "1", "--format", "csv")
+        assert code == 3
+        assert len(out.splitlines()) == 7
+        assert err == "FAIL: 0/3 comparisons within tolerance (3 excluded)\n"
+
     def test_table2_summary_line(self, capsys):
         code, _, err = run_cli(capsys, "table", "2", "--format", "csv")
         assert code == 0
@@ -647,7 +655,7 @@ class TestVerify:
         assert err == ""
 
     def test_disagreement_exits_3(self, capsys, monkeypatch):
-        bad = VerifyRow("t1_01", Method.HALVING, 1.0, 2.0, 1.0, False)
+        bad = ReportRow("t1_01", Method.HALVING, None, 1.0, 2.0, False, -1.0)
         monkeypatch.setattr(cli, "run_verify", lambda: [bad])
         code, out, err = run_cli(capsys, "verify")
         assert code == 3

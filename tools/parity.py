@@ -10,9 +10,10 @@ dumps one record per line:
   under ``--tol 1e-6`` and ``--budget 20`` (json and markdown, each with and
   without ``--trace``, csv, and one ``--trace --format csv``) and under
   ``--tol 1e-300`` (json and markdown with ``--trace``), a few ``bounds``
-  and ``list`` commands, no arguments, ``--help`` of the program and of
-  each subcommand, ten usage errors, ``verify --grid`` among them
-  (``verify`` takes no grid), and 23 near misses of the ``run`` form that
+  commands (two of them with L/(2*tol) exactly 3^5 and 2^29, powers of the
+  shrink bases), a few ``list`` commands, no arguments, ``--help`` of the
+  program and of each subcommand, ten usage errors, ``verify --grid`` among
+  them (``verify`` takes no grid), and 23 near misses of the ``run`` form that
   ``main`` parses without argparse (``--tol=1e-6``, ``--tr``, a repeated
   flag, both stop flags or neither, ``--``, an option before the
   positionals, a case or value starting with ``-``, ``nan``, ``inf``,
@@ -161,6 +162,9 @@ def _cli_commands(cases, methods):
     yield from (["bounds", "--length", length, *rule] for length in ("1", "2", "1e-300")
                 for rule in (["--tol", "0.1"], ["--tol", "0.6"], ["--budget", "10"],
                              ["--budget", "2000"]))
+    # L/(2*tol) exactly 3^5 and 2^29, where a float log can land off the power
+    yield ["bounds", "--length", "243", "--tol", "0.5"]
+    yield ["bounds", "--length", "536870912", "--tol", "0.5"]
     yield from (["list", *opt] for opt in ([], ["--table", "1"], ["--table", "2"],
                                            ["--flag", "endpoint"], ["--flag", "garbled"]))
     yield from ([], ["--help"])
