@@ -34,6 +34,7 @@ import copy
 import functools
 import json
 import sys
+from itertools import chain
 
 from .bench import (
     FLAG_ENDPOINT_MIN,
@@ -51,7 +52,7 @@ from .bench import (
 )
 from .bounds import accuracy_bound, iteration_bound
 from .core import NonFiniteValue, Objective, StopRule, _check_count, _check_positive
-from .solvers import Method, _trace_rows, minimize
+from .solvers import Method, _trace_record, minimize
 
 _FORMATS = ("markdown", "csv", "json")
 _METHODS = tuple(m.value for m in Method)
@@ -196,31 +197,31 @@ def _head(case, method, res) -> tuple:
     return case.id, method, res.x_min, res.f_min, res.n_evals, res.n_iters, iv.lo, iv.hi
 
 
-def _event_texts(rows):
-    """Yield each trace row ``(iteration, lo, hi, evals, probes)``, as
-    :func:`~unisearch.solvers._trace_rows` reads them from a run's record, as
-    ``(k, values)``: its ``k`` probes and the values that fill the event
-    templates, ``(iter, lo, hi, length, evals, x1, fx1, ..., xk, fxk)``, with
-    every float as its ``float.__repr__`` text.
+def _event_texts(record):
+    """Yield, for each event of a run's record ``(log, marks)`` as
+    :func:`~unisearch.solvers._trace_record` reads it, the values that fill
+    the event templates, ``(iter, lo, hi, length, evals, x1, fx1, ..., xk,
+    fxk)``, with every float as its ``float.__repr__`` text.  ``evals`` is
+    the event's number of probes, so it picks the template.
 
     That is what json prints for a float, and what ``str`` prints for a
-    Python float; ``repr`` of a NumPy 2 scalar is not.  Most bracket ends
-    are probe points of the same or an earlier event, so each probe ``x``
-    is converted once and ``lo``/``hi`` look its text up.  Equal nonzero
-    float64 values have the same bits, so a hit prints what a conversion
-    would; zeros are never stored, as ``0.0 == -0.0`` but they print apart.
+    Python float; ``repr`` of a NumPy 2 scalar is not.  The whole probe log
+    is converted in one pass.  Most bracket ends are probe points of the
+    run, so ``lo``/``hi`` look up the text of an equal probe ``x``.  Equal
+    nonzero float64 values have the same bits, so a hit prints what a
+    conversion would; the zero key is dropped, as ``0.0 == -0.0`` but they
+    print apart.
     """
     r = float.__repr__
-    seen = {}
-    for it, lo, hi, evals, probes in rows:
-        texts = []
-        for x, fx in probes:
-            text = r(x)
-            if x:
-                seen[x] = text
-            texts += text, r(fx)
-        yield len(probes), (it, seen.get(lo) or r(lo), seen.get(hi) or r(hi), r(hi - lo),
-                            evals, *texts)
+    log, marks = record
+    flat = list(map(r, chain.from_iterable(log)))
+    seen = dict(zip([x for x, _ in log], flat[::2]))
+    seen.pop(0.0, None)
+    start = 0
+    for i, (lo, hi, end) in enumerate(marks, 1):
+        yield (i, seen.get(lo) or r(lo), seen.get(hi) or r(hi), r(hi - lo), end - start,
+               *flat[2 * start:2 * end])
+        start = end
 
 
 # `run --format json` in the layout of json.dumps(indent=2): one template for
@@ -252,13 +253,13 @@ def _event_markdown(k: int) -> str:
     return "  %d: [%s, %s] len=%s evals=%d probes=" + " ".join(["%s:%s"] * k)
 
 
-def _run_json(head: tuple, rows) -> str:
+def _run_json(head: tuple, record) -> str:
     """Return ``json.dumps(payload, indent=2)`` of a run, byte for byte.
 
     ``payload`` is the :data:`_HEAD` fields with the values ``head`` and,
-    unless ``rows`` is None, the trace events of the rows of
-    :func:`~unisearch.solvers._trace_rows`.  Both are filled into templates
-    that ``json.dumps`` laid out once (:data:`_HEAD_JSON`,
+    unless ``record`` is None, the trace events of the run record of
+    :func:`~unisearch.solvers._trace_record`.  Both are filled into
+    templates that ``json.dumps`` laid out once (:data:`_HEAD_JSON`,
     :func:`_event_json`), one ``%`` per event, so the pure-Python
     ``indent=2`` encoder never runs on a run.  Strings go through
     ``json.dumps``, floats through ``float.__repr__`` (:func:`_event_texts`
@@ -268,22 +269,22 @@ def _run_json(head: tuple, rows) -> str:
     case, method, x, f, n_evals, n_iters, lo, hi = head
     text = _HEAD_JSON % (json.dumps(case), json.dumps(method), r(x), r(f), n_evals, n_iters,
                          r(lo), r(hi))
-    if rows is None:
+    if record is None:
         return text + "\n}"
-    events = ",\n".join([_event_json(k) % values for k, values in _event_texts(rows)])
+    events = ",\n".join([_event_json(v[4]) % v for v in _event_texts(record)])
     return f'{text},\n  "trace": [\n{events}\n  ]\n}}'
 
 
-def _run_markdown(case, head: tuple, rows) -> str:
-    """What ``run`` prints in markdown for ``head`` and, unless ``rows`` is
-    None, the trace of those rows; every float prints as ``str`` does."""
+def _run_markdown(case, head: tuple, record) -> str:
+    """What ``run`` prints in markdown for ``head`` and, unless ``record`` is
+    None, the trace of that run record; every float prints as ``str`` does."""
     iv = case.interval
     lines = [f"case: {case.id}  ({case.label} on [{iv.lo:g}, {iv.hi:g}])"]
     lines += [f"{key}: {value}" for key, value in zip(_HEAD[1:6], head[1:6])]
     lines.append(f"final_interval: [{head[6]}, {head[7]}]")
-    if rows is not None:
+    if record is not None:
         lines += ["trace:", f"  0: [{iv.lo}, {iv.hi}] len={iv.length()} evals=0"]
-        lines += [_event_markdown(k) % values for k, values in _event_texts(rows)]
+        lines += [_event_markdown(v[4]) % v for v in _event_texts(record)]
     return "\n".join(lines)
 
 
@@ -293,15 +294,15 @@ def cmd_run(args) -> int:
     case = find_case(args.case_id)
     res = minimize(args.method, Objective(case.fn), case.interval, StopRule(args.tol, args.budget))
     head = _head(case, args.method, res)
-    rows = _trace_rows(res) if args.trace else None
+    record = _trace_record(res) if args.trace else None
     if args.format == "json":
-        print(_run_json(head, rows))
+        print(_run_json(head, record))
     elif args.format == "csv":
         # str(float) == repr(float): a csv row carries every digit
         print(",".join(_HEAD))
         print(",".join(map(str, head)))
     else:
-        print(_run_markdown(case, head, rows))
+        print(_run_markdown(case, head, record))
     return 0
 
 

@@ -95,7 +95,7 @@ class Objective:
     def evaluate(self, x: float) -> float:
         y = float(self.fn(x))
         self.count += 1
-        if not math.isfinite(y):
+        if y - y != 0.0:    # inf - inf and nan - nan are nan
             raise NonFiniteValue(f"objective returned {y!r} at x={x!r}", x=x)
         return y
 

@@ -57,8 +57,8 @@ point and the last trace event are derived from that record when the run
 ends, and so is a :class:`NonFiniteValue`'s partial trace.  The record
 itself, with its objective dropped, is the result's pending trace: it builds
 the other events on the first read of ``RunResult.trace``.  ``run --trace``
-reads its rows from the record while the trace is pending, so it builds no
-event beyond the last.
+renders the record itself while the trace is pending, so it builds no event
+beyond the last.
 
 Every probe must be finite.  Halving, trichotomy, dichotomous search and
 the answer probe compute probes as sums of bracket points, such as
@@ -158,27 +158,21 @@ class _Run:
         return (*_events(self.log, self.marks[:-1]), self.final)
 
 
-def _rows(log, marks):
-    """Yield ``(iteration, lo, hi, evals, probes)`` for each event of the
-    record ``log`` and ``marks``."""
-    start = 0
-    for i, (lo, hi, end) in enumerate(marks, 1):
-        yield i, lo, hi, end - start, tuple(log[start:end])
-        start = end
-
-
 def _events(log, marks) -> list[TraceEvent]:
     """The trace events of the record ``log`` and ``marks``."""
-    return [TraceEvent(i, Interval(lo, hi), evals, probes)
-            for i, lo, hi, evals, probes in _rows(log, marks)]
+    events, start = [], 0
+    for i, (lo, hi, end) in enumerate(marks, 1):
+        events.append(TraceEvent(i, Interval(lo, hi), end - start, tuple(log[start:end])))
+        start = end
+    return events
 
 
-def _trace_rows(res: RunResult):
-    """The rows of :func:`_rows` for the trace of ``res``, read from the run's
-    record, so that no event is built.  The trace must still be pending: the
-    first read of ``res.trace`` replaces the record with the events."""
+def _trace_record(res: RunResult):
+    """The record ``(log, marks)`` of the trace of ``res``, so that no event
+    is built.  The trace must still be pending: the first read of
+    ``res.trace`` replaces the record with the events."""
     run = _get_trace(res)
-    return _rows(run.log, run.marks)
+    return run.log, run.marks
 
 
 def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
@@ -467,10 +461,13 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
     short is one more event, on the bracket that iteration started from, when
     it paid for probes; a failure at an opening probe carries ``()``.
     """
-    method = Method(method)
+    try:
+        body = _METHODS[method]
+    except (KeyError, TypeError):   # not a Method or its value: Method() says why
+        body = _METHODS[Method(method)]
     r = _Run(obj)
     try:
-        return r.result(*_METHODS[method](r, iv, stop))
+        return r.result(*body(r, iv, stop))
     except NonFiniteValue as e:
         lo, hi, end = r.marks[-1] if r.marks else (iv.lo, iv.hi, 0)
         if len(r.log) > end:    # the iteration cut short paid probes

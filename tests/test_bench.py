@@ -26,9 +26,9 @@ from unisearch.bench import (
     run_table2,
     run_verify,
 )
-from unisearch.core import Interval
+from unisearch.core import Interval, Objective, StopRule
 from unisearch.oracle import GridSpec, brute_force_minimum, is_unimodal
-from unisearch.solvers import Method
+from unisearch.solvers import Method, minimize
 
 # froze spot rows of the reference tables; a silent registry edit must fail
 _SPOT_ROWS = {
@@ -182,6 +182,34 @@ class TestTable1:
         assert by_method[Method.TRICHOTOMY].measured == 43
         assert by_method[Method.GOLDEN].measured == 42
         assert all(r.deviation == 0 for r in rows)
+
+
+class TestCountClaim:
+    """The paper's claim that trichotomy "usually require[s] less
+    calculations", at equal guarantees: total evaluations over table 1's 19
+    gated cases under epsilon stops.  Golden section stops on the full length
+    b - a <= epsilon, so it is held to epsilon/2 at the case tolerance and
+    gives the others' guarantee at 2*tol."""
+
+    @staticmethod
+    def _counts(method, scale=1):
+        return [minimize(method, Objective(c.fn), c.interval,
+                         StopRule(epsilon=scale * c.tol)).n_evals
+                for c in registry_table1() if FLAG_GARBLED not in c.flags]
+
+    @pytest.mark.parametrize("method, scale, total, fewer_equal_more", [
+        (Method.HALVING, 1, 662, (16, 1, 2)),
+        (Method.GOLDEN, 1, 616, (15, 2, 2)),
+        (Method.GOLDEN, 2, 590, (10, 5, 4)),
+        (Method.FIBONACCI, 1, 574, (9, 1, 9)),
+        (Method.DICHOTOMOUS, 1, 795, (19, 0, 0)),
+    ])
+    def test_trichotomy_against(self, method, scale, total, fewer_equal_more):
+        tri, other = self._counts(Method.TRICHOTOMY), self._counts(method, scale)
+        assert (len(tri), sum(tri)) == (19, 574)
+        assert sum(other) == total
+        assert (sum(t < o for t, o in zip(tri, other)), sum(t == o for t, o in zip(tri, other)),
+                sum(t > o for t, o in zip(tri, other))) == fewer_equal_more
 
 
 class TestTable2:

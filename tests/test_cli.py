@@ -24,7 +24,7 @@ import unisearch.cli as cli
 from unisearch import core, solvers
 from unisearch.bench import ReportRow, all_cases, find_case
 from unisearch.core import Interval, Objective, RunResult, StopRule, TraceEvent
-from unisearch.solvers import Method, _trace_rows, minimize
+from unisearch.solvers import Method, _trace_record, minimize
 
 
 def run_cli(capsys, *argv):
@@ -371,10 +371,14 @@ def _reference_markdown(case, method, res, with_trace):
     return "\n".join(lines) + "\n"
 
 
-def _event_rows(trace):
-    """The rows of ``solvers._trace_rows`` for built trace events."""
-    return [(ev.iteration, ev.interval_after.lo, ev.interval_after.hi, ev.evals_this_iter,
-             ev.probes) for ev in trace]
+def _event_record(trace):
+    """The run record ``(log, marks)`` of built trace events, as
+    ``solvers._trace_record`` reads it from a pending trace."""
+    log, marks = [], []
+    for ev in trace:
+        log += ev.probes
+        marks.append((ev.interval_after.lo, ev.interval_after.hi, len(log)))
+    return log, marks
 
 
 # floats where float.__repr__ is easy to get wrong: signed zero, the least
@@ -396,9 +400,11 @@ _LEAVES = _FLOATS | _FLOATS.map(np.float64)
 
 @st.composite
 def _run_results(draw):
-    """RunResults whose bracket ends are mostly probe points of the same or
-    an earlier event: probes and brackets draw from one small pool, which
-    often holds both 0.0 and -0.0 and the same value as float and np.float64."""
+    """RunResults whose bracket ends are mostly probe points of the run:
+    probes and brackets draw from one small pool, which often holds both 0.0
+    and -0.0 and the same value as float and np.float64.  As in every run
+    record, the events are numbered 1, 2, ... and each one's
+    ``evals_this_iter`` is its number of probes."""
     pool = draw(st.lists(_LEAVES, min_size=1, max_size=8))
     pool += draw(st.sampled_from([[], [0.0, -0.0], [np.float64(-0.0), 0.0]]))
     pool += [np.float64(v) for v in draw(st.lists(st.sampled_from(pool), max_size=2))]
@@ -415,10 +421,9 @@ def _run_results(draw):
 
     def event(iteration):
         probes = draw(st.lists(st.tuples(points, _LEAVES), min_size=1, max_size=8))
-        return TraceEvent(iteration, bracket(), draw(st.integers(1, 10**6)), tuple(probes))
+        return TraceEvent(iteration, bracket(), len(probes), tuple(probes))
 
-    n_events = draw(st.integers(1, 40))
-    trace = tuple(event(draw(st.integers(1, 10**6))) for _ in range(n_events))
+    trace = tuple(event(i) for i in range(1, draw(st.integers(1, 40)) + 1))
     return RunResult(draw(points), draw(_LEAVES), draw(st.integers(0, 10**6)),
                      draw(st.integers(0, 10**6)), bracket(), trace)
 
@@ -455,18 +460,55 @@ class TestRunJson:
         head = cli._head(case, method, res)
         for trace in (False, True):
             want = json.dumps(_reference_payload(case, method, res, trace), indent=2)
-            assert cli._run_json(head, _event_rows(res.trace) if trace else None) == want
+            assert cli._run_json(head, _event_record(res.trace) if trace else None) == want
+
+    @staticmethod
+    def _json(trace):
+        """``run --format json`` of a run whose trace is ``trace``, checked
+        against ``json.dumps``, as a payload."""
+        res = RunResult(0.0, 2.0, 2, len(trace), trace[-1].interval_after, trace)
+        case, method = find_case("t1_01"), Method.HALVING
+        out = cli._run_json(cli._head(case, method, res), _event_record(trace))
+        assert out == json.dumps(_reference_payload(case, method, res, True), indent=2)
+        return json.loads(out)
 
     def test_signed_zero_is_converted_fresh(self):
         # a bracket end equal to an earlier probe of the other sign of zero
         # prints its own sign
         trace = (TraceEvent(1, Interval(0.0, 0.5), 1, ((-0.0, 1.0),)),
                  TraceEvent(2, Interval(-0.0, 0.25), 1, ((0.0, 2.0),)))
-        res = RunResult(0.0, 2.0, 2, 2, Interval(-0.0, 0.25), trace)
-        case, method = find_case("t1_01"), Method.HALVING
-        out = cli._run_json(cli._head(case, method, res), _event_rows(trace))
+        out = self._json(trace)
+        assert [math.copysign(1.0, ev["lo"]) for ev in out["trace"]] == [1.0, -1.0]
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero_of_a_later_probe(self, zero):
+        # a bracket end that is a zero, with the other zero a probe of a
+        # later event, prints its own sign
+        trace = (TraceEvent(1, Interval(-zero, 0.5), 1, ((0.25, 1.0),)),
+                 TraceEvent(2, Interval(-zero, 0.1), 2, ((zero, 2.0), (0.05, 3.0))))
+        out = self._json(trace)
+        assert [math.copysign(1.0, ev["lo"]) for ev in out["trace"]] == \
+               [math.copysign(1.0, -zero)] * 2
+
+    def test_bracket_end_is_a_later_probe(self):
+        # the first event's ends are probes of the second only, one of them as
+        # an np.float64: they print as a fresh conversion would
+        lo, hi = 0.1 + 0.2, 1 / 3
+        trace = (TraceEvent(1, Interval(lo, hi), 1, ((0.31, 1.0),)),
+                 TraceEvent(2, Interval(lo, 0.32), 2, ((np.float64(hi), 2.0), (lo, 3.0))))
+        out = self._json(trace)
+        assert (out["trace"][0]["lo"], out["trace"][0]["hi"]) == (lo, hi)
+
+    @pytest.mark.parametrize("method", list(Method), ids=str)
+    def test_float64_bracket(self, method):
+        # a bracket of np.float64 ends gives np.float64 probes
+        case = find_case("t1_02")
+        iv = Interval(np.float64(case.interval.lo), np.float64(case.interval.hi))
+        res = minimize(method, Objective(case.fn), iv, StopRule(budget=20))
+        log, marks = _trace_record(res)
+        assert all(type(x) is np.float64 for x, _ in log)
+        out = cli._run_json(cli._head(case, method, res), (log, marks))
         assert out == json.dumps(_reference_payload(case, method, res, True), indent=2)
-        assert [math.copysign(1.0, ev["lo"]) for ev in json.loads(out)["trace"]] == [1.0, -1.0]
 
     def test_every_event_pays_a_probe(self):
         # the templates print no empty list: a registry run has at least one
@@ -505,7 +547,7 @@ def _markdown(case, method, res):
 
 class TestTraceRows:
     """`run --trace` renders a pending trace from the run's record: the record
-    gives the rows of the events the trace builds, and the same bytes."""
+    is the one the built events give, and it renders the same bytes."""
 
     @given(st.sampled_from(all_cases()), st.sampled_from(list(Method)),
            st.sampled_from([1e-2, 1e-6, 1e-12, 1e-300]).map(lambda e: StopRule(epsilon=e))
@@ -516,13 +558,13 @@ class TestTraceRows:
             res = minimize(method, Objective(case.fn), case.interval, stop)
         except ValueError:      # no Fibonacci budget up to 1400 reaches epsilon
             assume(False)
-        rows, head = list(_trace_rows(res)), cli._head(case, method, res)
-        text, markdown = cli._run_json(head, rows), _markdown(case, method, res)
+        record, head = _trace_record(res), cli._head(case, method, res)
+        text, markdown = cli._run_json(head, record), _markdown(case, method, res)
         assert isinstance(core._get_trace(res), solvers._Run)     # still pending
         assert len(res.trace) == res.n_iters
-        assert _event_rows(res.trace) == rows
-        assert cli._run_json(head, _event_rows(res.trace)) == text
-        assert cli._run_markdown(case, head, _event_rows(res.trace)) + "\n" == markdown
+        assert _event_record(res.trace) == record
+        assert cli._run_json(head, _event_record(res.trace)) == text
+        assert cli._run_markdown(case, head, _event_record(res.trace)) + "\n" == markdown
         assert text == json.dumps(_reference_payload(case, method, res, True), indent=2)
         assert markdown == _reference_markdown(case, method, res, True)
 

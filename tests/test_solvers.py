@@ -310,15 +310,27 @@ class TestFibonacci:
 
 class TestMinimizeDispatch:
     def test_string_and_enum_agree(self):
-        args = (Interval(-1.0, 1.0), StopRule(epsilon=0.25))
-        by_str = minimize("halving", Objective(lambda x: x * x), *args)
-        by_enum = minimize(Method.HALVING, Objective(lambda x: x * x), *args)
-        assert by_str == by_enum
+        for method in Method:
+            for stop in (StopRule(epsilon=0.25), StopRule(epsilon=1e-6), StopRule(budget=21)):
+                args = (Interval(-1.0, 1.0), stop)
+                by_str = minimize(method.value, Objective(lambda x: (x - 0.3) ** 2), *args)
+                by_enum = minimize(method, Objective(lambda x: (x - 0.3) ** 2), *args)
+                assert by_str == by_enum    # trace included
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             minimize("newton", Objective(lambda x: x), Interval(0.0, 1.0),
                      StopRule(epsilon=0.1))
+
+    @pytest.mark.parametrize("value", ["nope", "GOLDEN", None, 3, b"golden", ["golden"]],
+                             ids=repr)
+    def test_not_a_method(self, value):
+        # unhashable values too: the message is Method()'s, before any evaluation
+        obj = Objective(lambda x: x)
+        with pytest.raises(ValueError) as e:
+            minimize(value, obj, Interval(0.0, 1.0), StopRule(epsilon=0.1))
+        assert str(e.value) == f"{value!r} is not a valid Method"
+        assert obj.count == 0
 
     def test_one_signature(self):
         # no method takes an argument of its own
