@@ -23,7 +23,7 @@ from .bounds import (
     accuracy_bound,
     iteration_bound,
 )
-from .oracle import GridSpec, brute_force_minimum, is_unimodal
+from .oracle import brute_force_minimum, is_unimodal
 from .bench import (
     BenchmarkCase,
     ReportRow,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchmarkCase",
     "DomainError",
-    "GridSpec",
     "Interval",
     "IterationBound",
     "Method",

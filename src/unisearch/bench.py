@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import accuracy_bound
 from .core import Interval, NonFiniteValue, Objective, StopRule
-from .oracle import GridSpec, brute_force_minimum
+from .oracle import brute_force_minimum
 from .solvers import Method, minimize
 
 FLAG_ENDPOINT_MIN = "endpoint-min"   # minimizer sits on the bracket boundary
@@ -243,16 +243,18 @@ def run_verify() -> tuple[ReportRow, ...]:
     bracket, and a row passes when the two agree within ``VERIFY_AGREEMENT``.
     A row holds the solver's minimizer as ``measured`` and the oracle's as
     ``expected``; a non-finite objective value propagates.  For another
-    grid, call :func:`brute_force_minimum` with its own :class:`GridSpec`.
+    grid, call ``brute_force_minimum(case.fn, Interval(lo + d, hi - d),
+    points=N)`` with a bracket and a point count of your own.
     """
     cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
     rows = []
     stop = StopRule(epsilon=VERIFY_TOL)
     for case in cases:
-        grid = GridSpec(inset=case.interval.length() * VERIFY_INSET)
-        x_oracle, _ = brute_force_minimum(case.fn, case.interval, grid)
+        iv = case.interval
+        d = iv.length() * VERIFY_INSET
+        x_oracle, _ = brute_force_minimum(case.fn, Interval(iv.lo + d, iv.hi - d))
         for method in Method:
-            x = minimize(method, Objective(case.fn), case.interval, stop).x_min
+            x = minimize(method, Objective(case.fn), iv, stop).x_min
             rows.append(ReportRow(case.id, method, None, x, x_oracle,
                                   abs(x - x_oracle) <= VERIFY_AGREEMENT, x - x_oracle))
     return tuple(rows)

@@ -7,7 +7,8 @@ and are suppressed by --quiet.
 
 ``verify`` checks acceptance criterion 7: every solver against the grid
 oracle at its default 10^6+1 points, each row passing within 1e-4.  Another
-grid goes through ``brute_force_minimum`` with a ``GridSpec`` of its own.
+grid goes through ``brute_force_minimum`` with a bracket and a point count of
+its own.
 
 Arguments argparse can check itself (choices, numbers that are not finite
 and positive, budgets below 2) end in its usage message.  Every other error

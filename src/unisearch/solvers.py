@@ -48,7 +48,7 @@ state it carries into the next iteration.
 
 Dichotomous search, and golden section under an epsilon stop, end with one
 answer probe at the midpoint of the final bracket, made by the run record
-(:meth:`_Run.answer`), which folds it into the last event.
+(:meth:`_Run.answer`), which extends the last event to take it in.
 
 A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
 with one mark per event: the bracket the event left and the length of the
@@ -121,21 +121,13 @@ class _Run:
         self.log.append((x, y))
         return y
 
-    def fold(self, lo: float, hi: float) -> None:
-        """Extend the last event to the end of the log (an answer probe, or the
-        probes of an iteration undone at the FP floor); with no event yet,
-        open one on [lo, hi]."""
-        if self.marks:
-            lo, hi, _ = self.marks.pop()
-        self.marks.append((lo, hi, len(self.log)))
-
     def answer(self) -> tuple[float, float]:
         """Probe the midpoint of the last event's bracket as the estimate; the
         probe joins that event."""
         lo, hi, _ = self.marks[-1]
         xm = (lo + hi) / 2
         fm = self.probe(xm)
-        self.fold(lo, hi)
+        self.marks[-1] = (lo, hi, len(self.log))
         return xm, fm
 
     def best(self) -> tuple[float, float]:
@@ -195,7 +187,9 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
         na, nb, state = step(a, b, state)
         length = nb - na
         if not length > 0.0:    # bracket collapsed at the FP floor
-            r.fold(a, b)
+            if marks:           # the undone probes join the event that left [a, b],
+                marks.pop()     # or open one on iv
+            marks.append((a, b, len(log)))
             return state, "collapse"
         marks.append((na, nb, len(log)))
         if epsilon is not None and length / divisor <= epsilon:

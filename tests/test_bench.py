@@ -27,7 +27,7 @@ from unisearch.bench import (
     run_verify,
 )
 from unisearch.core import Interval, Objective, StopRule
-from unisearch.oracle import GridSpec, brute_force_minimum, is_unimodal
+from unisearch.oracle import brute_force_minimum, is_unimodal
 from unisearch.solvers import Method, minimize
 
 # froze spot rows of the reference tables; a silent registry edit must fail
@@ -41,11 +41,17 @@ _SPOT_ROWS = {
 }
 
 
+def _inset_bracket(case, share):
+    """``case``'s bracket with ``share`` of its length trimmed off each end."""
+    iv = case.interval
+    d = iv.length() * share
+    return Interval(iv.lo + d, iv.hi - d)
+
+
 def _inset_grid(case, points=1001):
     """``points`` grid points of ``case``'s bracket at verify's inset."""
-    iv = case.interval
-    inset = iv.length() * VERIFY_INSET
-    return np.linspace(iv.lo + inset, iv.hi - inset, points)
+    iv = _inset_bracket(case, VERIFY_INSET)
+    return np.linspace(iv.lo, iv.hi, points)
 
 
 class TestRegistry:
@@ -90,8 +96,7 @@ class TestRegistry:
     def test_minimizers_match_grid_oracle(self):
         for cid in ("t1_02", "t1_11", "t2_02"):
             c = find_case(cid)
-            grid = GridSpec(points=100_001, inset=c.interval.length() * 1e-9)
-            x, _ = brute_force_minimum(c.fn, c.interval, grid)
+            x, _ = brute_force_minimum(c.fn, _inset_bracket(c, 1e-9), points=100_001)
             assert abs(x - c.x_star) <= 2 * c.interval.length() / 100_000
 
     def test_non_unimodal_cases(self):
@@ -100,8 +105,7 @@ class TestRegistry:
         # and the garbled t1_20 has poles inside its bracket
         not_unimodal = {
             c.id for c in all_cases()
-            if not is_unimodal(c.fn, c.interval,
-                               GridSpec(points=10_001, inset=c.interval.length() * 1e-9))
+            if not is_unimodal(c.fn, _inset_bracket(c, 1e-9), points=10_001)
         }
         assert not_unimodal == {"t1_11", "t1_20"}
 
@@ -285,14 +289,14 @@ class TestVerify:
             run_verify(grid_points=10_001)
 
     def test_other_grid_through_library(self):
-        # Another grid goes through brute_force_minimum with its own GridSpec:
+        # Another grid goes through brute_force_minimum with its own bracket
+        # and point count:
         # at 10,001 points each case's minimizer lies within one coarse step
         # of the one run_verify found on the default grid.
         fine = {r.case: r.expected for r in run_verify()}
         cases = [c for c in all_cases() if FLAG_GARBLED not in c.flags]
         assert set(fine) == {c.id for c in cases}
         for c in cases:
-            inset = c.interval.length() * VERIFY_INSET
-            x, _ = brute_force_minimum(c.fn, c.interval, GridSpec(points=10_001, inset=inset))
-            step = (c.interval.length() - 2 * inset) / 10_000
+            x, _ = brute_force_minimum(c.fn, _inset_bracket(c, VERIFY_INSET), points=10_001)
+            step = c.interval.length() * (1 - 2 * VERIFY_INSET) / 10_000
             assert abs(x - fine[c.id]) <= step, (c.id, x, fine[c.id], step)

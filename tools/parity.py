@@ -37,6 +37,12 @@ dumps one record per line:
   wide, where ``np.linspace``'s step underflows to 0 at every grid size but
   3, with inset 0 and one subnormal.
 
+An inset grid is passed in the tree's own oracle signature:
+``GridSpec(points, inset)`` where ``unisearch.oracle`` has one, else the
+bracket ``Interval(lo + inset, hi - inset)`` and ``points``, which sample the
+same float64 grid; so the ``grid`` and ``oracle`` records compare across the
+change of signature.
+
 A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
 run is written as the exception type, message and ``partial_trace``.
@@ -119,16 +125,16 @@ def _nan_at(f, k):
     return fn
 
 
-def _oracle(scan, f, iv, grid):
+def _oracle(scan, f, grid):
     try:
         with np.errstate(all="ignore"):     # the poles at inset 0 warn
-            res = scan(f, iv, grid)
+            res = scan(f, *grid)
     except Exception as e:     # a failure is part of the record
         return ["error", type(e).__name__, str(e), _h(getattr(e, "x", None))]
     return [_h(v) for v in res] if isinstance(res, tuple) else res
 
 
-def _grid(brute_force_minimum, iv, grid):
+def _grid(brute_force_minimum, grid):
     """The SHA-256 of the grid's float64 bytes, as the oracle scans it."""
     digest = hashlib.sha256()
 
@@ -136,7 +142,7 @@ def _grid(brute_force_minimum, iv, grid):
         digest.update(np.ascontiguousarray(xs, dtype=float).tobytes())
         return xs
 
-    brute_force_minimum(identity, iv, grid)
+    brute_force_minimum(identity, *grid)
     return digest.hexdigest()
 
 
@@ -195,10 +201,10 @@ def _cli_commands(cases, methods):
 def dump() -> None:
     """Write every record of the imported tree to stdout, one JSON list per line."""
     import unisearch
-    from unisearch import cli
+    from unisearch import cli, oracle
     from unisearch.bench import VERIFY_INSET, all_cases
     from unisearch.core import Interval, Objective, StopRule
-    from unisearch.oracle import GridSpec, brute_force_minimum, is_unimodal
+    from unisearch.oracle import brute_force_minimum, is_unimodal
     from unisearch.solvers import Method, minimize
 
     out = sys.stdout
@@ -232,11 +238,15 @@ def dump() -> None:
     for name, fn, iv, insets in oracle_runs:
         for points in ORACLE_POINTS:
             for inset in insets:
-                grid = GridSpec(points=points, inset=inset)
-                write(["grid", name, points, _h(inset)], _grid(brute_force_minimum, iv, grid))
+                # the scan arguments after f, in the tree's own oracle signature
+                if hasattr(oracle, "GridSpec"):
+                    grid = (iv, oracle.GridSpec(points=points, inset=inset))
+                else:
+                    grid = (Interval(iv.lo + inset, iv.hi - inset), points)
+                write(["grid", name, points, _h(inset)], _grid(brute_force_minimum, grid))
                 for scan in (brute_force_minimum, is_unimodal):
                     write(["oracle", scan.__name__, name, points, _h(inset)],
-                          _oracle(scan, fn, iv, grid))
+                          _oracle(scan, fn, grid))
 
     floor_stops = ([StopRule(epsilon=e) for e in FLOOR_EPSILONS]
                    + [StopRule(budget=n) for n in FLOOR_BUDGETS])
