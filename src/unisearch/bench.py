@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import accuracy_bound
+from .bounds import _SHRINK, accuracy_bound
 from .core import Interval, NonFiniteValue, Objective, StopRule
 from .oracle import brute_force_minimum
 from .solvers import Method, minimize
@@ -219,7 +219,7 @@ def run_table2() -> tuple[ReportRow, ...]:
     for case in _TABLE2:
         for (method, n), error in case.ref_errors.items():
             bound = (accuracy_bound(method, case.interval.length(), n)
-                     if method in (Method.HALVING, Method.TRICHOTOMY) else math.inf)
+                     if method in _SHRINK else math.inf)
             # The published Fibonacci errors are finer than any
             # N-evaluation lattice allows; they correspond to one
             # uncharged stage on top of the nominal budget, matching
@@ -273,26 +273,20 @@ def _fmt(value, sig17: bool) -> str:
 CSV_HEADER = "case,method,n,measured,paper,pass,deviation"
 
 
-def _record(r: ReportRow) -> dict:
-    """One report row, keyed by the csv header's column names."""
-    return dict(zip(CSV_HEADER.split(","), (
-        r.case, r.method.value, r.n, r.measured, r.expected, r.passed, r.deviation,
-    )))
-
-
 def emit_report(rows: tuple[ReportRow, ...], fmt: str = "markdown") -> str:
     """Render report rows as csv, markdown, or json (byte-deterministic).
 
     Every format names its columns by :data:`CSV_HEADER`; markdown prints a
     float in 3 significant digits and the verdict as yes, NO or -.
     """
-    records = [_record(r) for r in rows]
+    cols = CSV_HEADER.split(",")
+    records = [dict(zip(cols, (r.case, r.method.value, r.n, r.measured, r.expected,
+                               r.passed, r.deviation))) for r in rows]
     if fmt == "json":
         return json.dumps(records, indent=2) + "\n"
     if fmt == "csv":
         lines = [CSV_HEADER] + [",".join(_fmt(v, True) for v in rec.values()) for rec in records]
     elif fmt == "markdown":
-        cols = CSV_HEADER.split(",")
         lines = ["| " + " | ".join(cols) + " |",
                  "|" + "|".join("-" * (len(c) + 2) for c in cols) + "|"]
         for rec in records:

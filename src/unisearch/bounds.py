@@ -25,14 +25,16 @@ class DomainError(ValueError):
     """Inputs outside the domain of a bound formula."""
 
 
-_SHRINK_BASE = {Method.HALVING: 2, Method.TRICHOTOMY: 3}
+# each method's shrink base per iteration and the evaluations the paper
+# charges an iteration
+_SHRINK = {Method.HALVING: (2, 2), Method.TRICHOTOMY: (3, 4)}
 
 
-def _check_method(method: Method | str) -> Method:
+def _shrink(method: Method | str) -> tuple[int, int]:
     method = Method(method)
-    if method not in _SHRINK_BASE:
+    if method not in _SHRINK:
         raise ValueError(f"bounds are defined for halving and trichotomy, not {method}")
-    return method
+    return _SHRINK[method]
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def iteration_bound(method: Method | str, length: float, epsilon: float) -> Iter
     formula's domain, and a ratio that overflows float64 cannot be computed:
     both raise :class:`DomainError`.
     """
-    method = _check_method(method)
+    base, _ = _shrink(method)
     _check_positive(length, "length", DomainError)
     _check_positive(epsilon, "epsilon", DomainError)
     ratio = length / (2 * epsilon)
@@ -67,7 +69,6 @@ def iteration_bound(method: Method | str, length: float, epsilon: float) -> Iter
         )
     if ratio == math.inf:
         raise DomainError(f"length/(2*epsilon) overflows float64 for length={length!r}, epsilon={epsilon!r}")
-    base = _SHRINK_BASE[method]
     k = math.ceil(math.log(ratio) / math.log(base))
     # the float log can land just off an integer; an int power compares
     # exactly with the ratio, so move k to the least one with base**k >= ratio
@@ -86,11 +87,10 @@ def accuracy_bound(method: Method | str, length: float, n_evals: int) -> float:
     smallest float64, which would round to 0.0 and so claim an exact answer,
     raises :class:`DomainError`; so does a denominator that overflows.
     """
-    method = _check_method(method)
+    base, charge = _shrink(method)
     _check_positive(length, "length", DomainError)
     _check_count(n_evals, 1, "n_evals", DomainError)
-    base = _SHRINK_BASE[method]
-    exponent = (n_evals - 1) / 2 if method is Method.HALVING else (n_evals - 1) / 4
+    exponent = (n_evals - 1) / charge
     try:
         bound = length / (2 * base**exponent)
     except OverflowError:   # base**exponent beyond float64

@@ -51,7 +51,7 @@ from .bench import (
     run_table2,
     run_verify,
 )
-from .bounds import accuracy_bound, iteration_bound
+from .bounds import _SHRINK, accuracy_bound, iteration_bound
 from .core import NonFiniteValue, Objective, StopRule, _check_count, _check_positive
 from .solvers import Method, _trace_record, minimize
 
@@ -107,6 +107,7 @@ def _parser() -> argparse.ArgumentParser:
     p_list.add_argument("--table", choices=("1", "2"), help="restrict to one registry")
     p_list.add_argument("--flag", choices=("endpoint", "garbled"),
                         help="restrict to flagged cases")
+    p_list.set_defaults(handler=cmd_list)
 
     p_run = sub.add_parser("run", help="run one method on one registry case")
     p_run.add_argument("method", choices=_METHODS)
@@ -116,21 +117,25 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--budget", type=_budget_int, help="evaluation budget")
     p_run.add_argument("--trace", action="store_true", help="include per-iteration trace")
     p_run.add_argument("--format", choices=_FORMATS, default="markdown")
+    p_run.set_defaults(handler=cmd_run)
 
     p_table = sub.add_parser("table", help="run a benchmark table against its references")
     p_table.add_argument("table", choices=("1", "2"))
     p_table.add_argument("--format", choices=_FORMATS, default="markdown")
     p_table.add_argument("--out", help="write the report to this path instead of stdout")
     p_table.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    p_table.set_defaults(handler=cmd_table)
 
     p_bounds = sub.add_parser("bounds", help="print worst-case bounds")
     p_bounds.add_argument("--length", type=_positive_float, required=True)
     g = p_bounds.add_mutually_exclusive_group(required=True)
     g.add_argument("--tol", type=_positive_float, help="half-width target")
     g.add_argument("--budget", type=_budget_int, help="evaluation budget")
+    p_bounds.set_defaults(handler=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="check every solver against the grid oracle")
     p_verify.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    p_verify.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -170,7 +175,8 @@ def _parse_run(argv: list[str]) -> argparse.Namespace | None:
     except argparse.ArgumentTypeError:
         return None
     return argparse.Namespace(command="run", method=argv[1], case_id=argv[2], tol=tol,
-                              budget=budget, trace="--trace" in found, format=fmt)
+                              budget=budget, trace="--trace" in found, format=fmt,
+                              handler=cmd_run)
 
 
 def cmd_list(args) -> int:
@@ -248,7 +254,6 @@ def _event_json(k: int) -> str:
     return "    " + _json_template(event).replace("\n", "\n    ")
 
 
-@functools.cache
 def _event_markdown(k: int) -> str:
     """The markdown trace line of an event with ``k`` probes."""
     return "  %d: [%s, %s] len=%s evals=%d probes=" + " ".join(["%s:%s"] * k)
@@ -332,7 +337,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    for method in (Method.HALVING, Method.TRICHOTOMY):
+    for method in _SHRINK:
         if args.tol is not None:
             b = iteration_bound(method, args.length, args.tol)
             print(f"{method.value}: k_formula={b.k_formula} k_exact={b.k_exact}")
@@ -354,15 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_run(argv) or build_parser().parse_args(argv)
-    handler = {
-        "list": cmd_list,
-        "run": cmd_run,
-        "table": cmd_table,
-        "bounds": cmd_bounds,
-        "verify": cmd_verify,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except NonFiniteValue as e:
         # a ValueError subclass, but a failed run, not a usage error
         print(f"run failed: {e}", file=sys.stderr)

@@ -10,8 +10,9 @@ f(x_high); halving keeps the left half when f(x1) == f(x2) but the middle
 half when f(x3) == f(x2); trichotomy keeps the left side when f(x2) ==
 f(x3), but moves right when f(x4) == f(x3), and to [x4, b] when f(x5) ==
 f(x4).  Interval-halving and trichotomy keep their estimate pinned to
-the exact midpoint of the bracket; golden-section and Fibonacci carry the
-best evaluated interior point instead.
+the exact midpoint of the bracket; golden-section and Fibonacci carry their
+survivor instead, the probe kept inside the bracket, which lies in the
+final bracket and holds the least value of the run.
 
 One public function, :func:`minimize`, runs every method with one signature
 and one contract.  It opens the run record, calls the method's private body,
@@ -52,13 +53,13 @@ answer probe at the midpoint of the final bracket, made by the run record
 
 A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
 with one mark per event: the bracket the event left and the length of the
-log when it closed.  ``n_evals``, ``n_iters``, the final bracket, the best
-point and the last trace event are derived from that record when the run
-ends, and so is a :class:`NonFiniteValue`'s partial trace.  The record
-itself, with its objective dropped, is the result's pending trace: it builds
-the other events on the first read of ``RunResult.trace``.  ``run --trace``
-renders the record itself while the trace is pending, so it builds no event
-beyond the last.
+log when it closed.  ``n_evals``, ``n_iters``, the final bracket and the
+last trace event are derived from that record when the run ends, and so
+is a :class:`NonFiniteValue`'s partial trace.  The record itself, with its
+objective dropped, is the result's pending trace: it builds the other
+events on the first read of ``RunResult.trace``.  ``run --trace`` renders
+the record itself while the trace is pending, so it builds no event beyond
+the last.
 
 Every probe must be finite.  Halving, trichotomy, dichotomous search and
 the answer probe compute probes as sums of bracket points, such as
@@ -72,7 +73,6 @@ from __future__ import annotations
 import math
 from enum import StrEnum
 from itertools import repeat
-from operator import itemgetter
 
 from .core import (
     Interval,
@@ -100,9 +100,9 @@ class _Run:
 
     ``log`` holds ``(x, f(x))`` for each paid evaluation, in order, and
     ``marks`` holds ``(lo, hi, end)`` for each event: the bracket it left and
-    ``len(log)`` when it closed.  The trace, the counts, the final bracket and
-    the best point are all derived from these two lists.  Once the run ends
-    it is its result's pending trace: called on the first read of
+    ``len(log)`` when it closed.  The trace, the counts and the final
+    bracket are all derived from these two lists.  Once the run ends it is
+    its result's pending trace: called on the first read of
     ``RunResult.trace``, it builds the events.
     """
 
@@ -129,10 +129,6 @@ class _Run:
         fm = self.probe(xm)
         self.marks[-1] = (lo, hi, len(self.log))
         return xm, fm
-
-    def best(self) -> tuple[float, float]:
-        """The first evaluated point of least value."""
-        return min(self.log, key=itemgetter(1))
 
     def result(self, x: float, f: float) -> RunResult:
         """The run's result: its last event now, the others on the first read.
@@ -175,10 +171,8 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
     ``halve`` false) is at most ``epsilon``, when at least ``budget``
     evaluations are spent, or, with ``floor``, when the bracket did not
     shrink.  An iteration that would leave an empty bracket is undone, its
-    probes joining the previous event.
-
-    Returns ``(state, end)`` with ``end`` one of "epsilon", "budget",
-    "floor" or "collapse".
+    probes joining the previous event.  Returns the state of the last step,
+    the undone one included.
     """
     a, b = iv.lo, iv.hi
     log, marks = r.log, r.marks
@@ -190,14 +184,14 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
             if marks:           # the undone probes join the event that left [a, b],
                 marks.pop()     # or open one on iv
             marks.append((a, b, len(log)))
-            return state, "collapse"
+            return state
         marks.append((na, nb, len(log)))
         if epsilon is not None and length / divisor <= epsilon:
-            return state, "epsilon"
+            return state
         if budget is not None and len(log) >= budget:
-            return state, "budget"
+            return state
         if floor and not length < b - a:   # numerical resolution floor
-            return state, "floor"
+            return state
         a, b = na, nb
 
 
@@ -229,7 +223,7 @@ def _halving(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
         return x2, b, (x3, f3)
 
     x2 = (iv.lo + iv.hi) / 2
-    return _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)[0]
+    return _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)
 
 
 def _trichotomy(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
@@ -270,7 +264,7 @@ def _trichotomy(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
         return x2, x4, state                  # keep [x2, x4], x3 stays
 
     x3 = (iv.lo + iv.hi) / 2
-    return _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)[0]
+    return _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)
 
 
 def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
@@ -284,8 +278,8 @@ def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     cannot afford the answer probe, the better probe of the last completed
     pair is returned instead (it lies in the final bracket).  Budget
     affordability is checked per pair, so a trailing odd evaluation funds the
-    answer probe rather than half a pair: a budget of N spends exactly N
-    evaluations.
+    answer probe rather than half a pair: a budget of N spends at most N
+    evaluations, and exactly N unless the bracket stops shrinking first.
     """
     length, epsilon = iv.length(), stop.epsilon
     delta = length * 1e-6
@@ -309,7 +303,7 @@ def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     # another pair is affordable while at most budget - 2 evaluations are
     # spent, and the answer probe while at most budget - 1 are
     budget = None if stop.budget is None else stop.budget - 1
-    state = _drive(r, iv, step, None, stop.epsilon, budget)[0]
+    state = _drive(r, iv, step, None, stop.epsilon, budget)
     # the answer probe, or else the better probe of the last pair
     return r.answer() if budget is None or len(r.log) <= budget else state
 
@@ -356,12 +350,13 @@ def _golden(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     an epsilon stop the loop runs while (b - a) > epsilon -- the full length,
     not the half-width -- and then evaluates the returned estimate, the
     midpoint of the final bracket, as one extra answer probe.  Under a budget
-    the method spends everything on shrink steps (exactly N evaluations) and
-    returns the best evaluated interior point.
+    the method spends everything on shrink steps (N evaluations, unless the
+    bracket stops shrinking first) and returns the survivor, which lies in
+    the final bracket and holds the least value of the run.
     """
     step, state = _two_probe(r, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)))
-    _drive(r, iv, step, state, stop.epsilon, stop.budget, halve=False)
-    return r.answer() if stop.epsilon is not None else r.best()
+    x, fx, _ = _drive(r, iv, step, state, stop.epsilon, stop.budget, halve=False)
+    return r.answer() if stop.epsilon is not None else (x, fx)
 
 
 # The stage ratios F(m-2)/F(m) divide ints with correct rounding at any m, but
@@ -403,10 +398,11 @@ def _fibonacci(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
                          f"{_FIB_MAX_BUDGET} evaluations")
     ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
     step, state = _two_probe(r, iv, ladder[0][0], ladder)
-    # no floor stop: the ladder spends its whole budget even at the FP floor
-    (x, fx, _), end = _drive(r, iv, step, state, None, n, floor=False)
-    # collapsed before the ladder finished: the best point so far
-    return (x, fx) if end == "budget" else r.best()
+    # no floor stop: the ladder spends its whole budget even at the FP floor;
+    # a run that collapses before the ladder finishes answers with the
+    # survivor too, which lies in the bracket the collapse kept
+    x, fx, _ = _drive(r, iv, step, state, None, n, floor=False)
+    return x, fx
 
 
 _METHODS = {

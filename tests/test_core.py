@@ -1,6 +1,7 @@
 """Domain-type behavior: Interval, Objective, StopRule, RunResult."""
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -279,3 +280,8 @@ class TestLazyTrace:
         assert calls == []
         assert lazy.trace == (ev,) and lazy.trace is lazy.trace
         assert calls == [1]
+
+    def test_class_access_gives_the_descriptor(self):
+        descriptor = RunResult.__dict__["trace"]
+        assert RunResult.trace is descriptor
+        assert dict(inspect.getmembers(RunResult))["trace"] is descriptor
