@@ -1,7 +1,10 @@
 """Shared domain types for the bracketing minimizers.
 
 Everything here is plain float64: intervals, an instrumented objective
-wrapper, stop rules, and the run/trace records the solvers emit.
+wrapper, stop rules, and the run/trace records the solvers emit.  The
+objective wrapper is the one evaluation path of a run: it refuses an
+overflowed probe, counts the call, checks the value and appends the pair to
+the probe log of the run in progress, in one frame per evaluation.
 
 A run builds one :class:`TraceEvent`, its last, and reading its trace
 builds one more event and one :class:`Interval` per iteration, so the
@@ -18,6 +21,7 @@ included.  ``repr`` leaves the trace out and so does not build it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,8 +49,9 @@ def _check_count(value, minimum: int, what: str, error: type[Exception] = ValueE
 
 
 def _check_positive(value: float, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is finite and > 0 (NaN fails too)."""
-    if not 0 < value < math.inf:
+    """Raise ``error`` unless ``value`` is finite and > 0 (NaN fails too), and
+    not a bool."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
         raise error(f"{what} must be positive and finite, got {value!r}")
 
 
@@ -75,7 +80,8 @@ _set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
 
 
 class Objective:
-    """Counted wrapper around a scalar function of one real variable.
+    """Counted wrapper around a scalar function of one real variable, and the
+    one evaluation path of every run.
 
     Parameters
     ----------
@@ -83,21 +89,38 @@ class Objective:
         Maps a float to something float() accepts (plain Python floats and
         numpy scalars both work).
 
-    ``count`` increases by exactly one per performed evaluation and is never
-    reset or decremented.  A non-finite result raises
-    :class:`NonFiniteValue` (the invocation still counts: it happened).
+    :meth:`evaluate` refuses a non-finite ``x`` with ``ValueError`` before
+    ``fn`` sees it: a probe sum that overflowed float64.  ``count`` increases
+    by exactly one per performed evaluation and is never reset or
+    decremented.  A non-finite result raises :class:`NonFiniteValue` (the
+    invocation still counts: it happened).  Every other ``(x, f(x))`` joins
+    the probe log of the run in progress.
+
+    An Objective is in one run at a time: :func:`~unisearch.solvers.minimize`
+    attaches a fresh log when its run starts, detaches it when the run ends,
+    however it ends, and refuses with ``RuntimeError`` a run started while
+    another is in progress.  Outside a run the log is a shared sink that
+    keeps nothing, so direct calls keep no pairs.
     """
 
     def __init__(self, fn: Callable[[float], float]):
         self.fn = fn
         self.count = 0
+        self._log = _SINK
 
     def evaluate(self, x: float) -> float:
+        if x - x != 0.0:    # a non-finite x: the probe sum overflowed
+            raise ValueError(f"probe x={x!r} overflowed float64: the bracket's endpoints "
+                             "are too large in magnitude for its probe arithmetic")
         y = float(self.fn(x))
         self.count += 1
         if y - y != 0.0:    # inf - inf and nan - nan are nan
             raise NonFiniteValue(f"objective returned {y!r} at x={x!r}", x=x)
+        self._log.append((x, y))
         return y
+
+
+_SINK = deque((), 0)    # an Objective's log outside a run: appends keep nothing
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ survivor instead, the probe kept inside the bracket, which lies in the
 final bracket and holds the least value of the run.
 
 One public function, :func:`minimize`, runs every method with one signature
-and one contract.  It opens the run record, calls the method's private body,
-which derives its own parameters (dichotomous search its offset delta,
+and one contract.  It opens the run record, calls the method's private body
+with the record and the objective's bound ``evaluate`` as its probe, which
+derives its own parameters (dichotomous search its offset delta,
 Fibonacci search its number of evaluations) and checks them before its first
 evaluation, and returns only the estimate ``(x, f(x))``; :func:`minimize`
 builds the one :class:`~unisearch.core.RunResult` from the record.
@@ -48,15 +49,19 @@ state it carries into the next iteration.
   better probe of the last pair.
 
 Dichotomous search, and golden section under an epsilon stop, end with one
-answer probe at the midpoint of the final bracket, made by the run record
-(:meth:`_Run.answer`), which extends the last event to take it in.
+answer probe at the midpoint of the final bracket, paid through the run
+record (:meth:`_Run.answer`), which extends the last event to take it in.
 
 A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
 with one mark per event: the bracket the event left and the length of the
-log when it closed.  ``n_evals``, ``n_iters``, the final bracket and the
-last trace event are derived from that record when the run ends, and so
-is a :class:`NonFiniteValue`'s partial trace.  The record itself, with its
-objective dropped, is the result's pending trace: it builds the other
+log when it closed.  Every probe is one call of
+:meth:`~unisearch.core.Objective.evaluate`, one frame per evaluation, which
+appends the pair to the log the run attached to its Objective;
+:func:`minimize` detaches the log on every exit, so a finished run's record
+never changes afterwards.  ``n_evals``, ``n_iters``, the final bracket and
+the last trace event are derived from that record when the run ends, and so
+is a :class:`NonFiniteValue`'s partial trace.  The record itself, which
+holds no objective, is the result's pending trace: it builds the other
 events on the first read of ``RunResult.trace``.  ``run --trace`` renders
 the record itself while the trace is pending, so it builds no event beyond
 the last.
@@ -64,9 +69,9 @@ the last.
 Every probe must be finite.  Halving, trichotomy, dichotomous search and
 the answer probe compute probes as sums of bracket points, such as
 (a + b)/2, which overflow float64 on brackets whose endpoints lie near
-+/-1.8e308 although the bracket's length is finite; such a probe raises
-``ValueError`` before the objective is called, rather than evaluating
-``x = inf`` and returning a wrong answer.
++/-1.8e308 although the bracket's length is finite; ``Objective.evaluate``
+refuses such a probe with ``ValueError`` before the function is called,
+rather than evaluating ``x = inf`` and returning a wrong answer.
 """
 from __future__ import annotations
 
@@ -81,6 +86,7 @@ from .core import (
     RunResult,
     StopRule,
     TraceEvent,
+    _SINK,
     _get_trace,
 )
 
@@ -98,48 +104,41 @@ class Method(StrEnum):
 class _Run:
     """Per-run record: one probe log, one mark per trace event.
 
-    ``log`` holds ``(x, f(x))`` for each paid evaluation, in order, and
-    ``marks`` holds ``(lo, hi, end)`` for each event: the bracket it left and
-    ``len(log)`` when it closed.  The trace, the counts and the final
-    bracket are all derived from these two lists.  Once the run ends it is
-    its result's pending trace: called on the first read of
-    ``RunResult.trace``, it builds the events.
+    ``log`` holds ``(x, f(x))`` for each paid evaluation, in order: the run
+    attaches it to its Objective, whose ``evaluate`` appends each pair, and
+    :func:`minimize` detaches it when the run ends.  ``marks`` holds ``(lo,
+    hi, end)`` for each event: the bracket it left and ``len(log)`` when it
+    closed.  The trace, the counts and the final bracket are all derived from
+    these two lists.  Once the run ends it is its result's pending trace:
+    called on the first read of ``RunResult.trace``, it builds the events.
     """
 
-    __slots__ = ("obj", "log", "marks", "final")
+    __slots__ = ("log", "marks", "final")
 
     def __init__(self, obj: Objective):
-        self.obj = obj
-        self.log: list[tuple[float, float]] = []
+        if type(obj._log) is list:  # logs of two runs must not interleave
+            raise RuntimeError("the objective is already in a run")
+        self.log = obj._log = []   # (x, f(x)) pairs, appended by obj.evaluate
         self.marks: list[tuple[float, float, int]] = []
 
-    def probe(self, x: float) -> float:
-        if x - x != 0.0:    # inf - inf and nan - nan are nan: the probe overflowed
-            raise ValueError(f"probe x={x!r} overflowed float64: the bracket's endpoints "
-                             "are too large in magnitude for its probe arithmetic")
-        y = self.obj.evaluate(x)
-        self.log.append((x, y))
-        return y
-
-    def answer(self) -> tuple[float, float]:
+    def answer(self, probe) -> tuple[float, float]:
         """Probe the midpoint of the last event's bracket as the estimate; the
         probe joins that event."""
         lo, hi, _ = self.marks[-1]
         xm = (lo + hi) / 2
-        fm = self.probe(xm)
+        fm = probe(xm)
         self.marks[-1] = (lo, hi, len(self.log))
         return xm, fm
 
     def result(self, x: float, f: float) -> RunResult:
         """The run's result: its last event now, the others on the first read.
 
-        The run drops its objective and becomes the result's pending trace."""
+        The run becomes the result's pending trace; it holds no objective."""
         log, marks = self.log, self.marks
         n = len(marks)
         lo, hi, end = marks[-1]
         start = marks[-2][2] if n > 1 else 0
         self.final = TraceEvent(n, Interval(lo, hi), end - start, tuple(log[start:end]))
-        del self.obj
         return RunResult(x, f, len(log), n, self.final.interval_after, self)
 
     def __call__(self) -> tuple[TraceEvent, ...]:
@@ -195,7 +194,7 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
         a, b = na, nb
 
 
-def _halving(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
+def _halving(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Interval halving: keep the bracket midpoint evaluated, probe quarter points.
 
     The midpoint x2 = (a+b)/2 is evaluated once up front (part of iteration 1).
@@ -208,7 +207,6 @@ def _halving(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     N lets the iteration in progress finish, so the run spends N or N+1
     evaluations.
     """
-    probe = r.probe
 
     def step(a, b, state):
         x2, f2 = state
@@ -226,7 +224,7 @@ def _halving(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     return _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)
 
 
-def _trichotomy(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
+def _trichotomy(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Trichotomy: keep the bracket midpoint evaluated, probe third points.
 
     The midpoint x3 = (a+b)/2 is evaluated once up front (part of iteration
@@ -241,7 +239,6 @@ def _trichotomy(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     budget of N lets the iteration in progress finish (N to N+2 evaluations
     spent).
     """
-    probe = r.probe
 
     def step(a, b, state):
         x3, f3 = state
@@ -267,7 +264,7 @@ def _trichotomy(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     return _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)
 
 
-def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
+def _dichotomous(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Dichotomous search: probe a symmetric pair around the bracket midpoint.
 
     Each iteration evaluates f(m - delta/2) and f(m + delta/2) at the current
@@ -289,7 +286,6 @@ def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
         cause = (f"length*1e-6 on a bracket of length {length!r}" if length * 1e-6 == 0.0
                  else f"epsilon/2 at epsilon={epsilon!r}")
         raise ValueError(f"dichotomous delta = {cause} underflows to 0.0")
-    probe = r.probe
 
     def step(a, b, state):
         m = (a + b) / 2
@@ -305,10 +301,10 @@ def _dichotomous(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     budget = None if stop.budget is None else stop.budget - 1
     state = _drive(r, iv, step, None, stop.epsilon, budget)
     # the answer probe, or else the better probe of the last pair
-    return r.answer() if budget is None or len(r.log) <= budget else state
+    return r.answer(probe) if budget is None or len(r.log) <= budget else state
 
 
-def _two_probe(r: _Run, iv: Interval, t_open: float, ratios):
+def _two_probe(probe, iv: Interval, t_open: float, ratios):
     """The step rule of golden section and Fibonacci, and its opening state.
 
     ``ratios`` yields one ``(t_low, t_high)`` per iteration.  The run opens
@@ -319,7 +315,6 @@ def _two_probe(r: _Run, iv: Interval, t_open: float, ratios):
     goes on the other side of it: the state is ``(survivor, f(survivor),
     low)``.  The opening probe is paid here.
     """
-    probe = r.probe
     ratios = iter(ratios)
 
     def step(a, b, state):
@@ -341,7 +336,7 @@ def _two_probe(r: _Run, iv: Interval, t_open: float, ratios):
     return step, (xl, probe(xl), False)
 
 
-def _golden(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
+def _golden(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Golden-section search with two interior points at the 1/phi split.
 
     Probes sit at a + (1 - 1/phi)*L and a + (1/phi)*L; after the first
@@ -354,9 +349,9 @@ def _golden(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
     bracket stops shrinking first) and returns the survivor, which lies in
     the final bracket and holds the least value of the run.
     """
-    step, state = _two_probe(r, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)))
+    step, state = _two_probe(probe, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)))
     x, fx, _ = _drive(r, iv, step, state, stop.epsilon, stop.budget, halve=False)
-    return r.answer() if stop.epsilon is not None else (x, fx)
+    return r.answer(probe) if stop.epsilon is not None else (x, fx)
 
 
 # The stage ratios F(m-2)/F(m) divide ints with correct rounding at any m, but
@@ -371,7 +366,7 @@ _FIB_STAGES = [None, None] + [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
                               for m in range(2, len(_FIB))]
 
 
-def _fibonacci(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
+def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Fibonacci search consuming exactly N evaluations.
 
     N is the budget of ``stop``, at most 1400; under an epsilon stop it is
@@ -397,7 +392,7 @@ def _fibonacci(r: _Run, iv: Interval, stop: StopRule) -> tuple[float, float]:
         raise ValueError("budget too large: Fibonacci search takes at most "
                          f"{_FIB_MAX_BUDGET} evaluations")
     ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
-    step, state = _two_probe(r, iv, ladder[0][0], ladder)
+    step, state = _two_probe(probe, iv, ladder[0][0], ladder)
     # no floor stop: the ladder spends its whole budget even at the FP floor;
     # a run that collapses before the ladder finishes answers with the
     # survivor too, which lies in the bracket the collapse kept
@@ -457,10 +452,12 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
         body = _METHODS[Method(method)]
     r = _Run(obj)
     try:
-        return r.result(*body(r, iv, stop))
+        return r.result(*body(r, obj.evaluate, iv, stop))
     except NonFiniteValue as e:
         lo, hi, end = r.marks[-1] if r.marks else (iv.lo, iv.hi, 0)
         if len(r.log) > end:    # the iteration cut short paid probes
             r.marks.append((lo, hi, len(r.log)))
         e.partial_trace = tuple(_events(r.log, r.marks))
         raise
+    finally:                    # a finished run's record never changes again
+        obj._log = _SINK

@@ -50,7 +50,7 @@ class TestIterationBound:
             iteration_bound(Method.HALVING, 1.0, 0.5)    # ratio exactly 1
         with pytest.raises(DomainError):
             iteration_bound(Method.HALVING, 1.0, 0.8)    # ratio below 1
-        for bad_len in (0.0, -1.0, math.inf, math.nan):
+        for bad_len in (0.0, -1.0, math.inf, math.nan, True):
             with pytest.raises(DomainError):
                 iteration_bound(Method.HALVING, bad_len, 0.1)
         for bad_eps in (0.0, -0.1, math.inf, math.nan):
@@ -111,6 +111,8 @@ class TestAccuracyBound:
                 accuracy_bound(Method.HALVING, 1.0, bad_n)
         with pytest.raises(DomainError):
             accuracy_bound(Method.HALVING, -1.0, 10)
+        with pytest.raises(DomainError):    # True is an int, not a length of 1
+            accuracy_bound(Method.HALVING, True, 3)
         with pytest.raises(DomainError):
             accuracy_bound(Method.HALVING, 1.0, 100000)      # 2**49999.5 overflows
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import inspect
 import math
 import pickle
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +102,31 @@ class TestObjective:
         assert obj.evaluate(-1.0) == 2.0
         assert obj.count == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_raises_before_the_call(self, bad):
+        # a probe sum that overflowed float64: refused, not evaluated or counted
+        calls = []
+        obj = Objective(lambda x: calls.append(x) or 1.0)
+        with pytest.raises(ValueError, match="overflowed") as info:
+            obj.evaluate(bad)
+        assert not isinstance(info.value, NonFiniteValue)
+        assert calls == []
+        assert obj.count == 0
+
+    def test_direct_calls_keep_no_pairs(self):
+        obj = Objective(lambda x: x * x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(10_000):
+                obj.evaluate(i + 0.5)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert obj.count == 10_000
+        assert len(obj._log) == 0
+        assert grown < 10_000 * 8   # well below one kept pair per call
+
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
     def test_count_is_monotone(self, xs):
         obj = Objective(lambda x: abs(x))
@@ -125,6 +151,8 @@ class TestStopRule:
             StopRule(epsilon=-1.0)
         with pytest.raises(ValueError):
             StopRule(epsilon=math.inf)
+        with pytest.raises(ValueError):     # True is an int, not an epsilon of 1
+            StopRule(epsilon=True)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

@@ -748,3 +748,66 @@ class TestCallerWall:
         with pytest.raises(Wall):
             minimize(method, obj, Interval(0.0, 1.0), StopRule(budget=10))
         assert obj.count == 0
+
+
+class TestRunIsolation:
+    """One Objective across runs: each run has its own probe log, attached
+    while it runs and detached on every exit, so counts add up and a finished
+    run's record never changes, whatever the Objective does afterwards."""
+
+    @staticmethod
+    def switchable():
+        """A quadratic whose later calls can be set to return NaN or raise Wall."""
+        mode = ["ok"]
+
+        def fn(x):
+            if mode[0] == "nan":
+                return math.nan
+            if mode[0] == "wall":
+                raise Wall
+            return (x - 0.3) ** 2
+
+        return fn, mode
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_sequential_runs_match_fresh_runs(self, method):
+        iv, stops = Interval(0.0, 1.0), (StopRule(budget=20), StopRule(epsilon=1e-6))
+        fn, mode = self.switchable()
+        obj = Objective(fn)
+        results, counts = [], []
+        for stop in stops:
+            results.append(minimize(method, obj, iv, stop))
+            counts.append(obj.count)
+        fresh = [minimize(method, Objective(fn), iv, stop) for stop in stops]
+        assert counts == [fresh[0].n_evals, fresh[0].n_evals + fresh[1].n_evals]
+        records = [solvers._trace_record(res) for res in results]
+        want = [solvers._trace_record(res) for res in fresh]
+        assert records == want
+        obj.evaluate(0.25)                  # a direct call after the runs
+        mode[0] = "nan"
+        with pytest.raises(NonFiniteValue):
+            minimize(method, obj, iv, stops[0])
+        mode[0] = "wall"
+        with pytest.raises(Wall):
+            minimize(method, obj, iv, stops[0])
+        assert records == want
+        assert [res.trace for res in results] == [res.trace for res in fresh]
+        mode[0] = "ok"                      # the failed runs left no log attached
+        again = minimize(method, obj, iv, stops[0])
+        assert again.trace == fresh[0].trace
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_reentering_with_the_same_objective_is_refused(self, method):
+        iv, stop = Interval(0.0, 1.0), StopRule(budget=20)
+
+        def fn(x):
+            minimize(method, obj, iv, stop)
+            return x * x
+
+        obj = Objective(fn)
+        with pytest.raises(RuntimeError, match="already in a run"):
+            minimize(method, obj, iv, stop)
+        assert obj.count == 0               # the refusal raised from the first call
+        obj.fn = quadratic(0.3)             # the outer run detached its log
+        res = minimize(method, obj, iv, stop)
+        assert res.trace == minimize(method, Objective(quadratic(0.3)), iv, stop).trace

@@ -29,6 +29,9 @@ dumps one record per line:
 * ``minimize`` on t1_02 and t2_01, every method under ε 1e-6 and budgets
   20 and 21, with NaN returned at call k for every k from 1 to the clean
   run's ``n_evals``: the ``NonFiniteValue`` failure path;
+* ``minimize`` on t1_02 and t2_01 with one Objective across runs: every
+  method under budget 20 and then ε 1e-6, and, under each of the two, a run
+  with NaN returned at call 1 or 5 followed by the same clean run;
 * ``brute_force_minimum`` and ``is_unimodal`` on the 23 registry cases at
   3, 8191, 8192, 8193, 16385, 10,001 and 1,000,001 grid points, each with
   inset 0 and ``VERIFY_INSET`` (1e-9) times the bracket length, verify's
@@ -46,7 +49,8 @@ change of signature.
 A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
 run is written as the exception type, message and ``partial_trace``.
-``Objective.count`` is written for both.  An oracle scan is written as the
+``Objective.count`` is written for both.  Runs on one Objective are written
+together, each with the count after it, once the last of them is done.  An oracle scan is written as the
 minimizer and its value as ``float.hex``, or the verdict; a failed one as
 the exception type, message and ``x``.  A grid is written as the SHA-256 of
 its float64 bytes, in scan order.  The tool prints the first
@@ -90,6 +94,7 @@ FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
 FIB_BUDGETS = (1400, 1401)     # the largest budget Fibonacci accepts, and one more
 NAN_CASES = ("t1_02", "t2_01")
+REUSE_NAN_AT = (1, 5)    # the NaN call of a run followed by a clean one
 SHOWN = 5                # differing records printed
 
 
@@ -103,15 +108,27 @@ def _events(trace):
             for ev in trace]
 
 
+def _runs(minimize, method, obj, iv, stops):
+    """One run of ``method`` per stop, all on the one Objective ``obj``, each
+    written with the count after it once the last run is done, so that a
+    later run that changed an earlier result would show."""
+    outcomes = []
+    for stop in stops:
+        try:
+            outcomes.append((minimize(method, obj, iv, stop), obj.count))
+        except Exception as e:     # a failure is part of the record
+            outcomes.append((e, obj.count))
+    return [["error", type(res).__name__, str(res),
+             _events(getattr(res, "partial_trace", ())), count]
+            if isinstance(res, Exception) else
+            [_h(res.x_min), _h(res.f_min), res.n_evals, res.n_iters,
+             _h(res.final_interval.lo), _h(res.final_interval.hi),
+             _events(res.trace), count]
+            for res, count in outcomes]
+
+
 def _solve(minimize, method, obj, iv, stop):
-    try:
-        res = minimize(method, obj, iv, stop)
-    except Exception as e:     # a failure is part of the record
-        return ["error", type(e).__name__, str(e),
-                _events(getattr(e, "partial_trace", ())), obj.count]
-    return [_h(res.x_min), _h(res.f_min), res.n_evals, res.n_iters,
-            _h(res.final_interval.lo), _h(res.final_interval.hi),
-            _events(res.trace), obj.count]
+    return _runs(minimize, method, obj, iv, [stop])[0]
 
 
 def _nan_at(f, k):
@@ -275,6 +292,17 @@ def dump() -> None:
                     write(["nan", case.id, method.value, repr(stop), k],
                           _solve(minimize, method, Objective(_nan_at(case.fn, k)),
                                  case.interval, stop))
+
+    for case in map(by_id.get, NAN_CASES):
+        for method in Method:
+            write(["reuse", case.id, method.value],
+                  _runs(minimize, method, Objective(case.fn), case.interval,
+                        [StopRule(budget=20), StopRule(epsilon=1e-6)]))
+            for stop in (StopRule(epsilon=1e-6), StopRule(budget=20)):
+                for k in REUSE_NAN_AT:
+                    write(["reuse", case.id, method.value, repr(stop), "nan", k],
+                          _runs(minimize, method, Objective(_nan_at(case.fn, k)),
+                                case.interval, [stop, stop]))
 
 
 def _records(tree: str) -> list[str]:
