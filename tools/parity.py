@@ -50,14 +50,14 @@ A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
 run is written as the exception type, message and ``partial_trace``.
 ``Objective.count`` is written for both.  Runs on one Objective are written
-together, each with the count after it, once the last of them is done.  An oracle scan is written as the
-minimizer and its value as ``float.hex``, or the verdict; a failed one as
-the exception type, message and ``x``.  A grid is written as the SHA-256 of
-its float64 bytes, in scan order.  The tool prints the first
-differing records, then how many records of each kind differ (a kind is a
-record key's first element, and the subcommand for ``cli``, as in ``cli
-run`` or ``floor``) and how many records it compared, and exits 1 on any
-difference, 0 when every record is identical.
+together, each with the count after it, once the last of them is done.  An
+oracle scan is written as the minimizer and its value as ``float.hex``, or
+the verdict; a failed one as the exception type, message and ``x``.  A grid
+is written as the SHA-256 of its float64 bytes, in scan order.  The tool
+prints the first differing records, then how many records of each kind
+differ (a kind is a record key's first element, and the subcommand for
+``cli``, as in ``cli run`` or ``floor``) and how many records it compared,
+and exits 1 on any difference, 0 when every record is identical.
 """
 from __future__ import annotations
 
