@@ -90,9 +90,9 @@ class Objective:
         numpy scalars both work).
 
     :meth:`evaluate` refuses a non-finite ``x`` with ``ValueError`` before
-    ``fn`` sees it: a probe sum that overflowed float64.  ``count`` increases
-    by exactly one per performed evaluation and is never reset or
-    decremented.  A non-finite result raises :class:`NonFiniteValue` (the
+    ``fn`` sees it; in a run, that is a probe sum that overflowed float64, and
+    the message says so.  ``count`` increases by exactly one per performed
+    evaluation and is never reset or decremented.  A non-finite result raises :class:`NonFiniteValue` (the
     invocation still counts: it happened).  Every other ``(x, f(x))`` joins
     the probe log of the run in progress.
 
@@ -109,8 +109,9 @@ class Objective:
         self._log = _SINK
 
     def evaluate(self, x: float) -> float:
-        if x - x != 0.0:    # a non-finite x: the probe sum overflowed
-            raise ValueError(f"probe x={x!r} overflowed float64: the bracket's endpoints "
+        if x - x != 0.0:    # a non-finite x: in a run, the probe sum overflowed
+            raise ValueError(f"x={x!r} is not a finite float" if self._log is _SINK else
+                             f"probe x={x!r} overflowed float64: the bracket's endpoints "
                              "are too large in magnitude for its probe arithmetic")
         y = float(self.fn(x))
         self.count += 1

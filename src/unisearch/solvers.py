@@ -22,31 +22,34 @@ Fibonacci search its number of evaluations) and checks them before its first
 evaluation, and returns only the estimate ``(x, f(x))``; :func:`minimize`
 builds the one :class:`~unisearch.core.RunResult` from the record.
 
-One private engine, :func:`_drive`, is the iteration loop of every method.
-It marks one event per iteration in the run record, undoes an iteration
-that would leave an empty bracket at the float64 floor (its probes join the
-previous event), and checks the stop rules between iterations (half-width
-or length against epsilon, the evaluation budget, and a bracket that no
-longer shrinks).  A non-finite value is handled once, in :func:`minimize`:
+Each family of methods has one private loop.  The two loops mark one event
+per iteration in the run record, undo an iteration that would leave an
+empty bracket at the float64 floor (its probes join the previous event),
+and check the stop rules between iterations: epsilon against the
+half-width or the length, the evaluation budget, and a bracket that no
+longer shrinks.
+A non-finite value is handled once, in :func:`minimize`:
 :class:`NonFiniteValue` leaves with the partial trace.  That is the whole
 contract for a failing objective: any other exception raised by the
 function (``ZeroDivisionError``, ``OverflowError``, ...) propagates
 unchanged and carries no trace; the Objective's ``count`` still reports the
 evaluations paid before it.
 
-Each method supplies only its step rule, ``step(a, b, state) -> (a, b,
-state)``: it pays for its probes and returns the bracket it keeps with the
-state it carries into the next iteration.
-
-* halving and trichotomy open with a probe at the midpoint; the state is
-  that evaluated midpoint, the incumbent and the estimate;
-* golden section and Fibonacci open with the lower probe and share one
-  two-probe step that differs only in its ``(t_low, t_high)`` schedule,
-  ``(1 - 1/phi, 1/phi)`` repeated or ``(F(m-2)/F(m), F(m-1)/F(m))`` for
-  m = N+1, ..., 3; the state is the surviving probe and the side on which
-  the next one goes;
-* dichotomous search probes a pair around the midpoint; the state is the
-  better probe of the last pair.
+* :func:`_drive` runs the midpoint methods, which supply only their step
+  rule, ``step(a, b, state) -> (a, b, state)``: it pays for its probes and
+  returns the bracket it keeps with the state it carries into the next
+  iteration.  Halving and trichotomy open with a probe at the midpoint;
+  the state is that evaluated midpoint, the incumbent and the estimate.
+  Dichotomous search probes a pair around the midpoint; the state is the
+  better probe of the last pair.  Epsilon bounds the half-width.
+* :func:`_two_probe` is the loop of golden section and Fibonacci, which
+  differ only in its ``(t_low, t_high)`` schedule: ``(1 - 1/phi, 1/phi)``
+  repeated, or ``(F(m-2)/F(m), F(m-1)/F(m))`` for m = N+1, ..., 3.  It
+  opens with the lower probe, then pays one probe per iteration and
+  carries the survivor, the probe kept inside, and the side on which the
+  next one goes.  Epsilon bounds the full length, and Fibonacci runs it
+  without the floor stop.  It closes its iterations itself, so an
+  evaluation costs no step call.
 
 Dichotomous search, and golden section under an epsilon stop, end with one
 answer probe at the midpoint of the final bracket, paid through the run
@@ -163,19 +166,18 @@ def _trace_record(res: RunResult):
 
 
 def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
-           budget: int | None, *, halve: bool = True, floor: bool = True):
-    """Run ``step`` from ``iv`` until a stop rule holds; see the module docstring.
+           budget: int | None):
+    """Run ``step`` from ``iv`` until a stop rule holds: the loop of halving,
+    trichotomy and dichotomous search; see the module docstring.
 
-    After each iteration the loop stops when (b - a)/2 (or b - a, with
-    ``halve`` false) is at most ``epsilon``, when at least ``budget``
-    evaluations are spent, or, with ``floor``, when the bracket did not
-    shrink.  An iteration that would leave an empty bracket is undone, its
-    probes joining the previous event.  Returns the state of the last step,
-    the undone one included.
+    After each iteration the loop stops when (b - a)/2 is at most
+    ``epsilon``, when at least ``budget`` evaluations are spent, or when the
+    bracket did not shrink.  An iteration that would leave an empty bracket
+    is undone, its probes joining the previous event.  Returns the state of
+    the last step, the undone one included.
     """
     a, b = iv.lo, iv.hi
     log, marks = r.log, r.marks
-    divisor = 2 if halve else 1
     while True:
         na, nb, state = step(a, b, state)
         length = nb - na
@@ -185,11 +187,11 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
             marks.append((a, b, len(log)))
             return state
         marks.append((na, nb, len(log)))
-        if epsilon is not None and length / divisor <= epsilon:
+        if epsilon is not None and length / 2 <= epsilon:
             return state
         if budget is not None and len(log) >= budget:
             return state
-        if floor and not length < b - a:   # numerical resolution floor
+        if not length < b - a:  # numerical resolution floor
             return state
         a, b = na, nb
 
@@ -304,22 +306,27 @@ def _dichotomous(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, f
     return r.answer(probe) if budget is None or len(r.log) <= budget else state
 
 
-def _two_probe(probe, iv: Interval, t_open: float, ratios):
-    """The step rule of golden section and Fibonacci, and its opening state.
+def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios, epsilon: float | None,
+               budget: int | None, *, floor: bool = True) -> tuple[float, float]:
+    """The loop of golden section and Fibonacci; returns the survivor.
 
     ``ratios`` yields one ``(t_low, t_high)`` per iteration.  The run opens
-    with a probe at a + t_open*(b - a), the t_low of the first pair; each
-    iteration probes the missing one of a + t_low*(b - a) and
+    with a probe at a + t_open*(b - a), the t_low of the first pair, paid
+    here; each iteration probes the missing one of a + t_low*(b - a) and
     a + t_high*(b - a), compares the two, and keeps [a, x_high] or
     [x_low, b].  The probe kept inside is the survivor, and the next probe
-    goes on the other side of it: the state is ``(survivor, f(survivor),
-    low)``.  The opening probe is paid here.
+    goes on the other side of it.  Each iteration closes as in
+    :func:`_drive`, except that epsilon bounds the full length b - a, and
+    the floor stop holds only with ``floor``.  The close is written out
+    here rather than shared: a call per iteration is a call per evaluation.
     """
-    ratios = iter(ratios)
-
-    def step(a, b, state):
-        x, fx, low = state
-        t_low, t_high = next(ratios)
+    a, b = iv.lo, iv.hi
+    log, marks = r.log, r.marks
+    x = a + t_open * (b - a)
+    fx = probe(x)
+    low = False
+    # golden's ratios never end, and Fibonacci's budget stop comes at its last stage
+    for t_low, t_high in ratios:
         if low:
             xl = a + t_low * (b - a)
             f_l = probe(xl)
@@ -329,11 +336,25 @@ def _two_probe(probe, iv: Interval, t_open: float, ratios):
             f_h = probe(xh)
             xl, f_l = x, fx
         if f_l <= f_h:
-            return a, xh, (xl, f_l, True)
-        return xl, b, (xh, f_h, False)
-
-    xl = iv.lo + t_open * (iv.hi - iv.lo)
-    return step, (xl, probe(xl), False)
+            na, nb = a, xh
+            x, fx, low = xl, f_l, True
+        else:
+            na, nb = xl, b
+            x, fx, low = xh, f_h, False
+        length = nb - na
+        if not length > 0.0:    # bracket collapsed at the FP floor
+            if marks:           # the undone probe joins the event that left [a, b],
+                marks.pop()     # or opens one on iv
+            marks.append((a, b, len(log)))
+            return x, fx
+        marks.append((na, nb, len(log)))
+        if epsilon is not None and length <= epsilon:
+            return x, fx
+        if budget is not None and len(log) >= budget:
+            return x, fx
+        if floor and not length < b - a:   # numerical resolution floor
+            return x, fx
+        a, b = na, nb
 
 
 def _golden(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
@@ -349,8 +370,8 @@ def _golden(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]
     bracket stops shrinking first) and returns the survivor, which lies in
     the final bracket and holds the least value of the run.
     """
-    step, state = _two_probe(probe, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)))
-    x, fx, _ = _drive(r, iv, step, state, stop.epsilon, stop.budget, halve=False)
+    x, fx = _two_probe(r, probe, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)),
+                       stop.epsilon, stop.budget)
     return r.answer(probe) if stop.epsilon is not None else (x, fx)
 
 
@@ -392,12 +413,10 @@ def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, flo
         raise ValueError("budget too large: Fibonacci search takes at most "
                          f"{_FIB_MAX_BUDGET} evaluations")
     ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
-    step, state = _two_probe(probe, iv, ladder[0][0], ladder)
     # no floor stop: the ladder spends its whole budget even at the FP floor;
     # a run that collapses before the ladder finishes answers with the
     # survivor too, which lies in the bracket the collapse kept
-    x, fx, _ = _drive(r, iv, step, state, None, n, floor=False)
-    return x, fx
+    return _two_probe(r, probe, iv, ladder[0][0], ladder, None, n, floor=False)
 
 
 _METHODS = {

@@ -104,13 +104,24 @@ class TestObjective:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_raises_before_the_call(self, bad):
-        # a probe sum that overflowed float64: refused, not evaluated or counted
+        # refused, not evaluated or counted; a direct call has no bracket, so
+        # the message names no overflow
         calls = []
         obj = Objective(lambda x: calls.append(x) or 1.0)
-        with pytest.raises(ValueError, match="overflowed") as info:
+        with pytest.raises(ValueError) as info:
             obj.evaluate(bad)
+        assert str(info.value) == f"x={bad!r} is not a finite float"
         assert not isinstance(info.value, NonFiniteValue)
         assert calls == []
+        assert obj.count == 0
+
+    def test_non_finite_x_in_a_run_names_the_overflow(self):
+        # in a run a non-finite x is a probe sum: here (a + b)/2 overflows
+        obj = Objective(lambda x: 1.0)
+        with pytest.raises(ValueError) as info:
+            minimize("halving", obj, Interval(1e308, 1.5e308), StopRule(budget=10))
+        assert str(info.value) == ("probe x=inf overflowed float64: the bracket's endpoints "
+                                   "are too large in magnitude for its probe arithmetic")
         assert obj.count == 0
 
     def test_direct_calls_keep_no_pairs(self):
