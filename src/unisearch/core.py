@@ -92,9 +92,10 @@ class Objective:
     :meth:`evaluate` refuses a non-finite ``x`` with ``ValueError`` before
     ``fn`` sees it; in a run, that is a probe sum that overflowed float64, and
     the message says so.  ``count`` increases by exactly one per performed
-    evaluation and is never reset or decremented.  A non-finite result raises :class:`NonFiniteValue` (the
-    invocation still counts: it happened).  Every other ``(x, f(x))`` joins
-    the probe log of the run in progress.
+    evaluation and is never reset or decremented.  A non-finite result
+    raises :class:`NonFiniteValue` (the invocation still counts: it
+    happened).  Every other ``(x, f(x))`` joins the probe log of the run in
+    progress.
 
     An Objective is in one run at a time: :func:`~unisearch.solvers.minimize`
     attaches a fresh log when its run starts, detaches it when the run ends,
