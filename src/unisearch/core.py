@@ -137,12 +137,14 @@ class StopRule:
       golden section tests the full length b-a <= e instead.  Golden section
       and dichotomous search then pay one answer probe at the midpoint.
       Fibonacci search instead plans the fewest N evaluations with
-      length/F(N+1) <= e and spends exactly N.
+      length/F(N+1) <= e and runs the budget-N run.
     * ``StopRule(budget=n)``, n >= 2 — halving spends n or n+1 evaluations
       and trichotomy n to n+2, since the iteration in progress finishes;
       dichotomous, golden and Fibonacci search spend exactly n.  A run may
-      stop short of n once its bracket stops shrinking: at the float64
-      floor, or near delta for dichotomous search.
+      stop short of n: an iteration that leaves no smaller non-empty
+      bracket ends the run, as an event on the bracket it started from.
+      That happens at the float64 floor, or near delta for dichotomous
+      search.
     """
 
     epsilon: float | None = None

@@ -23,11 +23,12 @@ evaluation, and returns only the estimate ``(x, f(x))``; :func:`minimize`
 builds the one :class:`~unisearch.core.RunResult` from the record.
 
 Each family of methods has one private loop.  The two loops mark one event
-per iteration in the run record, undo an iteration that would leave an
-empty bracket at the float64 floor (its probes join the previous event),
-and check the stop rules between iterations: epsilon against the
-half-width or the length, the evaluation budget, and a bracket that no
-longer shrinks.
+per iteration in the run record and check the stop rules between
+iterations: epsilon against the half-width or the length, and the
+evaluation budget.  Both share one floor rule: an iteration that leaves no
+smaller non-empty bracket ends the run, as an event on the bracket it
+started from.  That is how a run ends at the float64 floor, whatever the
+method and the stop rule.
 A non-finite value is handled once, in :func:`minimize`:
 :class:`NonFiniteValue` leaves with the partial trace.  That is the whole
 contract for a failing objective: any other exception raised by the
@@ -47,9 +48,8 @@ evaluations paid before it.
   repeated, or ``(F(m-2)/F(m), F(m-1)/F(m))`` for m = N+1, ..., 3.  It
   opens with the lower probe, then pays one probe per iteration and
   carries the survivor, the probe kept inside, and the side on which the
-  next one goes.  Epsilon bounds the full length, and Fibonacci runs it
-  without the floor stop.  It closes its iterations itself, so an
-  evaluation costs no step call.
+  next one goes.  Epsilon bounds the full length.  It closes its
+  iterations itself, so an evaluation costs no step call.
 
 Dichotomous search, and golden section under an epsilon stop, end with one
 answer probe at the midpoint of the final bracket, paid through the run
@@ -171,27 +171,23 @@ def _drive(r: _Run, iv: Interval, step, state, epsilon: float | None,
     trichotomy and dichotomous search; see the module docstring.
 
     After each iteration the loop stops when (b - a)/2 is at most
-    ``epsilon``, when at least ``budget`` evaluations are spent, or when the
-    bracket did not shrink.  An iteration that would leave an empty bracket
-    is undone, its probes joining the previous event.  Returns the state of
-    the last step, the undone one included.
+    ``epsilon`` or when at least ``budget`` evaluations are spent.  An
+    iteration that leaves no smaller non-empty bracket ends the run, as an
+    event on the bracket it started from.  Returns the state of the last
+    step.
     """
     a, b = iv.lo, iv.hi
     log, marks = r.log, r.marks
     while True:
         na, nb, state = step(a, b, state)
         length = nb - na
-        if not length > 0.0:    # bracket collapsed at the FP floor
-            if marks:           # the undone probes join the event that left [a, b],
-                marks.pop()     # or open one on iv
+        if not 0.0 < length < b - a:    # the float64 floor: an event on [a, b]
             marks.append((a, b, len(log)))
             return state
         marks.append((na, nb, len(log)))
         if epsilon is not None and length / 2 <= epsilon:
             return state
         if budget is not None and len(log) >= budget:
-            return state
-        if not length < b - a:  # numerical resolution floor
             return state
         a, b = na, nb
 
@@ -278,7 +274,8 @@ def _dichotomous(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, f
     pair is returned instead (it lies in the final bracket).  Budget
     affordability is checked per pair, so a trailing odd evaluation funds the
     answer probe rather than half a pair: a budget of N spends at most N
-    evaluations, and exactly N unless the bracket stops shrinking first.
+    evaluations, and exactly N unless an iteration leaves no smaller bracket
+    first.
     """
     length, epsilon = iv.length(), stop.epsilon
     delta = length * 1e-6
@@ -307,7 +304,7 @@ def _dichotomous(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, f
 
 
 def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios, epsilon: float | None,
-               budget: int | None, *, floor: bool = True) -> tuple[float, float]:
+               budget: int | None) -> tuple[float, float]:
     """The loop of golden section and Fibonacci; returns the survivor.
 
     ``ratios`` yields one ``(t_low, t_high)`` per iteration.  The run opens
@@ -316,9 +313,9 @@ def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios, epsilon: flo
     a + t_high*(b - a), compares the two, and keeps [a, x_high] or
     [x_low, b].  The probe kept inside is the survivor, and the next probe
     goes on the other side of it.  Each iteration closes as in
-    :func:`_drive`, except that epsilon bounds the full length b - a, and
-    the floor stop holds only with ``floor``.  The close is written out
-    here rather than shared: a call per iteration is a call per evaluation.
+    :func:`_drive`, floor rule included, except that epsilon bounds the
+    full length b - a.  The close is written out here rather than shared: a
+    call per iteration is a call per evaluation.
     """
     a, b = iv.lo, iv.hi
     log, marks = r.log, r.marks
@@ -342,17 +339,13 @@ def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios, epsilon: flo
             na, nb = xl, b
             x, fx, low = xh, f_h, False
         length = nb - na
-        if not length > 0.0:    # bracket collapsed at the FP floor
-            if marks:           # the undone probe joins the event that left [a, b],
-                marks.pop()     # or opens one on iv
+        if not 0.0 < length < b - a:    # the float64 floor: an event on [a, b]
             marks.append((a, b, len(log)))
             return x, fx
         marks.append((na, nb, len(log)))
         if epsilon is not None and length <= epsilon:
             return x, fx
         if budget is not None and len(log) >= budget:
-            return x, fx
-        if floor and not length < b - a:   # numerical resolution floor
             return x, fx
         a, b = na, nb
 
@@ -366,9 +359,9 @@ def _golden(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]
     an epsilon stop the loop runs while (b - a) > epsilon -- the full length,
     not the half-width -- and then evaluates the returned estimate, the
     midpoint of the final bracket, as one extra answer probe.  Under a budget
-    the method spends everything on shrink steps (N evaluations, unless the
-    bracket stops shrinking first) and returns the survivor, which lies in
-    the final bracket and holds the least value of the run.
+    the method spends everything on shrink steps (N evaluations, or fewer at
+    the float64 floor) and returns the survivor, which lies in the final
+    bracket and holds the least value of the run.
     """
     x, fx = _two_probe(r, probe, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)),
                        stop.epsilon, stop.budget)
@@ -388,7 +381,7 @@ _FIB_STAGES = [None, None] + [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
 
 
 def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
-    """Fibonacci search consuming exactly N evaluations.
+    """Fibonacci search consuming exactly N evaluations, or fewer at the floor.
 
     N is the budget of ``stop``, at most 1400; under an epsilon stop it is
     planned as the fewest evaluations with length/F(N + 1) <= epsilon, and
@@ -398,7 +391,10 @@ def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, flo
     evaluation per stage.  The run ends with the surviving probe at the
     midpoint of a bracket two lattice units wide, and that evaluated midpoint
     is the estimate, so the error is at most length/F(N + 1), the final
-    half-width -- no tie-breaking offset probe is needed.
+    half-width -- no tie-breaking offset probe is needed.  An iteration that
+    leaves no smaller non-empty bracket ends the run early, as an event on
+    the bracket it started from, and the survivor, which lies in that
+    bracket, is the estimate.
     """
     n = stop.budget
     if n is None:
@@ -413,10 +409,7 @@ def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, flo
         raise ValueError("budget too large: Fibonacci search takes at most "
                          f"{_FIB_MAX_BUDGET} evaluations")
     ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
-    # no floor stop: the ladder spends its whole budget even at the FP floor;
-    # a run that collapses before the ladder finishes answers with the
-    # survivor too, which lies in the bracket the collapse kept
-    return _two_probe(r, probe, iv, ladder[0][0], ladder, None, n, floor=False)
+    return _two_probe(r, probe, iv, ladder[0][0], ladder, None, n)
 
 
 _METHODS = {
@@ -446,19 +439,19 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
     ===========  ============================  ==================
     halving      (b - a)/2 <= epsilon          N or N+1
     trichotomy   (b - a)/2 <= epsilon          N, N+1 or N+2
-    dichotomous  (b - a)/2 <= epsilon, then    exactly N
-                 one answer probe
-    golden       b - a <= epsilon, then one    exactly N
-                 answer probe
-    fibonacci    the planned N evaluations,    exactly N
-                 the fewest with L/F(N+1)
+    dichotomous  (b - a)/2 <= epsilon, then    exactly N, or fewer
+                 one answer probe              at the floor
+    golden       b - a <= epsilon, then one    exactly N, or fewer
+                 answer probe                  at the floor
+    fibonacci    the planned N evaluations,    exactly N, or fewer
+                 the fewest with L/F(N+1)      at the floor
                  <= epsilon
     ===========  ============================  ==================
 
-    A budget run may spend fewer: every method but Fibonacci stops once the
-    bracket no longer shrinks (at the float64 floor or, for dichotomous
-    search, as its length nears delta), and every method stops before an
-    iteration that would leave an empty bracket.
+    Every method keeps one floor rule: an iteration that leaves no smaller
+    non-empty bracket ends the run, as an event on the bracket it started
+    from.  So a budget run may spend fewer than the table says at the
+    float64 floor or, for dichotomous search, as its length nears delta.
 
     A non-finite value of the objective raises :class:`NonFiniteValue`, with
     the events the run closed as its ``partial_trace``.  The iteration it cut

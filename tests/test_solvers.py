@@ -137,10 +137,14 @@ class TestTrichotomyPinned:
         res = minimize(
             "trichotomy", Objective(math.cos), Interval(2.0, 4.0), StopRule(budget=400)
         )
-        assert res.n_evals < 400
+        assert (res.n_evals, res.n_iters) == (77, 34)
+        # the iteration that leaves no smaller non-empty bracket is the last
+        # event, on the bracket it started from
+        assert res.trace[-1].interval_after == res.trace[-2].interval_after
         # cos is flat to double precision within ~1.5e-8 of pi, so comparisons
         # stop carrying information there; the estimate cannot be sharper
         assert abs(res.x_min - math.pi) < 1e-7
+        assert res.x_min == float.fromhex("0x1.921fb53e34738p+1")
         assert res.final_interval.lo < res.final_interval.hi
 
 
@@ -511,17 +515,27 @@ class TestSharedInvariants:
             assert res.n_evals == sum(ev.evals_this_iter for ev in res.trace)
 
 
+def check_nested(iv, trace):
+    """Every event's bracket is non-empty and nested in the one before it,
+    the first in ``iv``."""
+    before = iv
+    for ev in trace:
+        after = ev.interval_after
+        assert after.lo < after.hi
+        assert before.lo <= after.lo and after.hi <= before.hi
+        before = after
+
+
 def check_trace(iv, trace):
-    """Numbered iterations, nested brackets, and every probe strictly inside
-    the bracket its iteration started from."""
+    """Numbered iterations, nested non-empty brackets, and every probe
+    strictly inside the bracket its iteration started from."""
     assert [ev.iteration for ev in trace] == list(range(1, len(trace) + 1))
+    check_nested(iv, trace)
     before = iv
     for ev in trace:
         for x, _ in ev.probes:
             assert before.lo < x < before.hi
-        after = ev.interval_after
-        assert before.lo <= after.lo and after.hi <= before.hi
-        before = after
+        before = ev.interval_after
 
 
 class TestEngineInvariants:
@@ -601,9 +615,11 @@ class TestLazyTraceBuilds:
 
 class TestRunRecordAtFloor:
     """The run record where the float64 floor ends runs: brackets a few ulps
-    wide collapse, answer probes fold into the last event, and a non-finite
-    value cuts an iteration short.  Probes may touch an endpoint here (a known
-    fault), so only the accounting is checked."""
+    wide stop shrinking, and an iteration that leaves no smaller non-empty
+    bracket ends the run, as an event on the bracket it started from; answer
+    probes fold into the last event, and a non-finite value cuts an
+    iteration short.  Probes may touch an endpoint here (a known fault), so
+    only the accounting and the nesting of the brackets are checked."""
 
     @pytest.mark.parametrize("nan_at", [None, 3, 30, 53, 61, 70])    # first NaN call
     @pytest.mark.parametrize("limit", [1e-12, 100])
@@ -622,18 +638,22 @@ class TestRunRecordAtFloor:
             assert sum(ev.evals_this_iter for ev in trace) == obj.count - 1
             assert all(ev.evals_this_iter == len(ev.probes) for ev in trace)
             assert [ev.iteration for ev in trace] == list(range(1, len(trace) + 1))
+            check_nested(iv, trace)
             return
         assert res.n_evals == obj.count == sum(ev.evals_this_iter for ev in res.trace)
         assert all(ev.evals_this_iter == len(ev.probes) for ev in res.trace)
         assert [ev.iteration for ev in res.trace] == list(range(1, res.n_iters + 1))
+        check_nested(iv, res.trace)
         assert res.final_interval == res.trace[-1].interval_after
         assert res.final_interval.lo <= res.x_min <= res.final_interval.hi
 
 
 class TestTwoProbeExits:
-    """Where golden section and Fibonacci end at the float64 floor.  The
-    objective raises Wall after 10,000 calls, so a loop that lost its floor
-    stop fails here rather than running on."""
+    """Where golden section and Fibonacci end at the float64 floor: an
+    iteration that leaves no smaller non-empty bracket ends the run, as an
+    event on the bracket it started from.  The objective raises Wall after
+    10,000 calls, so a loop that lost its floor stop fails here rather than
+    running on."""
 
     def test_golden_epsilon_stops_at_the_floor(self):
         # floor stop after 76 probes, then the answer probe
@@ -651,11 +671,14 @@ class TestTwoProbeExits:
         before, last = [ev.interval_after.length() for ev in res.trace[-2:]]
         assert not last < before
 
-    def test_fibonacci_spends_its_budget_past_the_floor(self):
+    def test_fibonacci_stops_at_the_floor(self):
         c = 1e6 + 0.3
         res = minimize("fibonacci", Objective(wall_after(quadratic(c), 10_000)),
                        Interval(1e6, 1e6 + 1), StopRule(budget=1400))
-        assert (res.n_evals, res.n_iters) == (1400, 1399)
+        assert (res.n_evals, res.n_iters) == (49, 48)
+        before, last = [ev.interval_after.length() for ev in res.trace[-2:]]
+        assert not last < before
+        assert res.x_min == c
 
 
 class TestOverflowingProbes:
