@@ -35,7 +35,7 @@ import copy
 import functools
 import json
 import sys
-from itertools import chain
+from itertools import chain, pairwise
 
 from .bench import (
     FLAG_ENDPOINT_MIN,
@@ -206,10 +206,12 @@ def _head(case, method, res) -> tuple:
 
 def _event_texts(record):
     """Yield, for each event of a run's record ``(log, marks)`` as
-    :func:`~unisearch.solvers._trace_record` reads it, the values that fill
-    the event templates, ``(iter, lo, hi, length, evals, x1, fx1, ..., xk,
-    fxk)``, with every float as its ``float.__repr__`` text.  ``evals`` is
-    the event's number of probes, so it picks the template.
+    :func:`~unisearch.solvers._trace_record` reads it, mark 0 the input
+    bracket and then one mark per event, the values that fill the event
+    templates, ``(iter, lo, hi, length, evals, x1, fx1, ..., xk, fxk)``,
+    with every float as its ``float.__repr__`` text.  Event i runs from mark
+    i-1 to mark i.  ``evals`` is the event's number of probes, so it picks
+    the template.
 
     That is what json prints for a float, and what ``str`` prints for a
     Python float; ``repr`` of a NumPy 2 scalar is not.  The whole probe log
@@ -224,11 +226,9 @@ def _event_texts(record):
     flat = list(map(r, chain.from_iterable(log)))
     seen = dict(zip([x for x, _ in log], flat[::2]))
     seen.pop(0.0, None)
-    start = 0
-    for i, (lo, hi, end) in enumerate(marks, 1):
+    for i, ((_, _, start), (lo, hi, end)) in enumerate(pairwise(marks), 1):
         yield (i, seen.get(lo) or r(lo), seen.get(hi) or r(hi), r(hi - lo), end - start,
                *flat[2 * start:2 * end])
-        start = end
 
 
 # `run --format json` in the layout of json.dumps(indent=2): one template for

@@ -48,7 +48,8 @@ evaluations paid before it.
   repeated, or ``(F(m-2)/F(m), F(m-1)/F(m))`` for m = N+1, ..., 3.  It
   opens with the lower probe, then pays one probe per iteration and
   carries the survivor, the probe kept inside, and the side on which the
-  next one goes.  Epsilon bounds the full length.  It closes its
+  next one goes.  Epsilon bounds the full length, and the schedule's
+  length is the budget: N - 1 pairs for N evaluations.  It closes its
   iterations itself, so an evaluation costs no step call.
 
 Dichotomous search, and golden section under an epsilon stop, end with one
@@ -56,12 +57,13 @@ answer probe at the midpoint of the final bracket, paid through the run
 record (:meth:`_Run.answer`), which extends the last event to take it in.
 
 A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
-with one mark per event: the bracket the event left and the length of the
-log when it closed.  Every probe is one call of
-:meth:`~unisearch.core.Objective.evaluate`, one frame per evaluation, which
-appends the pair to the log the run attached to its Objective;
-:func:`minimize` detaches the log on every exit, so a finished run's record
-never changes afterwards.  ``n_evals``, ``n_iters``, the final bracket and
+and in marks of ``(lo, hi, end)``: mark 0 is the input bracket with end 0,
+then one mark per event, the bracket the event left and the length of the
+log when it closed.  So event i runs from mark i-1 to mark i.  Every probe
+is one call of :meth:`~unisearch.core.Objective.evaluate`, one frame per
+evaluation, which appends the pair to the log the run attached to its
+Objective; :func:`minimize` detaches the log on every exit, so a finished
+run's record never changes afterwards.  ``n_evals``, ``n_iters``, the final bracket and
 the last trace event are derived from that record when the run ends, and so
 is a :class:`NonFiniteValue`'s partial trace.  The record itself, which
 holds no objective, is the result's pending trace: it builds the other
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 import math
 from enum import StrEnum
-from itertools import repeat
+from itertools import pairwise, repeat
 
 from .core import (
     Interval,
@@ -105,24 +107,26 @@ class Method(StrEnum):
 
 
 class _Run:
-    """Per-run record: one probe log, one mark per trace event.
+    """Per-run record: one probe log, the input bracket, one mark per event.
 
     ``log`` holds ``(x, f(x))`` for each paid evaluation, in order: the run
     attaches it to its Objective, whose ``evaluate`` appends each pair, and
     :func:`minimize` detaches it when the run ends.  ``marks`` holds ``(lo,
-    hi, end)`` for each event: the bracket it left and ``len(log)`` when it
-    closed.  The trace, the counts and the final bracket are all derived from
-    these two lists.  Once the run ends it is its result's pending trace:
-    called on the first read of ``RunResult.trace``, it builds the events.
+    hi, end)``: mark 0 is the input bracket ``iv`` with end 0, then one mark
+    per event, the bracket it left and ``len(log)`` when it closed, so event
+    i holds ``log[marks[i-1][2]:marks[i][2]]``.  The trace, the counts and
+    the final bracket are all derived from these two lists.  Once the run
+    ends it is its result's pending trace: called on the first read of
+    ``RunResult.trace``, it builds the events.
     """
 
     __slots__ = ("log", "marks", "final")
 
-    def __init__(self, obj: Objective):
+    def __init__(self, obj: Objective, iv: Interval):
         if type(obj._log) is list:  # logs of two runs must not interleave
             raise RuntimeError("the objective is already in a run")
         self.log = obj._log = []   # (x, f(x)) pairs, appended by obj.evaluate
-        self.marks: list[tuple[float, float, int]] = []
+        self.marks: list[tuple[float, float, int]] = [(iv.lo, iv.hi, 0)]
 
     def answer(self, probe) -> tuple[float, float]:
         """Probe the midpoint of the last event's bracket as the estimate; the
@@ -138,9 +142,8 @@ class _Run:
 
         The run becomes the result's pending trace; it holds no objective."""
         log, marks = self.log, self.marks
-        n = len(marks)
-        lo, hi, end = marks[-1]
-        start = marks[-2][2] if n > 1 else 0
+        n = len(marks) - 1
+        (_, _, start), (lo, hi, end) = marks[-2:]
         self.final = TraceEvent(n, Interval(lo, hi), end - start, tuple(log[start:end]))
         return RunResult(x, f, len(log), n, self.final.interval_after, self)
 
@@ -149,18 +152,16 @@ class _Run:
 
 
 def _events(log, marks) -> list[TraceEvent]:
-    """The trace events of the record ``log`` and ``marks``."""
-    events, start = [], 0
-    for i, (lo, hi, end) in enumerate(marks, 1):
-        events.append(TraceEvent(i, Interval(lo, hi), end - start, tuple(log[start:end])))
-        start = end
-    return events
+    """The trace events of the record ``log`` and ``marks``, mark 0 first."""
+    return [TraceEvent(i, Interval(lo, hi), end - start, tuple(log[start:end]))
+            for i, ((_, _, start), (lo, hi, end)) in enumerate(pairwise(marks), 1)]
 
 
 def _trace_record(res: RunResult):
     """The record ``(log, marks)`` of the trace of ``res``, so that no event
-    is built.  The trace must still be pending: the first read of
-    ``res.trace`` replaces the record with the events."""
+    is built: mark 0 is the input bracket, then one mark per event.  The
+    trace must still be pending: the first read of ``res.trace`` replaces the
+    record with the events."""
     run = _get_trace(res)
     return run.log, run.marks
 
@@ -303,26 +304,27 @@ def _dichotomous(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, f
     return r.answer(probe) if budget is None or len(r.log) <= budget else state
 
 
-def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios, epsilon: float | None,
-               budget: int | None) -> tuple[float, float]:
+def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios,
+               epsilon: float | None) -> tuple[float, float]:
     """The loop of golden section and Fibonacci; returns the survivor.
 
-    ``ratios`` yields one ``(t_low, t_high)`` per iteration.  The run opens
+    ``ratios`` yields one ``(t_low, t_high)`` per iteration, and its length
+    is the budget: the opening probe and one probe per pair, so N - 1 pairs
+    spend N evaluations, and the loop ends when they run out.  The run opens
     with a probe at a + t_open*(b - a), the t_low of the first pair, paid
     here; each iteration probes the missing one of a + t_low*(b - a) and
     a + t_high*(b - a), compares the two, and keeps [a, x_high] or
     [x_low, b].  The probe kept inside is the survivor, and the next probe
     goes on the other side of it.  Each iteration closes as in
     :func:`_drive`, floor rule included, except that epsilon bounds the
-    full length b - a.  The close is written out here rather than shared: a
-    call per iteration is a call per evaluation.
+    full length b - a and no budget is tested.  The close is written out
+    here rather than shared: a call per iteration is a call per evaluation.
     """
     a, b = iv.lo, iv.hi
     log, marks = r.log, r.marks
     x = a + t_open * (b - a)
     fx = probe(x)
     low = False
-    # golden's ratios never end, and Fibonacci's budget stop comes at its last stage
     for t_low, t_high in ratios:
         if low:
             xl = a + t_low * (b - a)
@@ -345,9 +347,8 @@ def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios, epsilon: flo
         marks.append((na, nb, len(log)))
         if epsilon is not None and length <= epsilon:
             return x, fx
-        if budget is not None and len(log) >= budget:
-            return x, fx
         a, b = na, nb
+    return x, fx
 
 
 def _golden(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
@@ -361,11 +362,13 @@ def _golden(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]
     midpoint of the final bracket, as one extra answer probe.  Under a budget
     the method spends everything on shrink steps (N evaluations, or fewer at
     the float64 floor) and returns the survivor, which lies in the final
-    bracket and holds the least value of the run.
+    bracket and holds the least value of the run.  The schedule's length is
+    the budget: N - 1 pairs under a budget N, endless under epsilon.
     """
-    x, fx = _two_probe(r, probe, iv, 1 - _INVPHI, repeat((1 - _INVPHI, _INVPHI)),
-                       stop.epsilon, stop.budget)
-    return r.answer(probe) if stop.epsilon is not None else (x, fx)
+    pair, n = (1 - _INVPHI, _INVPHI), stop.budget
+    ratios = repeat(pair) if n is None else repeat(pair, n - 1)
+    x, fx = _two_probe(r, probe, iv, pair[0], ratios, stop.epsilon)
+    return r.answer(probe) if n is None else (x, fx)
 
 
 # The stage ratios F(m-2)/F(m) divide ints with correct rounding at any m, but
@@ -388,7 +391,8 @@ def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, flo
     the run is then the budget-N run.  With F(0) = F(1) = 1, the stage with
     index m places interior points at a + F(m-2)/F(m)*L and
     a + F(m-1)/F(m)*L; the ladder starts at m = N + 1 and pays one new
-    evaluation per stage.  The run ends with the surviving probe at the
+    evaluation per stage, so its N - 1 stages are the schedule whose length
+    is the budget.  The run ends with the surviving probe at the
     midpoint of a bracket two lattice units wide, and that evaluated midpoint
     is the estimate, so the error is at most length/F(N + 1), the final
     half-width -- no tie-breaking offset probe is needed.  An iteration that
@@ -408,8 +412,8 @@ def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, flo
     elif n > _FIB_MAX_BUDGET:
         raise ValueError("budget too large: Fibonacci search takes at most "
                          f"{_FIB_MAX_BUDGET} evaluations")
-    ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3
-    return _two_probe(r, probe, iv, ladder[0][0], ladder, None, n)
+    ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3: N - 1 pairs
+    return _two_probe(r, probe, iv, ladder[0][0], ladder, None)
 
 
 _METHODS = {
@@ -462,11 +466,11 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
         body = _METHODS[method]
     except (KeyError, TypeError):   # not a Method or its value: Method() says why
         body = _METHODS[Method(method)]
-    r = _Run(obj)
+    r = _Run(obj, iv)
     try:
         return r.result(*body(r, obj.evaluate, iv, stop))
     except NonFiniteValue as e:
-        lo, hi, end = r.marks[-1] if r.marks else (iv.lo, iv.hi, 0)
+        lo, hi, end = r.marks[-1]
         if len(r.log) > end:    # the iteration cut short paid probes
             r.marks.append((lo, hi, len(r.log)))
         e.partial_trace = tuple(_events(r.log, r.marks))

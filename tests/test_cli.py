@@ -371,10 +371,11 @@ def _reference_markdown(case, method, res, with_trace):
     return "\n".join(lines) + "\n"
 
 
-def _event_record(trace):
-    """The run record ``(log, marks)`` of built trace events, as
-    ``solvers._trace_record`` reads it from a pending trace."""
-    log, marks = [], []
+def _event_record(trace, iv):
+    """The run record ``(log, marks)`` of built trace events from the input
+    bracket ``iv``, as ``solvers._trace_record`` reads it from a pending
+    trace: mark 0 is ``iv``, then one mark per event."""
+    log, marks = [], [(iv.lo, iv.hi, 0)]
     for ev in trace:
         log += ev.probes
         marks.append((ev.interval_after.lo, ev.interval_after.hi, len(log)))
@@ -457,10 +458,10 @@ class TestRunJson:
     @settings(max_examples=300, deadline=None)
     def test_renderer_matches_json(self, res, case_id, method):
         case = dataclasses.replace(find_case("t1_01"), id=case_id)
-        head = cli._head(case, method, res)
+        head, record = cli._head(case, method, res), _event_record(res.trace, case.interval)
         for trace in (False, True):
             want = json.dumps(_reference_payload(case, method, res, trace), indent=2)
-            assert cli._run_json(head, _event_record(res.trace) if trace else None) == want
+            assert cli._run_json(head, record if trace else None) == want
 
     @staticmethod
     def _json(trace):
@@ -468,7 +469,7 @@ class TestRunJson:
         against ``json.dumps``, as a payload."""
         res = RunResult(0.0, 2.0, 2, len(trace), trace[-1].interval_after, trace)
         case, method = find_case("t1_01"), Method.HALVING
-        out = cli._run_json(cli._head(case, method, res), _event_record(trace))
+        out = cli._run_json(cli._head(case, method, res), _event_record(trace, case.interval))
         assert out == json.dumps(_reference_payload(case, method, res, True), indent=2)
         return json.loads(out)
 
@@ -562,9 +563,10 @@ class TestTraceRows:
         text, markdown = cli._run_json(head, record), _markdown(case, method, res)
         assert isinstance(core._get_trace(res), solvers._Run)     # still pending
         assert len(res.trace) == res.n_iters
-        assert _event_record(res.trace) == record
-        assert cli._run_json(head, _event_record(res.trace)) == text
-        assert cli._run_markdown(case, head, _event_record(res.trace)) + "\n" == markdown
+        built = _event_record(res.trace, case.interval)
+        assert built == record
+        assert cli._run_json(head, built) == text
+        assert cli._run_markdown(case, head, built) + "\n" == markdown
         assert text == json.dumps(_reference_payload(case, method, res, True), indent=2)
         assert markdown == _reference_markdown(case, method, res, True)
 

@@ -10,6 +10,7 @@ import json
 import math
 import pickle
 import weakref
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -679,6 +680,101 @@ class TestTwoProbeExits:
         before, last = [ev.interval_after.length() for ev in res.trace[-2:]]
         assert not last < before
         assert res.x_min == c
+
+
+def record_runs(monkeypatch) -> list:
+    """Every run record that ``minimize`` opens from now on, in order; a run
+    that raises leaves its record here too."""
+    runs = []
+
+    class Recorded(solvers._Run):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(solvers, "_Run", Recorded)
+    return runs
+
+
+def check_marks(iv, marks, n_evals):
+    """Mark 0 is ``iv`` with end 0; the ends strictly increase to
+    ``n_evals``; each event's bracket is nested and strictly shorter than
+    the one of the mark before it, or repeats it as the run's last event."""
+    assert marks[0] == (iv.lo, iv.hi, 0)
+    ends = [end for _, _, end in marks]
+    assert all(a < b for a, b in pairwise(ends))
+    assert ends[-1] == n_evals
+    for i, ((lo0, hi0, _), (lo, hi, _)) in enumerate(pairwise(marks), 1):
+        if (lo, hi) == (lo0, hi0):
+            assert i == len(marks) - 1
+        else:
+            assert lo0 <= lo < hi <= hi0 and hi - lo < hi0 - lo0
+
+
+class TestRunRecord:
+    """The run record of every method under both stop kinds: mark 0 is the
+    input bracket with end 0, then one mark per event, so event i runs from
+    mark i-1 to mark i.  An event that repeats the bracket of the mark before
+    it ends the run, at the float64 floor or where a non-finite value cut
+    its iteration short."""
+
+    KINDS = ["epsilon", "budget", "floor-epsilon", "floor-budget"]
+
+    @staticmethod
+    def _run(method, kind):
+        """``(f, iv, stop)`` of the run ``kind``: a floor run ends at the
+        float64 floor, the others well above it."""
+        if not kind.startswith("floor"):
+            stop = StopRule(epsilon=1e-6) if kind == "epsilon" else StopRule(budget=20)
+            return quadratic(0.3), Interval(0.0, 1.0), stop
+        # no Fibonacci budget up to 1400 reaches 1e-300 on a bracket of length 1
+        epsilon = 1e-290 if method is Method.FIBONACCI else 1e-300
+        stop = StopRule(epsilon=epsilon) if kind == "floor-epsilon" else StopRule(budget=1400)
+        return quadratic(1e6 + 0.3), Interval(1e6, 1e6 + 1), stop
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("method", list(Method))
+    def test_finished_run(self, monkeypatch, method, kind):
+        f, iv, stop = self._run(method, kind)
+        runs = record_runs(monkeypatch)
+        res = minimize(method, Objective(f), iv, stop)
+        [run] = runs
+        marks = run.marks
+        assert solvers._trace_record(res) == (run.log, marks)
+        check_marks(iv, marks, res.n_evals)
+        assert len(marks) == res.n_iters + 1
+        # a floor run ends with an event on the bracket of the mark before it
+        repeats = marks[-1][:2] == marks[-2][:2]
+        assert repeats == kind.startswith("floor")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("method", list(Method))
+    def test_run_cut_by_nan(self, monkeypatch, method, kind):
+        f, iv, stop = self._run(method, kind)
+        runs = record_runs(monkeypatch)
+        clean = minimize(method, Objective(f), iv, stop)
+        full = runs[0].marks
+        cuts = 0
+        for k in range(1, clean.n_evals + 1):     # NaN at call k
+            with pytest.raises(NonFiniteValue) as info:
+                minimize(method, Objective(nan_at_call(f, k)), iv, stop)
+            marks = runs[-1].marks
+            check_marks(iv, marks, k - 1)
+            trace = info.value.partial_trace
+            assert [(ev.interval_after.lo, ev.interval_after.hi) for ev in trace] == \
+                   [(lo, hi) for lo, hi, _ in marks[1:]]
+            if k == 1:      # at the opening probe: the record holds mark 0 alone
+                assert marks == [(iv.lo, iv.hi, 0)]
+                assert trace == ()
+            *closed, (lo, hi, _) = marks
+            assert closed == full[:len(closed)]
+            if (lo, hi) != full[len(closed)][:2]:
+                # the iteration cut short: an event on the bracket it started from
+                assert (lo, hi) == closed[-1][:2]
+                cuts += 1
+        assert cuts
 
 
 class TestOverflowingProbes:

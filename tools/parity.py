@@ -40,11 +40,8 @@ dumps one record per line:
   wide, where ``np.linspace``'s step underflows to 0 at every grid size but
   3, with inset 0 and one subnormal.
 
-An inset grid is passed in the tree's own oracle signature:
-``GridSpec(points, inset)`` where ``unisearch.oracle`` has one, else the
-bracket ``Interval(lo + inset, hi - inset)`` and ``points``, which sample the
-same float64 grid; so the ``grid`` and ``oracle`` records compare across the
-change of signature.
+An inset grid is passed as the bracket ``Interval(lo + inset, hi - inset)``
+and ``points``.
 
 A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
@@ -218,7 +215,7 @@ def _cli_commands(cases, methods):
 def dump() -> None:
     """Write every record of the imported tree to stdout, one JSON list per line."""
     import unisearch
-    from unisearch import cli, oracle
+    from unisearch import cli
     from unisearch.bench import VERIFY_INSET, all_cases
     from unisearch.core import Interval, Objective, StopRule
     from unisearch.oracle import brute_force_minimum, is_unimodal
@@ -255,11 +252,7 @@ def dump() -> None:
     for name, fn, iv, insets in oracle_runs:
         for points in ORACLE_POINTS:
             for inset in insets:
-                # the scan arguments after f, in the tree's own oracle signature
-                if hasattr(oracle, "GridSpec"):
-                    grid = (iv, oracle.GridSpec(points=points, inset=inset))
-                else:
-                    grid = (Interval(iv.lo + inset, iv.hi - inset), points)
+                grid = (Interval(iv.lo + inset, iv.hi - inset), points)
                 write(["grid", name, points, _h(inset)], _grid(brute_force_minimum, grid))
                 for scan in (brute_force_minimum, is_unimodal):
                     write(["oracle", scan.__name__, name, points, _h(inset)],

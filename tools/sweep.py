@@ -5,17 +5,20 @@
 Each seed S, S+1, ..., S+N-1 runs one pytest process over PATH (default:
 the repository's ``tests``) with ``--hypothesis-seed`` set to it, from a
 fresh temporary working directory, so that each seed draws with an empty
-example database and no seed replays another's failures.  Only the tests
-that Hypothesis drives and that are not derandomized run; ``-k`` narrows
-them further, as in pytest.  N defaults to 20, and S to a random seed,
-printed, so that a sweep can be repeated.
+example database and no seed replays another's failures.  The process runs
+with ``--noconftest``: ``tests/conftest.py`` loads the derandomized profile
+of tier-1, under which every test would draw the same examples whatever the
+seed.  Only the tests that Hypothesis drives and that are not derandomized
+by their own settings run; ``-k`` narrows them further, as in pytest.  N
+defaults to 20, and S to a random seed, printed, so that a sweep can be
+repeated.
 
 Prints one line per seed, then every falsifying example with its seed and
 test, and a failed test that gave none (an error in a fixture, say) with
 its report.  Exits 1 when any test failed, 2 when a pytest run selected no
 test or could not run, and 0 otherwise.  A failure reproduces with
-``python3 -m pytest TEST --hypothesis-seed=SEED`` from a directory with no
-``.hypothesis`` database.
+``python3 -m pytest TEST --noconftest --hypothesis-seed=SEED`` from a
+directory with no ``.hypothesis`` database.
 
 The same file is the pytest plugin each run loads (``-p sweep``): it
 deselects the other tests and appends one JSON line per failed test to the
@@ -87,7 +90,7 @@ def _run_seed(seed: int, paths: list[str], keyword: str | None) -> tuple[int, li
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(ROOT / "tools"), str(ROOT / "src"), env.get("PYTHONPATH")]))
         cmd = [sys.executable, "-m", "pytest", "-q", "-p", "sweep", "-p", "no:cacheprovider",
-               f"--hypothesis-seed={seed}", "--rootdir", str(ROOT),
+               "--noconftest", f"--hypothesis-seed={seed}", "--rootdir", str(ROOT),
                "-c", str(ROOT / "pyproject.toml"), *paths]
         if keyword:
             cmd += ["-k", keyword]
