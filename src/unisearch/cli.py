@@ -10,14 +10,18 @@ oracle at its default 10^6+1 points, each row passing within 1e-4.  Another
 grid goes through ``brute_force_minimum`` with a bracket and a point count of
 its own.
 
-Arguments argparse can check itself (choices, numbers that are not finite
-and positive, budgets below 2) end in its usage message.  Every other error
-is mapped to an exit code in one place, :func:`main`: a non-finite objective
-value is a failed run (3, ``run failed: ...``); an unknown case id, a value
-the library rejects (``ValueError``, including ``DomainError``, a ``--tol``
-that no Fibonacci budget up to 1400 reaches and one whose dichotomous offset
-underflows), ``run --trace --format csv`` (a csv row has no trace) or an
-``--out`` path that cannot be written is a usage error (2, ``error: ...``).
+Argparse checks an argument's form: a choice, and a number that ``float`` or
+``int`` can parse; a malformed one ends in its usage message.  A number's
+value is checked once, by the library call it reaches (:class:`StopRule`
+for ``run``, ``iteration_bound`` and ``accuracy_bound`` for ``bounds``).
+Every other error is mapped to an exit code in one place, :func:`main`: a
+non-finite objective value is a failed run (3, ``run failed: ...``); an
+unknown case id, a value the library rejects (``ValueError``, including
+``DomainError``: a ``--tol`` that is not finite and positive, a ``run``
+budget below 2, a ``--tol`` that no Fibonacci budget up to 1400 reaches and
+one whose dichotomous offset underflows), ``run --trace --format csv`` (a
+csv row has no trace) or an ``--out`` path that cannot be written is a
+usage error (2, ``error: ...``).
 
 A well-formed ``run`` command skips argparse: exactly ``run METHOD CASE``
 followed by ``--tol V`` or ``--budget N``, an optional ``--trace`` and an
@@ -52,29 +56,11 @@ from .bench import (
     run_verify,
 )
 from .bounds import _SHRINK, accuracy_bound, iteration_bound
-from .core import NonFiniteValue, Objective, StopRule, _check_count, _check_positive
+from .core import NonFiniteValue, Objective, StopRule
 from .solvers import Method, _trace_record, minimize
 
 _FORMATS = ("markdown", "csv", "json")
 _METHODS = tuple(m.value for m in Method)
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    _check_positive(value, "value", argparse.ArgumentTypeError)
-    return value
-
-
-def _budget_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    _check_count(value, 2, "budget", argparse.ArgumentTypeError)
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,8 +99,8 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("method", choices=_METHODS)
     p_run.add_argument("case_id", metavar="case")
     g = p_run.add_mutually_exclusive_group(required=True)
-    g.add_argument("--tol", type=_positive_float, help="half-width target")
-    g.add_argument("--budget", type=_budget_int, help="evaluation budget")
+    g.add_argument("--tol", type=float, help="half-width target")
+    g.add_argument("--budget", type=int, help="evaluation budget")
     p_run.add_argument("--trace", action="store_true", help="include per-iteration trace")
     p_run.add_argument("--format", choices=_FORMATS, default="markdown")
     p_run.set_defaults(handler=cmd_run)
@@ -127,10 +113,10 @@ def _parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=cmd_table)
 
     p_bounds = sub.add_parser("bounds", help="print worst-case bounds")
-    p_bounds.add_argument("--length", type=_positive_float, required=True)
+    p_bounds.add_argument("--length", type=float, required=True)
     g = p_bounds.add_mutually_exclusive_group(required=True)
-    g.add_argument("--tol", type=_positive_float, help="half-width target")
-    g.add_argument("--budget", type=_budget_int, help="evaluation budget")
+    g.add_argument("--tol", type=float, help="half-width target")
+    g.add_argument("--budget", type=int, help="evaluation budget")
     p_bounds.set_defaults(handler=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="check every solver against the grid oracle")
@@ -147,8 +133,8 @@ def _parse_run(argv: list[str]) -> argparse.Namespace | None:
     """The namespace ``build_parser().parse_args(argv)`` returns for a
     well-formed ``run`` command (see the module docstring), or None for
     every other argv, including each one argparse would reject or answer
-    with help.  A value is converted by the same ``type`` function argparse
-    calls, and one it rejects gives None, so argparse reports it."""
+    with help.  A value is converted by ``float`` or ``int``, as argparse
+    does, and one they cannot parse gives None, so argparse reports it."""
     if (len(argv) < 5 or argv[0] != "run" or argv[1] not in _METHODS
             or argv[2].startswith("-")):
         return None
@@ -170,9 +156,9 @@ def _parse_run(argv: list[str]) -> argparse.Namespace | None:
     if (tol is None) == (budget is None) or fmt not in _FORMATS:
         return None
     try:
-        tol = None if tol is None else _positive_float(tol)
-        budget = None if budget is None else _budget_int(budget)
-    except argparse.ArgumentTypeError:
+        tol = None if tol is None else float(tol)
+        budget = None if budget is None else int(budget)
+    except ValueError:
         return None
     return argparse.Namespace(command="run", method=argv[1], case_id=argv[2], tol=tol,
                               budget=budget, trace="--trace" in found, format=fmt,

@@ -23,6 +23,7 @@ import unisearch.bench
 import unisearch.cli as cli
 from unisearch import core, solvers
 from unisearch.bench import ReportRow, all_cases, find_case
+from unisearch.bounds import accuracy_bound, iteration_bound
 from unisearch.core import Interval, Objective, RunResult, StopRule, TraceEvent
 from unisearch.solvers import Method, _trace_record, minimize
 
@@ -40,10 +41,6 @@ class TestUsageErrors:
         ["run", "newton", "t1_01", "--tol", "0.1"],
         ["run", "halving", "t1_01"],                               # no stop rule
         ["run", "halving", "t1_01", "--tol", "0.1", "--budget", "5"],
-        ["run", "halving", "t1_01", "--tol", "-0.1"],
-        ["run", "halving", "t1_01", "--tol", "inf"],
-        ["run", "halving", "t1_01", "--tol", "1e400"],
-        ["run", "halving", "t1_01", "--budget", "1"],
         ["table"],
         ["table", "3"],
         ["bounds", "--tol", "0.1"],                                # missing length
@@ -56,6 +53,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("tail,message", [
+        (["--tol", "-0.1"], "epsilon must be positive and finite, got -0.1"),
+        (["--tol", "inf"], "epsilon must be positive and finite, got inf"),
+        (["--tol", "1e400"], "epsilon must be positive and finite, got inf"),
+        (["--budget", "1"], "budget must be an integer >= 2, got 1"),
+    ])
+    def test_library_rejects_value(self, capsys, tail, message):
+        # argparse parses the number; StopRule alone checks its value
+        code_out_err = run_cli(capsys, "run", "halving", "t1_01", *tail)
+        assert code_out_err == (2, "", f"error: {message}\n")
 
     def test_unknown_case_id(self, capsys):
         code, out, err = run_cli(capsys, "run", "halving", "t1_99", "--tol", "0.1")
@@ -79,6 +87,70 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+# numbers as a shell passes them: the edges of each check, and drawn floats
+# and ints; "-inf" and a negative exponent form would read as an option
+_EDGES = ("0", "-0.0", "-0.1", "-1", "nan", "inf", "1e400", "1", "2")
+_NUMBERS = (st.sampled_from(_EDGES) | st.floats(min_value=0.0).map(repr)
+            | st.integers(0, 200).map(str))
+_BUDGETS = st.sampled_from(("0", "-1", "1", "2")) | st.integers(-200, 200).map(str)
+
+
+def _rejects(check, *args) -> Exception | None:
+    try:
+        check(*args)
+    except ValueError as e:
+        return e
+    return None
+
+
+def _main(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneValueCheck:
+    """A number that parses is checked once, by the library: the CLI exits 2
+    with the library's one line exactly when its check raises."""
+
+    @staticmethod
+    def agrees(argv, error):
+        code, out, err = _main(argv)
+        if error is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    @given(_NUMBERS)
+    @settings(deadline=None)
+    def test_run_tol(self, v):
+        self.agrees(["run", "golden", "t1_01", "--tol", v],
+                    _rejects(StopRule, float(v), None))
+
+    @given(_BUDGETS)
+    @settings(deadline=None)
+    def test_run_budget(self, v):
+        self.agrees(["run", "golden", "t1_01", "--budget", v],
+                    _rejects(StopRule, None, int(v)))
+
+    @given(_NUMBERS, _NUMBERS)
+    @settings(deadline=None)
+    def test_bounds_tol(self, length, tol):
+        # halving is printed first, and trichotomy takes every input it takes
+        self.agrees(["bounds", "--length", length, "--tol", tol],
+                    _rejects(iteration_bound, Method.HALVING, float(length), float(tol)))
+
+    @given(_NUMBERS, _BUDGETS)
+    @settings(deadline=None)
+    def test_bounds_budget(self, length, n):
+        self.agrees(["bounds", "--length", length, "--budget", n],
+                    _rejects(accuracy_bound, Method.HALVING, float(length), int(n)))
 
 
 class TestParserContract:
@@ -169,7 +241,8 @@ class TestRunFastPath:
         except SystemExit:
             assert fast is None
         else:
-            assert fast is None or fast == expected
+            # repr, since NaN != NaN: both parsers take `--tol nan`
+            assert fast is None or repr(fast) == repr(expected)
 
     @pytest.mark.parametrize("method", [m.value for m in Method])
     def test_takes_every_well_formed_command(self, method):
@@ -187,13 +260,18 @@ class TestRunFastPath:
         ["--tol", "nan", "--tol", "1e-6"], ["--tol", "1e-6", "--trace", "--trace"],
         ["--budget", "20", "--format", "csv", "--format", "json"],
         ["--tol", "1e-6", "--budget", "20"], ["--trace"], ["--", "--tol", "1e-6"],
-        ["--tol", "-1"], ["--tol", "inf"], ["--tol", "1e400"], ["--budget", "1"],
-        ["--tol"], ["--budget", "20", "--format"], ["--tol", "1e-6", "--help"],
+        ["--tol", "-1"], ["--tol"], ["--budget", "20", "--format"],
+        ["--tol", "1e-6", "--help"],
     ])
     def test_refuses_near_misses(self, tail):
         for argv in (["run", "golden", "t1_01", *tail], ["run", *tail, "golden", "t1_01"],
                      ["run", "golden", "-t1_01", *tail]):
             assert cli._parse_run(argv) is None
+
+    @pytest.mark.parametrize("tail", [["--tol", "inf"], ["--tol", "1e400"], ["--budget", "1"]])
+    def test_takes_values_the_library_rejects(self, tail):
+        argv = ["run", "golden", "t1_01", *tail]
+        assert cli._parse_run(argv) == cli.build_parser().parse_args(argv)
 
     def test_main_skips_the_parser(self, capsys, monkeypatch):
         argv = ["run", "golden", "t1_01", "--tol", "1e-6", "--trace", "--format", "json"]
@@ -675,6 +753,11 @@ class TestBounds:
         lines = out.splitlines()
         assert lines[0] == "halving: accuracy_bound=0.044194173824159216"
         assert lines[1].startswith("trichotomy: accuracy_bound=0.0844261872946214")
+
+    def test_accuracy_bound_from_one_evaluation(self, capsys):
+        # accuracy_bound is defined from n = 1, where it is length/2
+        assert run_cli(capsys, "bounds", "--length", "2", "--budget", "1") == (
+            0, "halving: accuracy_bound=1.0\ntrichotomy: accuracy_bound=1.0\n", "")
 
     def test_domain_error_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--length", "1", "--tol", "0.6")

@@ -14,6 +14,7 @@ from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_bounds import _FIB
 
 from unisearch import solvers
 from unisearch.core import (
@@ -261,13 +262,10 @@ class TestFibonacci:
 
     def test_error_bound(self):
         # the estimate is within length/F(n+1) of the minimizer
-        fib = [1, 1]
-        while len(fib) < 45:
-            fib.append(fib[-1] + fib[-2])
         for n in (2, 5, 10, 20, 40):
             res = minimize("fibonacci", Objective(quadratic(0.7)), Interval(0.0, 2.0),
                            StopRule(budget=n))
-            assert abs(res.x_min - 0.7) <= 2.0 / fib[n + 1] * (1 + 1e-9)
+            assert abs(res.x_min - 0.7) <= 2.0 / _FIB[n + 1] * (1 + 1e-9)
 
     def test_rejects_bad_budgets(self):
         obj = Objective(lambda x: x * x)
@@ -288,14 +286,11 @@ class TestFibonacci:
         assert res.n_evals == n
 
     def test_planned_budget_definition(self):
-        fib = [1, 1]
-        while len(fib) < 60:
-            fib.append(fib[-1] + fib[-2])
         for tol in (1e-3, 1e-5, 1e-8):
             n = minimize("fibonacci", Objective(quadratic(0.7)), Interval(0.0, 2.0),
                          StopRule(epsilon=tol)).n_evals
-            assert 2.0 / fib[n + 1] <= tol
-            assert n == 2 or 2.0 / fib[n] > tol
+            assert 2.0 / _FIB[n + 1] <= tol
+            assert n == 2 or 2.0 / _FIB[n] > tol
 
     @given(interval_and_quadratic(), st.floats(1e-12, 10.0))
     @settings(max_examples=100, deadline=None)

@@ -12,14 +12,18 @@ dumps one record per line:
   ``--tol 1e-300`` (json and markdown with ``--trace``), a few ``bounds``
   commands (two of them with L/(2*tol) exactly 3^5 and 2^29, powers of the
   shrink bases), a few ``list`` commands, no arguments, ``--help`` of the
-  program and of each subcommand, ten usage errors, ``verify --grid`` among
-  them (``verify`` takes no grid), and 23 near misses of the ``run`` form that
-  ``main`` parses without argparse (``--tol=1e-6``, ``--tr``, a repeated
-  flag, both stop flags or neither, ``--``, an option before the
-  positionals, a case or value starting with ``-``, ``nan``, ``inf``,
-  ``1e400``, ``--budget 1``, a missing value, ``--help``): stdout, stderr
-  and exit code (``SystemExit``'s code where argparse exits), with help text
-  wrapped at ``COLUMNS=80``;
+  program and of each subcommand, 19 usage errors, among them ``verify
+  --grid`` (``verify`` takes no grid), a malformed ``--tol abc`` and
+  ``--budget 2.5``, and ``bounds`` values outside the bounds' domain
+  (``--length 0|-1|nan|inf``, ``--tol 0|inf``, ``--budget 0``), ``bounds
+  --length 2 --budget 1``, the least budget of ``accuracy_bound``, and 23
+  near misses of the ``run`` form that ``main`` parses without argparse
+  (``--tol=1e-6``, ``--tr``, a repeated flag, both stop flags or neither,
+  ``--``, an option before the positionals, a case or value starting with
+  ``-``, a missing value, ``--help``, and the values it parses and
+  ``StopRule`` rejects: ``nan``, ``inf``, ``1e400``, ``--budget 1``):
+  stdout, stderr and exit code (``SystemExit``'s code where argparse
+  exits), with help text wrapped at ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
   and budgets 2 ... 100;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
@@ -194,9 +198,17 @@ def _cli_commands(cases, methods):
                 ["run", "golden", "t1_01", "--tol", "1e-6", "--budget", "20"],
                 ["run", "golden", "t1_01", "--tol", "-0.1"],
                 ["table", "3"], ["bounds", "--length", "1"], ["verify", "--grid", "x"],
-                ["verify", "--grid", "10001"])
+                ["verify", "--grid", "10001"],
+                ["run", "golden", "t1_01", "--tol", "abc"],
+                ["run", "golden", "t1_01", "--budget", "2.5"])
+    # bounds values that argparse parses and the bound functions check
+    yield from (["bounds", "--length", length, "--tol", "0.1"]
+                for length in ("0", "-1", "nan", "inf"))
+    yield from (["bounds", "--length", "1", "--tol", tol] for tol in ("0", "inf"))
+    yield from (["bounds", "--length", "2", "--budget", n] for n in ("0", "1"))
     # near misses of the `run` form that main parses without argparse; each
-    # goes through argparse, which takes or rejects it
+    # goes through argparse, which takes or rejects it, but for the values
+    # that main parses and StopRule rejects (nan, inf, 1e400, --budget 1)
     yield from (["run", "golden", "t1_01", *tail] for tail in (
         ["--tol=1e-6"], ["--tol", "1e-6", "--tr"], ["--tol", "1e-6", "--form", "json"],
         ["--tol", "1e-3", "--tol", "1e-6"], ["--tol", "nan", "--tol", "1e-6"],
