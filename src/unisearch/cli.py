@@ -18,10 +18,10 @@ Every other error is mapped to an exit code in one place, :func:`main`: a
 non-finite objective value is a failed run (3, ``run failed: ...``); an
 unknown case id, a value the library rejects (``ValueError``, including
 ``DomainError``: a ``--tol`` that is not finite and positive, a ``run``
-budget below 2, a ``--tol`` that no Fibonacci budget up to 1400 reaches and
-one whose dichotomous offset underflows), ``run --trace --format csv`` (a
-csv row has no trace) or an ``--out`` path that cannot be written is a
-usage error (2, ``error: ...``).
+budget below 2, a ``--tol`` whose Fibonacci plan would pass float64's
+Fibonacci numbers and one whose dichotomous offset underflows), ``run
+--trace --format csv`` (a csv row has no trace) or an ``--out`` path that
+cannot be written is a usage error (2, ``error: ...``).
 
 A well-formed ``run`` command skips argparse: exactly ``run METHOD CASE``
 followed by ``--tol V`` or ``--budget N``, an optional ``--trace`` and an

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import math
 from enum import StrEnum
-from itertools import pairwise, repeat
+from itertools import chain, pairwise, repeat
 
 from .core import (
     Interval,
@@ -371,12 +371,11 @@ def _golden(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]
     return r.answer(probe) if n is None else (x, fx)
 
 
-# The stage ratios F(m-2)/F(m) divide ints with correct rounding at any m, but
-# the epsilon planning's length/F(N + 1) converts F(N + 1) to float64, which
-# raises OverflowError from F(1476) on; the cap keeps clear of that.
-_FIB_MAX_BUDGET = 1400
-_FIB = [1, 1]              # F(0) = F(1) = 1, up to the stage m = budget + 1
-while len(_FIB) <= _FIB_MAX_BUDGET + 1:
+# F(m-1)/F(m) alternates around 1/phi with shrinking error, so the ratios of
+# stages 43 and 44 bracket those of every later stage; both round to the same
+# float64, and so do their F(m-2)/F(m).  Stage 43's pair stands for every m >= 43.
+_FIB = [1, 1]              # F(0) = F(1) = 1, ..., F(43)
+while len(_FIB) <= 43:
     _FIB.append(_FIB[-1] + _FIB[-2])
 # (t_low, t_high) = (F(m-2)/F(m), F(m-1)/F(m)) of the stage with index m >= 2
 _FIB_STAGES = [None, None] + [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
@@ -386,9 +385,10 @@ _FIB_STAGES = [None, None] + [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
 def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
     """Fibonacci search consuming exactly N evaluations, or fewer at the floor.
 
-    N is the budget of ``stop``, at most 1400; under an epsilon stop it is
-    planned as the fewest evaluations with length/F(N + 1) <= epsilon, and
-    the run is then the budget-N run.  With F(0) = F(1) = 1, the stage with
+    N is the budget of ``stop``; under an epsilon stop it is planned as the
+    fewest evaluations with length/F(N + 1) <= epsilon, and the run is then
+    the budget-N run.  The plan stops where F(N + 1) leaves float64, from
+    N = 1475 on, with ``ValueError``.  With F(0) = F(1) = 1, the stage with
     index m places interior points at a + F(m-2)/F(m)*L and
     a + F(m-1)/F(m)*L; the ladder starts at m = N + 1 and pays one new
     evaluation per stage, so its N - 1 stages are the schedule whose length
@@ -402,18 +402,17 @@ def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, flo
     """
     n = stop.budget
     if n is None:
-        length = iv.length()
-        for n in range(2, _FIB_MAX_BUDGET + 1):
-            if length / _FIB[n + 1] <= stop.epsilon:
-                break
-        else:
-            raise ValueError(f"no Fibonacci budget up to {_FIB_MAX_BUDGET} reaches "
-                             f"epsilon={stop.epsilon!r} on length {length!r}")
-    elif n > _FIB_MAX_BUDGET:
-        raise ValueError("budget too large: Fibonacci search takes at most "
-                         f"{_FIB_MAX_BUDGET} evaluations")
-    ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = N + 1, ..., 3: N - 1 pairs
-    return _two_probe(r, probe, iv, ladder[0][0], ladder, None)
+        length, n, f_n, f_next = iv.length(), 2, 2, 3      # N, F(N), F(N + 1)
+        try:
+            while length / f_next > stop.epsilon:
+                n, f_n, f_next = n + 1, f_next, f_n + f_next
+        except OverflowError:
+            raise ValueError(f"no Fibonacci budget reaches epsilon={stop.epsilon!r} on "
+                             f"length {length!r}: F(N + 1) leaves float64 first") from None
+    ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = min(N + 1, 43), ..., 3
+    # N - 1 pairs: stages N + 1, ..., 44 repeat stage 43's pair
+    return _two_probe(r, probe, iv, ladder[0][0],
+                      ladder if n < 43 else chain(repeat(ladder[0], n - 42), ladder), None)
 
 
 _METHODS = {
@@ -433,8 +432,8 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
     dichotomous search its probe offset delta = min(epsilon/2, L*1e-6), or
     L*1e-6 under a budget, for the bracket length L (a delta that underflows
     to 0 raises ``ValueError``); Fibonacci search its number of evaluations N,
-    the budget, at most 1400, or under an epsilon stop the fewest N with
-    L/F(N+1) <= epsilon (``ValueError`` when N would pass 1400).
+    the budget, or under an epsilon stop the fewest N with L/F(N+1) <= epsilon
+    (``ValueError`` when F(N+1) would leave float64 first).
 
     Each method keeps ``stop`` as follows, checked between iterations:
 

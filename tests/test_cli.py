@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from test_bench import nan_cases
 from test_solvers import count_calls
 
@@ -72,10 +72,11 @@ class TestUsageErrors:
         assert err.startswith("error:")
 
     def test_fibonacci_epsilon_beyond_largest_budget(self, capsys):
-        code, out, err = run_cli(capsys, "run", "fibonacci", "t1_01", "--tol", "1e-300")
+        code, out, err = run_cli(capsys, "run", "fibonacci", "t1_01", "--tol", "1e-320")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: no Fibonacci budget up to 1400")
+        assert err.startswith("error: no Fibonacci budget reaches epsilon=1e-320")
+        assert err.endswith(": F(N + 1) leaves float64 first\n")
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--length", "1e308", "--tol", "1e-308"],
@@ -161,7 +162,7 @@ class TestParserContract:
         ["run", "golden", "t1_01", "--tol", "1e-6", "--trace", "--format", "json"],
         ["run", "golden", "t1_01"],                                # argparse exit 2
         ["--help"],                                                # exit 0
-        ["run", "fibonacci", "t1_01", "--tol", "1e-300"],          # library error
+        ["run", "fibonacci", "t1_01", "--tol", "1e-320"],          # library error
         ["table", "1", "--format", "csv"],
     )
 
@@ -261,7 +262,7 @@ class TestRunFastPath:
         ["--budget", "20", "--format", "csv", "--format", "json"],
         ["--tol", "1e-6", "--budget", "20"], ["--trace"], ["--", "--tol", "1e-6"],
         ["--tol", "-1"], ["--tol"], ["--budget", "20", "--format"],
-        ["--tol", "1e-6", "--help"],
+        ["--tol", "1e-6", "--help"], ["--tol", "abc"], ["--budget", "2.5"], ["--budget", "1e3"],
     ])
     def test_refuses_near_misses(self, tail):
         for argv in (["run", "golden", "t1_01", *tail], ["run", *tail, "golden", "t1_01"],
@@ -633,10 +634,7 @@ class TestTraceRows:
            | st.integers(2, 300).map(lambda n: StopRule(budget=n)))
     @settings(max_examples=300, deadline=None)
     def test_record_and_trace_agree(self, case, method, stop):
-        try:
-            res = minimize(method, Objective(case.fn), case.interval, stop)
-        except ValueError:      # no Fibonacci budget up to 1400 reaches epsilon
-            assume(False)
+        res = minimize(method, Objective(case.fn), case.interval, stop)
         record, head = _trace_record(res), cli._head(case, method, res)
         text, markdown = cli._run_json(head, record), _markdown(case, method, res)
         assert isinstance(core._get_trace(res), solvers._Run)     # still pending

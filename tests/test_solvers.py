@@ -33,6 +33,14 @@ def quadratic(c, scale=1.0, offset=0.0):
     return lambda x: scale * (x - c) ** 2 + offset
 
 
+def fibonacci_numbers(n):
+    """F(0), ..., F(n) as ints, with F(0) = F(1) = 1."""
+    fib = [1, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
 def nan_at_call(f, nan_at):
     """``f``, except that call number ``nan_at`` (1-based; None for never)
     returns NaN."""
@@ -272,8 +280,8 @@ class TestFibonacci:
         for bad in (1, 0, -3, 2.0, True, None):
             with pytest.raises(ValueError):
                 minimize("fibonacci", obj, Interval(0.0, 1.0), StopRule(budget=bad))
-        with pytest.raises(ValueError, match="takes at most 1400 evaluations"):
-            minimize("fibonacci", obj, Interval(0.0, 1.0), StopRule(budget=1401))
+        res = minimize("fibonacci", obj, Interval(0.0, 1.0), StopRule(budget=1401))
+        assert res.n_evals == obj.count <= 1401
 
     @pytest.mark.parametrize("length,epsilon,n", [
         (2.0, 1e-6, 30),    # F(31) = 2178309 >= 2e6
@@ -301,11 +309,43 @@ class TestFibonacci:
         assert by_eps == by_budget    # trace included
 
     def test_no_accepted_budget_reaches_epsilon(self):
-        # 1400 evaluations reach length/F(1401), about 2.2e-293 here
+        # F(1475) ~ 1.3e308 is the last Fibonacci number float64 holds: below
+        # 1/F(1475), length/F(N + 1) reaches epsilon only past it
+        tol = 1.0 / fibonacci_numbers(1475)[1475]
         obj = Objective(lambda x: x * x)
-        with pytest.raises(ValueError, match="no Fibonacci budget up to 1400"):
-            minimize(Method.FIBONACCI, obj, Interval(0.0, 1.0), StopRule(epsilon=1e-300))
+        with pytest.raises(ValueError, match="F\\(N \\+ 1\\) leaves float64"):
+            minimize(Method.FIBONACCI, obj, Interval(0.0, 1.0),
+                     StopRule(epsilon=math.nextafter(tol, 0.0)))
         assert obj.count == 0
+        # 1/F(1475) itself plans N = 1474; the minimizer at the endpoint 0
+        # keeps the bracket shrinking through the subnormals, so all of it is spent
+        res = minimize(Method.FIBONACCI, obj, Interval(0.0, 1.0), StopRule(epsilon=tol))
+        assert res.n_evals == obj.count == 1474
+
+    def test_stages_from_43_on_round_to_one_pair(self):
+        # the ladder repeats stage 43's pair for every stage m >= 43
+        fib = fibonacci_numbers(1500)
+        top = solvers._FIB_STAGES[43]
+        assert len(solvers._FIB_STAGES) == 44
+        assert all((fib[m - 2] / fib[m], fib[m - 1] / fib[m]) == top for m in range(43, 1501))
+        assert (fib[40] / fib[42], fib[41] / fib[42]) != top
+        assert solvers._FIB_STAGES[2:] == [(fib[m - 2] / fib[m], fib[m - 1] / fib[m])
+                                           for m in range(2, 44)]
+
+    def test_budget_above_the_stage_table_is_the_floor_run(self):
+        # both budgets end at the float64 floor after 49 evaluations
+        c = 1e6 + 0.3
+        runs = [minimize("fibonacci", Objective(quadratic(c)), Interval(1e6, 1e6 + 1),
+                         StopRule(budget=n)) for n in (1400, 5000)]
+        assert runs[0] == runs[1]    # trace included
+        assert runs[1].n_evals == 49
+
+    def test_large_budget_on_a_wide_bracket_ends_at_the_floor(self):
+        res = minimize("fibonacci", Objective(wall_after(quadratic(123.456), 10_000)),
+                       Interval(-1e6, 1e6), StopRule(budget=5000))
+        assert res.n_evals < 5000
+        before, last = [ev.interval_after.length() for ev in res.trace[-2:]]
+        assert not last < before
 
 
 class TestMinimizeDispatch:
@@ -718,21 +758,19 @@ class TestRunRecord:
     KINDS = ["epsilon", "budget", "floor-epsilon", "floor-budget"]
 
     @staticmethod
-    def _run(method, kind):
+    def _run(kind):
         """``(f, iv, stop)`` of the run ``kind``: a floor run ends at the
         float64 floor, the others well above it."""
         if not kind.startswith("floor"):
             stop = StopRule(epsilon=1e-6) if kind == "epsilon" else StopRule(budget=20)
             return quadratic(0.3), Interval(0.0, 1.0), stop
-        # no Fibonacci budget up to 1400 reaches 1e-300 on a bracket of length 1
-        epsilon = 1e-290 if method is Method.FIBONACCI else 1e-300
-        stop = StopRule(epsilon=epsilon) if kind == "floor-epsilon" else StopRule(budget=1400)
+        stop = StopRule(epsilon=1e-300) if kind == "floor-epsilon" else StopRule(budget=1400)
         return quadratic(1e6 + 0.3), Interval(1e6, 1e6 + 1), stop
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("method", list(Method))
     def test_finished_run(self, monkeypatch, method, kind):
-        f, iv, stop = self._run(method, kind)
+        f, iv, stop = self._run(kind)
         runs = record_runs(monkeypatch)
         res = minimize(method, Objective(f), iv, stop)
         [run] = runs
@@ -747,7 +785,7 @@ class TestRunRecord:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("method", list(Method))
     def test_run_cut_by_nan(self, monkeypatch, method, kind):
-        f, iv, stop = self._run(method, kind)
+        f, iv, stop = self._run(kind)
         runs = record_runs(monkeypatch)
         clean = minimize(method, Objective(f), iv, stop)
         full = runs[0].marks

@@ -28,8 +28,8 @@ dumps one record per line:
   and budgets 2 ... 100;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
   [1e15, 1e15+8], with ε down to 1e-300 and budgets up to 1400;
-* ``minimize`` on the 23 registry cases: Fibonacci at budgets 1400 and
-  1401, and under ε 1e-6;
+* ``minimize`` on the 23 registry cases: Fibonacci at budgets 1400, 1401
+  and 5000, far past the 44 stages its ladder holds, and under ε 1e-6;
 * ``minimize`` on t1_02 and t2_01, every method under ε 1e-6 and budgets
   20 and 21, with NaN returned at call k for every k from 1 to the clean
   run's ``n_evals``: the ``NonFiniteValue`` failure path;
@@ -93,7 +93,7 @@ TINY = 5e-324            # the least positive subnormal
 SUBNORMAL_BRACKET = (-3 * TINY, 997 * TINY)
 FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
-FIB_BUDGETS = (1400, 1401)     # the largest budget Fibonacci accepts, and one more
+FIB_BUDGETS = (1400, 1401, 5000)
 NAN_CASES = ("t1_02", "t2_01")
 REUSE_NAN_AT = (1, 5)    # the NaN call of a run followed by a clean one
 SHOWN = 5                # differing records printed
