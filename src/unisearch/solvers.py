@@ -410,9 +410,8 @@ def _fibonacci(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, flo
             raise ValueError(f"no Fibonacci budget reaches epsilon={stop.epsilon!r} on "
                              f"length {length!r}: F(N + 1) leaves float64 first") from None
     ladder = _FIB_STAGES[n + 1:2:-1]    # stages m = min(N + 1, 43), ..., 3
-    # N - 1 pairs: stages N + 1, ..., 44 repeat stage 43's pair
-    return _two_probe(r, probe, iv, ladder[0][0],
-                      ladder if n < 43 else chain(repeat(ladder[0], n - 42), ladder), None)
+    # N - 1 pairs: stages N + 1, ..., 44 repeat stage 43's pair (none if N < 43)
+    return _two_probe(r, probe, iv, ladder[0][0], chain(repeat(ladder[0], n - 42), ladder), None)
 
 
 _METHODS = {

@@ -134,7 +134,7 @@ class TestAccuracyBound:
 
 
 _FIB = [1, 1]                       # F(0) = F(1) = 1
-while len(_FIB) < 60:
+while len(_FIB) <= 1500:
     _FIB.append(_FIB[-1] + _FIB[-2])
 
 

@@ -33,14 +33,6 @@ def quadratic(c, scale=1.0, offset=0.0):
     return lambda x: scale * (x - c) ** 2 + offset
 
 
-def fibonacci_numbers(n):
-    """F(0), ..., F(n) as ints, with F(0) = F(1) = 1."""
-    fib = [1, 1]
-    while len(fib) <= n:
-        fib.append(fib[-1] + fib[-2])
-    return fib
-
-
 def nan_at_call(f, nan_at):
     """``f``, except that call number ``nan_at`` (1-based; None for never)
     returns NaN."""
@@ -311,7 +303,7 @@ class TestFibonacci:
     def test_no_accepted_budget_reaches_epsilon(self):
         # F(1475) ~ 1.3e308 is the last Fibonacci number float64 holds: below
         # 1/F(1475), length/F(N + 1) reaches epsilon only past it
-        tol = 1.0 / fibonacci_numbers(1475)[1475]
+        tol = 1.0 / _FIB[1475]
         obj = Objective(lambda x: x * x)
         with pytest.raises(ValueError, match="F\\(N \\+ 1\\) leaves float64"):
             minimize(Method.FIBONACCI, obj, Interval(0.0, 1.0),
@@ -324,12 +316,11 @@ class TestFibonacci:
 
     def test_stages_from_43_on_round_to_one_pair(self):
         # the ladder repeats stage 43's pair for every stage m >= 43
-        fib = fibonacci_numbers(1500)
         top = solvers._FIB_STAGES[43]
         assert len(solvers._FIB_STAGES) == 44
-        assert all((fib[m - 2] / fib[m], fib[m - 1] / fib[m]) == top for m in range(43, 1501))
-        assert (fib[40] / fib[42], fib[41] / fib[42]) != top
-        assert solvers._FIB_STAGES[2:] == [(fib[m - 2] / fib[m], fib[m - 1] / fib[m])
+        assert all((_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m]) == top for m in range(43, 1501))
+        assert (_FIB[40] / _FIB[42], _FIB[41] / _FIB[42]) != top
+        assert solvers._FIB_STAGES[2:] == [(_FIB[m - 2] / _FIB[m], _FIB[m - 1] / _FIB[m])
                                            for m in range(2, 44)]
 
     def test_budget_above_the_stage_table_is_the_floor_run(self):
