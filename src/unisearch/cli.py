@@ -23,14 +23,15 @@ Fibonacci numbers and one whose dichotomous offset underflows), ``run
 --trace --format csv`` (a csv row has no trace) or an ``--out`` path that
 cannot be written is a usage error (2, ``error: ...``).
 
-A well-formed ``run`` command skips argparse: exactly ``run METHOD CASE``
-followed by ``--tol V`` or ``--budget N``, an optional ``--trace`` and an
-optional ``--format F``, in any order, each at most once, with METHOD and F
-among their choices and no CASE or value starting with ``-``
-(:func:`_parse_run`).  Its namespace is the one argparse gives, field for
-field.  Every other form (``--tol=V``, an abbreviation, ``--``, an option
-before the positionals, a repeated flag, ``--help``) and every argv argparse
-rejects goes through argparse, with the same output bytes and exit codes.
+A ``run`` command in the order of its usage line skips argparse: exactly
+``run METHOD CASE``, then ``--tol V`` or ``--budget N``, then an optional
+``--trace``, then an optional ``--format F``, with METHOD and F among their
+choices and no CASE or value starting with ``-`` (:func:`_parse_run`).  Its
+namespace is the one argparse gives, field for field.  Every other form (the
+same options in another order, ``--tol=V``, an abbreviation, ``--``, an
+option before the positionals, a repeated flag, ``--help``) and every argv
+argparse rejects goes through argparse, with the same output bytes and exit
+codes.
 """
 from __future__ import annotations
 
@@ -75,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     later call.  Parsing, its usage errors and ``--help`` keep their state
     in the namespace and in locals, so they never change the shared parser.
 
-    :func:`main` calls it for every command but a well-formed ``run``
-    command, which :func:`_parse_run` parses without it.
+    :func:`main` calls it for every command but a ``run`` command in its
+    usage line's order, which :func:`_parse_run` parses without it; every
+    other ``run`` form comes here and prints the same bytes.
     """
     return copy.copy(_parser())
 
@@ -126,43 +128,29 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_VALUE_FLAGS = ("--tol", "--budget", "--format")
-
-
 def _parse_run(argv: list[str]) -> argparse.Namespace | None:
     """The namespace ``build_parser().parse_args(argv)`` returns for a
-    well-formed ``run`` command (see the module docstring), or None for
-    every other argv, including each one argparse would reject or answer
-    with help.  A value is converted by ``float`` or ``int``, as argparse
-    does, and one they cannot parse gives None, so argparse reports it."""
+    ``run`` command in its usage line's order (see the module docstring), or
+    None for every other argv, including each one argparse would reject or
+    answer with help.  A value is converted by ``float`` or ``int``, as
+    argparse does, and one they cannot parse gives None, so argparse reports
+    it."""
     if (len(argv) < 5 or argv[0] != "run" or argv[1] not in _METHODS
-            or argv[2].startswith("-")):
+            or argv[2].startswith("-") or argv[3] not in ("--tol", "--budget")
+            or argv[4].startswith("-")):
         return None
-    found = {}
-    rest = iter(argv[3:])
-    for flag in rest:
-        if flag in found:
-            return None
-        if flag == "--trace":
-            found[flag] = True
-            continue
-        # a missing value reads as "-", which no value may start with
-        value = next(rest, "-")
-        if flag not in _RUN_VALUE_FLAGS or value.startswith("-"):
-            return None
-        found[flag] = value
-    tol, budget = found.get("--tol"), found.get("--budget")
-    fmt = found.get("--format", "markdown")
-    if (tol is None) == (budget is None) or fmt not in _FORMATS:
+    trace = argv[5:6] == ["--trace"]
+    rest = argv[5 + trace:]
+    if rest and (len(rest) != 2 or rest[0] != "--format" or rest[1] not in _FORMATS):
         return None
     try:
-        tol = None if tol is None else float(tol)
-        budget = None if budget is None else int(budget)
+        value = float(argv[4]) if argv[3] == "--tol" else int(argv[4])
     except ValueError:
         return None
+    tol, budget = (value, None) if argv[3] == "--tol" else (None, value)
     return argparse.Namespace(command="run", method=argv[1], case_id=argv[2], tol=tol,
-                              budget=budget, trace="--trace" in found, format=fmt,
-                              handler=cmd_run)
+                              budget=budget, trace=trace,
+                              format=rest[1] if rest else "markdown", handler=cmd_run)
 
 
 def cmd_list(args) -> int:

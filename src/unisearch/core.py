@@ -57,12 +57,20 @@ def _check_positive(value: float, what: str, error: type[Exception] = ValueError
 
 @dataclass(frozen=True, slots=True, init=False)
 class Interval:
-    """A non-degenerate closed interval [lo, hi] with a finite length."""
+    """A non-degenerate closed interval [lo, hi] with a finite length.  An int
+    endpoint is stored as the float64 it rounds to, and one that float64
+    cannot hold is refused; a float, NumPy scalars included, is stored as
+    given."""
 
     lo: float
     hi: float
 
     def __init__(self, lo: float, hi: float) -> None:
+        try:
+            # `* 1.0`, unlike float(), refuses a string
+            lo, hi = lo * 1.0, hi * 1.0
+        except OverflowError:
+            raise ValueError(f"interval endpoints must fit in float64, got [{lo}, {hi}]") from None
         # a positive finite length implies lo < hi and finite endpoints, and
         # keeps probes at lo + t*(hi - lo) finite; NaN fails the comparison
         if not 0.0 < hi - lo < math.inf:

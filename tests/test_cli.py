@@ -196,10 +196,11 @@ _NEAR_MISSES = ("--tol", "--budget", "--trace", "--format", "--tol=1e-6", "--for
 
 @st.composite
 def _run_argvs(draw):
-    """A well-formed `run` argv bent by up to three near misses: a token
-    inserted, replaced or dropped (a missing value, both stop flags or
-    neither), one more option with a value (a repeated flag) or the
-    positionals moved behind the options."""
+    """A well-formed `run` argv, its options in any order (the fast path takes
+    only the usage line's: stop rule, `--trace`, `--format`), bent by up to
+    three near misses: a token inserted, replaced or dropped (a missing
+    value, both stop flags or neither), one more option with a value (a
+    repeated flag) or the positionals moved behind the options."""
     stop = draw(st.sampled_from(["--tol", "--budget"]))
     options = [[stop, draw(st.sampled_from(_GOOD_VALUES[stop]))]]
     if draw(st.booleans()):
@@ -226,10 +227,13 @@ def _run_argvs(draw):
 
 
 class TestRunFastPath:
-    """`cli._parse_run` returns argparse's namespace for a well-formed `run`
-    command and None for every argv argparse rejects or answers with help,
-    and for the forms argparse takes outside that grammar (`--tol=V`,
-    abbreviations, repeated flags, options before the positionals)."""
+    """`cli._parse_run` returns argparse's namespace for a `run` command in
+    its usage line's order, `run METHOD CASE`, then `--tol V` or `--budget
+    N`, then an optional `--trace`, then an optional `--format F`, and None
+    for every other argv: each one argparse rejects or answers with help, and
+    the forms argparse takes outside that order (the options permuted,
+    `--tol=V`, abbreviations, repeated flags, options before the
+    positionals)."""
 
     @given(_run_argvs())
     @settings(max_examples=1000, deadline=None)
@@ -247,14 +251,19 @@ class TestRunFastPath:
 
     @pytest.mark.parametrize("method", [m.value for m in Method])
     def test_takes_every_well_formed_command(self, method):
-        forms = [["run", method, "t1_01", *itertools.chain(*options)]
-                 for stop in (["--tol", "1e-6"], ["--budget", "20"])
-                 for trace in ([], ["--trace"])
-                 for fmt in ([], *(["--format", f] for f in cli._FORMATS))
-                 for options in itertools.permutations([stop, trace, fmt])]
-        fast = [cli._parse_run(argv) for argv in forms]
-        assert None not in fast
-        assert fast == [cli.build_parser().parse_args(argv) for argv in forms]
+        # the usage-line order parses here; every other order of the same
+        # options goes through argparse and prints the same bytes
+        for stop, trace, fmt in itertools.product(
+                (["--tol", "1e-6"], ["--budget", "20"]), ([], ["--trace"]),
+                ([], *(["--format", f] for f in cli._FORMATS))):
+            canonical = ["run", method, "t1_01", *stop, *trace, *fmt]
+            assert cli._parse_run(canonical) == cli.build_parser().parse_args(canonical)
+            want = _main(canonical)
+            for options in itertools.permutations([stop, trace, fmt]):
+                argv = ["run", method, "t1_01", *itertools.chain(*options)]
+                if argv != canonical:       # moving an empty option changes nothing
+                    assert cli._parse_run(argv) is None
+                    assert _main(argv) == want
 
     @pytest.mark.parametrize("tail", [
         ["--tol=1e-6"], ["--tol", "1e-6", "--tr"], ["--tol", "1e-6", "--form", "json"],

@@ -49,6 +49,35 @@ class TestInterval:
         with pytest.raises(AttributeError):
             iv.lo = 5.0
 
+    def test_int_endpoints_are_float64(self):
+        iv = Interval(0, 1)
+        assert (iv.lo, iv.hi) == (0.0, 1.0)
+        assert type(iv.lo) is type(iv.hi) is float
+
+    # the first does not fit in float64; the second is empty once rounded
+    @pytest.mark.parametrize("lo,hi", [(0, 10 ** 400), (2 ** 53, 2 ** 53 + 1)],
+                             ids=["overflow", "empty"])
+    def test_rejects_ints_float64_cannot_hold(self, lo, hi):
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
+
+    # endpoints are made float64 by `* 1.0`, not float(), which takes a string
+    def test_rejects_strings(self):
+        with pytest.raises(TypeError):
+            Interval("0", "1")
+
+    def test_keeps_the_sign_of_zero(self):
+        assert math.copysign(1.0, Interval(-0.0, 1.0).lo) == -1.0
+
+    def test_int_bracket_plans_fibonacci_as_a_float_one(self):
+        # an exact int length once let the plan pass float64's Fibonacci numbers
+        stop = StopRule(epsilon=1e-320)
+        with pytest.raises(ValueError) as want:
+            minimize(Method.FIBONACCI, Objective(abs), Interval(0.0, 1.0), stop)
+        with pytest.raises(ValueError) as got:
+            minimize(Method.FIBONACCI, Objective(abs), Interval(0, 1), stop)
+        assert str(got.value) == str(want.value)
+
 
 class TestObjective:
     def test_counts_every_evaluation(self):

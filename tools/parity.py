@@ -21,15 +21,25 @@ dumps one record per line:
   (``--tol=1e-6``, ``--tr``, a repeated flag, both stop flags or neither,
   ``--``, an option before the positionals, a case or value starting with
   ``-``, a missing value, ``--help``, and the values it parses and
-  ``StopRule`` rejects: ``nan``, ``inf``, ``1e400``, ``--budget 1``):
-  stdout, stderr and exit code (``SystemExit``'s code where argparse
-  exits), with help text wrapped at ``COLUMNS=80``;
+  ``StopRule`` rejects: ``nan``, ``inf``, ``1e400``, ``--budget 1``), and
+  well-formed ``run`` commands whose options are out of the usage line's
+  order, which ``main`` leaves to argparse (every method, ``--tol 1e-6`` on
+  t1_01 and ``--budget 20`` on t2_01, with ``--trace`` and ``--format
+  json`` in each other order, and with ``--trace`` or ``--format csv``
+  alone before the stop rule): stdout, stderr and exit code
+  (``SystemExit``'s code where argparse exits), with help text wrapped at
+  ``COLUMNS=80``;
 * ``minimize`` on the 23 registry cases x 5 methods under ε 1e-2 ... 1e-15
   and budgets 2 ... 100;
 * ``minimize`` on the benchmark's four float64-floor brackets and on
   [1e15, 1e15+8], with ε down to 1e-300 and budgets up to 1400;
 * ``minimize`` on the 23 registry cases: Fibonacci at budgets 1400, 1401
   and 5000, far past the 44 stages its ladder holds, and under ε 1e-6;
+* ``minimize`` of (x - 0.3)**2 on int brackets: every method on
+  ``Interval(0, 1)`` under ε 1e-6 and budget 20 and on ``Interval(0,
+  10**400)`` under budget 5, and Fibonacci on ``Interval(0, 1)`` under ε
+  1e-320; an error raised while building the ``Interval`` is part of the
+  record;
 * ``minimize`` on t1_02 and t2_01, every method under ε 1e-6 and budgets
   20 and 21, with NaN returned at call k for every k from 1 to the clean
   run's ``n_evals``: the ``NonFiniteValue`` failure path;
@@ -47,7 +57,8 @@ dumps one record per line:
 An inset grid is passed as the bracket ``Interval(lo + inset, hi - inset)``
 and ``points``.
 
-A run is written with floats as ``float.hex``: ``x_min``, ``f_min``,
+A run is written with floats (and the int endpoints of an int bracket) as
+``float.hex``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
 run is written as the exception type, message and ``partial_trace``.
 ``Objective.count`` is written for both.  Runs on one Objective are written
@@ -66,6 +77,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -95,12 +107,14 @@ FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
 FIB_BUDGETS = (1400, 1401, 5000)
 NAN_CASES = ("t1_02", "t2_01")
+INT_HIS = {"1": 1, "10**400": 10 ** 400}    # hi of the int brackets [0, hi]
 REUSE_NAN_AT = (1, 5)    # the NaN call of a run followed by a clean one
 SHOWN = 5                # differing records printed
 
 
 def _h(value):
-    return value.hex() if isinstance(value, float) else repr(value)
+    # an int endpoint of an int bracket is written as the float it equals
+    return float(value).hex() if isinstance(value, float) or type(value) is int else repr(value)
 
 
 def _events(trace):
@@ -218,6 +232,16 @@ def _cli_commands(cases, methods):
         ["--tol", "1e-6", "--"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
         ["--tol", "1e400"], ["--budget", "1"], ["--tol"], ["--budget", "20", "--format"],
         ["--tol", "1e-6", "--help"]))
+    # well-formed, but out of the usage line's order: main leaves them to argparse
+    for method in methods:
+        for base in (["run", method, "t1_01", "--tol", "1e-6"],
+                     ["run", method, "t2_01", "--budget", "20"]):
+            stop = base[3:]
+            orders = itertools.permutations([stop, ["--trace"], ["--format", "json"]])
+            next(orders)    # the usage line's order comes first
+            yield from ([*base[:3], *itertools.chain(*options)] for options in orders)
+            yield [*base[:3], "--trace", *stop]
+            yield [*base[:3], "--format", "csv", *stop]
     yield from (["run", "--tol", "1e-6", "golden", "t1_01"],
                 ["run", "--trace", "golden", "t1_01", "--tol", "1e-6"],
                 ["run", "golden", "-t1_01", "--tol", "1e-6"],
@@ -287,6 +311,20 @@ def dump() -> None:
         write(["fibonacci", case.id, "epsilon"],
               _solve(minimize, Method.FIBONACCI, Objective(case.fn), case.interval,
                      StopRule(epsilon=1e-6)))
+
+    def int_bracket(method, hi, stop):
+        try:
+            iv = Interval(0, INT_HIS[hi])
+        except Exception as e:     # a failure is part of the record
+            return ["error", type(e).__name__, str(e)]
+        return _solve(minimize, method, Objective(lambda x: (x - 0.3) ** 2), iv, stop)
+
+    int_runs = [(method, hi, stop) for method in Method
+                for hi, stop in (("1", StopRule(epsilon=1e-6)), ("1", StopRule(budget=20)),
+                                 ("10**400", StopRule(budget=5)))]
+    int_runs.append((Method.FIBONACCI, "1", StopRule(epsilon=1e-320)))
+    for method, hi, stop in int_runs:
+        write(["int", method.value, hi, repr(stop)], int_bracket(method, hi, stop))
 
     by_id = {case.id: case for case in cases}
     for case in map(by_id.get, NAN_CASES):
