@@ -23,7 +23,7 @@ from .bounds import (
     accuracy_bound,
     iteration_bound,
 )
-from .oracle import brute_force_minimum, is_unimodal
+from .oracle import brute_force_minimum
 from .bench import (
     BenchmarkCase,
     ReportRow,
@@ -56,7 +56,6 @@ __all__ = [
     "brute_force_minimum",
     "emit_report",
     "find_case",
-    "is_unimodal",
     "iteration_bound",
     "minimize",
     "registry_table1",

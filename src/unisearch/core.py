@@ -57,18 +57,18 @@ def _check_positive(value: float, what: str, error: type[Exception] = ValueError
 
 @dataclass(frozen=True, slots=True, init=False)
 class Interval:
-    """A non-degenerate closed interval [lo, hi] with a finite length.  An int
-    endpoint is stored as the float64 it rounds to, and one that float64
-    cannot hold is refused; a float, NumPy scalars included, is stored as
-    given."""
+    """A non-degenerate closed interval [lo, hi] with a finite length.  Each
+    endpoint is stored as a Python float: an int as the float64 it rounds to,
+    refused when float64 cannot hold it, and a NumPy scalar as its value, so
+    a float32 bracket runs in float64 arithmetic."""
 
     lo: float
     hi: float
 
     def __init__(self, lo: float, hi: float) -> None:
         try:
-            # `* 1.0`, unlike float(), refuses a string
-            lo, hi = lo * 1.0, hi * 1.0
+            # `* 1.0`, unlike float() alone, refuses a string
+            lo, hi = float(lo * 1.0), float(hi * 1.0)
         except OverflowError:
             raise ValueError(f"interval endpoints must fit in float64, got [{lo}, {hi}]") from None
         # a positive finite length implies lo < hi and finite endpoints, and
@@ -85,6 +85,8 @@ class Interval:
 
 
 _set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
+
+_SINK = deque((), 0)    # an Objective's log outside a run: appends keep nothing
 
 
 class Objective:
@@ -108,14 +110,16 @@ class Objective:
     An Objective is in one run at a time: :func:`~unisearch.solvers.minimize`
     attaches a fresh log when its run starts, detaches it when the run ends,
     however it ends, and refuses with ``RuntimeError`` a run started while
-    another is in progress.  Outside a run the log is a shared sink that
-    keeps nothing, so direct calls keep no pairs.
+    another is in progress.  Outside a run the log is the class's shared
+    sink, which keeps nothing, so direct calls keep no pairs, and a copy or
+    an unpickled Objective is outside a run as well.
     """
+
+    _log = _SINK    # a run sets its own log on the instance and deletes it at the end
 
     def __init__(self, fn: Callable[[float], float]):
         self.fn = fn
         self.count = 0
-        self._log = _SINK
 
     def evaluate(self, x: float) -> float:
         if x - x != 0.0:    # a non-finite x: in a run, the probe sum overflowed
@@ -128,9 +132,6 @@ class Objective:
             raise NonFiniteValue(f"objective returned {y!r} at x={x!r}", x=x)
         self._log.append((x, y))
         return y
-
-
-_SINK = deque((), 0)    # an Objective's log outside a run: appends keep nothing
 
 
 @dataclass(frozen=True)

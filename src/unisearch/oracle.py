@@ -1,17 +1,16 @@
-"""Brute-force grid checks, independent of the bracketing solvers.
+"""Brute-force grid minimum, independent of the bracketing solvers.
 
-Used to cross-validate solver answers: a dense uniform grid scan finds the
-grid minimizer directly, and a monotonicity scan certifies (at grid
-resolution) whether a function is unimodal on an interval.  Each takes the
-bracket to sample, endpoints included, and a point count.  A function that
-blows up at an endpoint is scanned on an inset bracket,
-``Interval(lo + d, hi - d)`` for a small ``d`` such as length * 1e-9; the
-solvers never evaluate endpoints, so an inset oracle compares like for like.
+Used to cross-validate solver answers: one dense uniform grid scan finds the
+grid minimizer directly.  It takes the bracket to sample, endpoints
+included, and a point count.  A function that blows up at an endpoint is
+scanned on an inset bracket, ``Interval(lo + d, hi - d)`` for a small ``d``
+such as length * 1e-9; the solvers never evaluate endpoints, so an inset
+oracle compares like for like.
 
-Both scan the grid in blocks of ``_BLOCK`` points, building each block's
-points as they go, so neither holds a grid-sized array: the objective's
-temporaries are one block's size, and a scan stops at the first block
-holding a non-finite value.
+The scan goes through the grid in blocks of ``_BLOCK`` points, building each
+block's points as it goes, so it never holds a grid-sized array: the
+objective's temporaries are one block's size, and the scan stops at the
+first block holding a non-finite value.
 """
 from __future__ import annotations
 
@@ -28,23 +27,30 @@ _OFFSETS = np.arange(_BLOCK, dtype=float)   # 0.0, 1.0, ..., _BLOCK - 1
 _OFFSETS.flags.writeable = False
 
 
-def _blocks(f: Callable[[float], float], iv: Interval, points: int):
-    """Yield ``(xs, ys)`` over ``points`` samples of ``iv``, ``_BLOCK`` at a time.
+def brute_force_minimum(
+    f: Callable[[float], float], iv: Interval, points: int = 1_000_001
+) -> tuple[float, float]:
+    """Grid minimizer of ``f`` on ``iv``: the sample with least value.
 
-    Each ``xs`` is built alone with ``np.linspace``'s arithmetic: the
-    indices as floats (exact below 2**53) times the step, plus ``iv.lo``,
-    with the last point set to ``iv.hi``; when the step underflows to 0 (a
-    bracket a few subnormals wide), the indices over ``points - 1``, times
-    the width.  So the points are those of ``np.linspace(iv.lo, iv.hi,
-    points)`` bit for bit, whatever the block size.  ``ys`` is ``f`` on the block: one
-    vectorised call, or one call per point when ``f`` refuses the array.
-    Raises NonFiniteValue at the first non-finite sample, before any later
-    block is evaluated.
+    Ties break to the lowest abscissa, so the result is independent of any
+    evaluation order.  Resolution is ``iv.length() / (points - 1)``.
+
+    The grid is scanned ``_BLOCK`` points at a time, keeping a running
+    minimum: memory is one block of temporaries.  Each block is built alone
+    with ``np.linspace``'s arithmetic: the indices as floats (exact below
+    2**53) times the step, plus ``iv.lo``, with the last point set to
+    ``iv.hi``; when the step underflows to 0 (a bracket a few subnormals
+    wide), the indices over ``points - 1``, times the width.  So the points
+    are those of ``np.linspace(iv.lo, iv.hi, points)`` bit for bit, whatever
+    the block size.  ``f`` runs once per block, or once per point when it
+    refuses the array.  A non-finite value raises NonFiniteValue at the
+    first such point, before any later block is evaluated.
     """
     _check_count(points, 3, "grid points")
     div = points - 1
     delta = iv.hi - iv.lo
     step = delta / div
+    best_x = best_y = math.inf
     for start in range(0, points, _BLOCK):
         xs = _OFFSETS[:points - start] + start
         if step == 0.0:
@@ -68,56 +74,7 @@ def _blocks(f: Callable[[float], float], iv: Interval, points: int):
             raise NonFiniteValue(
                 f"objective returned {float(ys[i])!r} at grid point x={x!r}", x=x
             )
-        yield xs, ys
-
-
-def brute_force_minimum(
-    f: Callable[[float], float], iv: Interval, points: int = 1_000_001
-) -> tuple[float, float]:
-    """Grid minimizer of ``f`` on ``iv``: the sample with least value.
-
-    Ties break to the lowest abscissa, so the result is independent of any
-    evaluation order.  Resolution is ``iv.length() / (points - 1)``.
-
-    The grid is scanned in blocks, keeping a running minimum: memory is one
-    block of temporaries.  A non-finite value raises
-    NonFiniteValue from the first block that holds one.
-    """
-    best_x = best_y = math.inf
-    for xs, ys in _blocks(f, iv, points):
         k = int(np.argmin(ys))      # first occurrence == lowest abscissa
         if ys[k] < best_y:          # strict: an equal later block loses
             best_x, best_y = float(xs[k]), float(ys[k])
     return best_x, best_y
-
-
-def is_unimodal(
-    f: Callable[[float], float], iv: Interval, points: int = 10_001
-) -> bool:
-    """Certify, at grid resolution, that ``f`` decreases then increases.
-
-    True iff the sampled values are non-increasing up to the grid minimizer
-    and non-decreasing after it; plateaus of exact float equality are
-    tolerated.  A strict rise before the minimizer or a strict fall after it
-    returns False.
-
-    The grid is scanned in blocks, carrying only the previous sample and
-    whether a strict rise has been seen: a strict fall after a rise is the
-    same verdict as a rise before the first minimizer or a fall after it.
-    Every block is still scanned, so a non-finite value raises
-    NonFiniteValue whatever the verdict.
-    """
-    prev = None
-    rose, unimodal = False, True
-    for _, ys in _blocks(f, iv, points):
-        # every step, from the sample before this block; the samples are
-        # finite, so a step's sign is the comparison of its two samples
-        d = np.diff(ys, prepend=ys[0] if prev is None else prev)
-        prev = ys[-1]
-        if not rose:
-            d = d[int(np.argmax(d > 0)):]   # from the first strict rise, if there is one
-            rose = bool(d[0] > 0)
-        if rose and (d < 0).any():
-            unimodal = False
-        del d    # hold no steps while f runs on the next block
-    return unimodal

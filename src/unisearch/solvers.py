@@ -91,7 +91,6 @@ from .core import (
     RunResult,
     StopRule,
     TraceEvent,
-    _SINK,
     _get_trace,
 )
 
@@ -474,4 +473,4 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
         e.partial_trace = tuple(_events(r.log, r.marks))
         raise
     finally:                    # a finished run's record never changes again
-        obj._log = _SINK
+        del obj._log            # back to the class's sink

@@ -18,7 +18,6 @@ PUBLIC = [
     "brute_force_minimum",
     "emit_report",
     "find_case",
-    "is_unimodal",
     "iteration_bound",
     "minimize",
     "registry_table1",
@@ -32,7 +31,7 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert unisearch.__all__ == PUBLIC
-    assert len(PUBLIC) == 25
+    assert len(PUBLIC) == 24
 
 
 def test_every_name_resolves():

@@ -27,8 +27,9 @@ from unisearch.bench import (
     run_verify,
 )
 from unisearch.core import Interval, Objective, StopRule
-from unisearch.oracle import brute_force_minimum, is_unimodal
+from unisearch.oracle import brute_force_minimum
 from unisearch.solvers import Method, minimize
+from test_oracle import _reference_unimodal
 
 # froze spot rows of the reference tables; a silent registry edit must fail
 _SPOT_ROWS = {
@@ -102,10 +103,12 @@ class TestRegistry:
     def test_non_unimodal_cases(self):
         # the methods assume a unimodal function; at 10,001 points two cases
         # are not: t1_11 rises to a maximum near x = 2.31 and falls to x = 3,
-        # and the garbled t1_20 has poles inside its bracket
+        # and the garbled t1_20 has poles inside its bracket.  The verdict is
+        # the whole-grid scan's: no strict rise before the first minimizer
+        # and no strict fall after it.
         not_unimodal = {
             c.id for c in all_cases()
-            if not is_unimodal(c.fn, _inset_bracket(c, 1e-9), points=10_001)
+            if not _reference_unimodal(c.fn, _inset_bracket(c, 1e-9), points=10_001)
         }
         assert not_unimodal == {"t1_11", "t1_20"}
 

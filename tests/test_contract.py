@@ -14,13 +14,19 @@ search, whose answer follows rounding noise once f(x*) is not 0 (ROADMAP
 item 9); brackets a few ulps wide at the float64 floor, where a run may
 probe an endpoint (item 3); and brackets near overflow, whose probe sums
 overflow float64 (item 4).
+
+Two exact relations hold for all five methods, dichotomous search included:
+multiplying by a power of two is exact in float64 away from overflow and
+subnormals, so a run of u -> f(2^k*u) on [a/2^k, b/2^k] with epsilon/2^k
+pays f's run on [a, b] probe for probe, divided by 2^k, and a run of 2^j*f
+pays the same probes with every value times 2^j.
 """
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from unisearch.core import Interval, Objective, StopRule
-from unisearch.solvers import Method, minimize
+from unisearch.solvers import Method, _trace_record, minimize
 
 from test_bounds import _FIB, halving_attained, trichotomy_attained
 from test_solvers import check_trace
@@ -100,3 +106,57 @@ def test_run_contract(run):
     noise = 4 * length * (_U * abs(k)) ** (1 / p)
     slack = 4 * math.ulp(max(abs(iv.lo), abs(iv.hi)))
     assert abs(res.x_min - c) <= attained(method, length, stop) + noise + slack
+
+
+@st.composite
+def scaled_runs(draw):
+    """A method, a bracket inside [-100, 200] of width 1e-6 to 1e2, a
+    minimizer c in it, the objective |(x - c)/L|^p + K, a budget and an
+    epsilon down to 2^-53 of the width, and the powers of two 2^k for x,
+    k in -900..900, and 2^j for f, j in -300..300."""
+    method = draw(st.sampled_from(list(Method)))
+    width = 10.0 ** draw(st.floats(-6, 2))
+    # lo on a grid of spacing about ulp(100): no endpoint near the subnormals
+    lo = -100.0 + draw(st.floats(0, 1)) * (300.0 - width)
+    iv = Interval(lo, lo + width)
+    length = iv.length()
+    c = min(iv.lo + draw(st.floats(0, 1)) * length, iv.hi)
+    p = draw(st.sampled_from((1, 2, 4)))
+    k = draw(st.just(0.0) | st.floats(1, 1e6) | st.floats(-1e6, -1))
+    stops = (StopRule(budget=draw(st.integers(2, 120))),
+             StopRule(epsilon=length * 2.0 ** -draw(st.floats(1, 53))))
+    return method, iv, c, p, k, stops, draw(st.integers(-900, 900)), draw(st.integers(-300, 300))
+
+
+def _scaled(res, kx=0, jf=0):
+    """The answer and record ``(log, marks)`` of ``res`` as ``float.hex``,
+    with every x times 2^kx and every value times 2^jf."""
+    log, marks = _trace_record(res)
+    return ((math.ldexp(res.x_min, kx).hex(), math.ldexp(res.f_min, jf).hex()),
+            [(math.ldexp(x, kx).hex(), math.ldexp(y, jf).hex()) for x, y in log],
+            [(math.ldexp(lo, kx).hex(), math.ldexp(hi, kx).hex(), end) for lo, hi, end in marks])
+
+
+@given(scaled_runs())
+@settings(derandomize=True, deadline=None, max_examples=500)
+def test_power_of_two_scaling(run):
+    method, iv, c, p, k, stops, kx, jf = run
+    length = iv.length()
+
+    def f(x):
+        return abs((x - c) / length) ** p + k
+
+    def f_of_scaled_x(u):
+        return f(math.ldexp(u, kx))
+
+    def scaled_f(x):
+        return math.ldexp(f(x), jf)
+
+    scaled_iv = Interval(math.ldexp(iv.lo, -kx), math.ldexp(iv.hi, -kx))
+    for stop in stops:
+        want = _scaled(minimize(method, Objective(f), iv, stop))
+        x_stop = stop if stop.budget else StopRule(epsilon=math.ldexp(stop.epsilon, -kx))
+        got = minimize(method, Objective(f_of_scaled_x), scaled_iv, x_stop)
+        assert _scaled(got, kx=kx) == want
+        got = minimize(method, Objective(scaled_f), iv, stop)
+        assert _scaled(got, jf=-jf) == want

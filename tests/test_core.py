@@ -7,6 +7,7 @@ import pickle
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +69,35 @@ class TestInterval:
 
     def test_keeps_the_sign_of_zero(self):
         assert math.copysign(1.0, Interval(-0.0, 1.0).lo) == -1.0
+
+    @pytest.mark.parametrize("scalar", [np.float32, np.float64], ids=lambda t: t.__name__)
+    def test_numpy_endpoints_are_python_floats(self, scalar):
+        iv = Interval(scalar(0.1), scalar(1.7))
+        assert (iv.lo, iv.hi) == (float(scalar(0.1)), float(scalar(1.7)))
+        assert type(iv.lo) is type(iv.hi) is float
+
+    @pytest.mark.parametrize("method", list(Method), ids=str)
+    @pytest.mark.parametrize("scalar", [np.float32, np.float64], ids=lambda t: t.__name__)
+    def test_numpy_bracket_runs_as_its_float_bracket(self, scalar, method):
+        # probe for probe and type for type: a float32 bracket once ran in
+        # float32 and stopped at its floor, an np.float64 one in NumPy scalars
+        def f(x):
+            return (x - 0.3) ** 2
+
+        for lo, hi in ((0, 1), (0.1, 1.7)):
+            for stop in (StopRule(epsilon=1e-12), StopRule(budget=20)):
+                got = minimize(method, Objective(f), Interval(scalar(lo), scalar(hi)), stop)
+                want = minimize(method, Objective(f),
+                                Interval(float(scalar(lo)), float(scalar(hi))), stop)
+                assert repr((got, solvers._trace_record(got))) == \
+                       repr((want, solvers._trace_record(want)))
+
+    def test_float32_bracket_runs_past_float32s_floor(self):
+        # float32 arithmetic stopped this run after 39 evaluations
+        res = minimize(Method.GOLDEN, Objective(lambda x: (x - 0.3) ** 2),
+                       Interval(np.float32(0), np.float32(1)), StopRule(epsilon=1e-12))
+        assert res.n_evals == 60
+        assert type(res.x_min) is float
 
     def test_int_bracket_plans_fibonacci_as_a_float_one(self):
         # an exact int length once let the plan pass float64's Fibonacci numbers
@@ -152,6 +182,25 @@ class TestObjective:
         assert str(info.value) == ("probe x=inf overflowed float64: the bracket's endpoints "
                                    "are too large in magnitude for its probe arithmetic")
         assert obj.count == 0
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_is_outside_a_run(self, clone):
+        # a copy carries no log of its own: a direct call names no overflow
+        twin = clone(Objective(abs))
+        with pytest.raises(ValueError) as info:
+            twin.evaluate(math.nan)
+        assert str(info.value) == "x=nan is not a finite float"
+
+    def test_a_deep_copy_runs_on_its_own_count(self):
+        obj = Objective(abs)
+        obj.evaluate(0.5)
+        twin = copy.deepcopy(obj)
+        iv, stop = Interval(-1.0, 2.0), StopRule(budget=20)
+        res = minimize(Method.GOLDEN, twin, iv, stop)
+        assert (obj.count, twin.count) == (1, 1 + res.n_evals)
+        assert res.trace == minimize(Method.GOLDEN, Objective(abs), iv, stop).trace
+        assert "_log" not in vars(twin)     # the run left no log behind
 
     def test_direct_calls_keep_no_pairs(self):
         obj = Objective(lambda x: x * x)

@@ -1,4 +1,4 @@
-"""Grid oracle: brute-force minima and unimodality certification."""
+"""Grid oracle: brute-force minima, watched through a recording objective."""
 import inspect
 import math
 import tracemalloc
@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from unisearch.bench import VERIFY_INSET, all_cases, find_case
 from unisearch.core import Interval, NonFiniteValue
-from unisearch.oracle import _BLOCK, _blocks, brute_force_minimum, is_unimodal
+from unisearch.oracle import _BLOCK, brute_force_minimum
 
 
 # scalar-only test functions: each refuses an array
@@ -46,17 +46,40 @@ def _verify_bracket(case):
     return _inset(case.interval, case.interval.length() * VERIFY_INSET)
 
 
+class _Recorder:
+    """``f`` as brute_force_minimum's objective.  ``blocks`` keeps every array
+    the scan asks for, on entry, so a block that ``f`` refuses, and the scan
+    then evaluates point by point, is kept too; ``values`` keeps what ``f``
+    returns for each array it takes."""
+
+    def __init__(self, f=lambda x: x):
+        self.f, self.blocks, self.values = f, [], []
+
+    def __call__(self, x):
+        if not isinstance(x, np.ndarray):
+            return self.f(x)
+        self.blocks.append(x.copy())
+        y = self.f(x)
+        self.values.append(np.array(y, dtype=float))
+        return y
+
+
+def _scanned_grid(iv, points):
+    """The grid brute_force_minimum scans on ``iv``, block by block."""
+    rec = _Recorder()
+    brute_force_minimum(rec, iv, points)
+    return rec.blocks
+
+
 class TestPoints:
     def test_defaults(self):
         assert inspect.signature(brute_force_minimum).parameters["points"].default == 1_000_001
-        assert inspect.signature(is_unimodal).parameters["points"].default == 10_001
 
-    @pytest.mark.parametrize("scan", [brute_force_minimum, is_unimodal])
     @pytest.mark.parametrize("bad", [2, 2.5, True, 1, 0, -5, 3.0])
-    def test_rejected_before_f_is_called(self, scan, bad):
+    def test_rejected_before_f_is_called(self, bad):
         calls = []
         with pytest.raises(ValueError) as info:
-            scan(calls.append, Interval(0.0, 1.0), points=bad)
+            brute_force_minimum(calls.append, Interval(0.0, 1.0), points=bad)
         assert str(info.value) == f"grid points must be an integer >= 3, got {bad!r}"
         assert calls == []
 
@@ -97,7 +120,7 @@ class TestBruteForceMinimum:
         # [0, 1] inset by 0.25 is [0.25, 0.75]: 3 points sample 0.25, 0.5, 0.75
         iv = _inset(Interval(0.0, 1.0), 0.25)
         assert (iv.lo, iv.hi) == (0.25, 0.75)
-        assert [x for b, _ in _blocks(lambda x: x, iv, 3) for x in b] == [0.25, 0.5, 0.75]
+        assert [x for b in _scanned_grid(iv, 3) for x in b] == [0.25, 0.5, 0.75]
         x, fx = brute_force_minimum(lambda x: x, iv, points=3)
         assert x == 0.25
         assert fx == 0.25
@@ -111,38 +134,6 @@ class TestBruteForceMinimum:
         x, _ = brute_force_minimum(lambda x: np.exp(-x) + 1 / (1 - x),
                                    Interval(-3.0, 0.0), points=10_001)
         assert x == 0.0
-
-
-class TestIsUnimodal:
-    def test_quadratic(self):
-        assert is_unimodal(lambda x: x * x, Interval(-1.0, 1.0))
-
-    def test_monotone_counts_as_unimodal(self):
-        assert is_unimodal(lambda x: x, Interval(0.0, 1.0))
-        assert is_unimodal(lambda x: -x, Interval(0.0, 1.0))
-
-    def test_oscillation_detected(self):
-        assert not is_unimodal(lambda x: np.sin(10 * x), Interval(0.0, 3.0))
-
-    def test_plateau_tolerated(self):
-        assert is_unimodal(_plateau, Interval(-1.0, 1.0), points=101)
-
-    def test_secondary_dip_detected(self):
-        # -(0.2x + sin 2x) on [0, 3] has a local max near 2.31 and falls
-        # again toward the right edge: decisively not unimodal
-        assert not is_unimodal(lambda x: -(0.2 * x + np.sin(2 * x)),
-                               Interval(0.0, 3.0))
-
-    def test_respects_grid_resolution(self):
-        # a dip narrower than the grid spacing is invisible at 11 points
-        iv = Interval(0.0, 1.0)
-        assert is_unimodal(_narrow_dip, iv, points=11)
-        assert not is_unimodal(_narrow_dip, iv, points=10_001)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_nonfinite_raises(self):
-        with pytest.raises(NonFiniteValue):
-            is_unimodal(lambda x: math.nan, Interval(0.0, 1.0), points=11)
 
 
 def _whole_grid(f, iv, points):
@@ -211,7 +202,7 @@ class TestBlockedScan:
     @example((Interval(-1e307, 1e307), 1.0, _BLOCK + 1))
     def test_blocks_are_linspace_bit_for_bit(self, iv_grid):
         iv, d, points = iv_grid
-        xs = np.concatenate([b for b, _ in _blocks(lambda x: x, _inset(iv, d), points)])
+        xs = np.concatenate(_scanned_grid(_inset(iv, d), points))
         assert np.array_equal(_bits(xs), _bits(np.linspace(iv.lo + d, iv.hi - d, points)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -222,7 +213,7 @@ class TestBlockedScan:
         # other branch, which must not raise or warn
         iv = Interval(lo, lo + n * _TINY)
         assert iv.length() / (points - 1) == 0.0
-        xs = np.concatenate([b for b, _ in _blocks(lambda x: x, iv, points)])
+        xs = np.concatenate(_scanned_grid(iv, points))
         assert np.array_equal(_bits(xs), _bits(np.linspace(iv.lo, iv.hi, points)))
 
     @pytest.mark.parametrize("points", GRID_SIZES)
@@ -239,11 +230,11 @@ class TestBlockedScan:
                         brute_force_minimum(case.fn, iv, points)
                     assert _bits(info.value.x) == _bits(xs[np.argmax(bad)])
                     continue
-                blocks = list(_blocks(case.fn, iv, points))
-                result = brute_force_minimum(case.fn, iv, points)
-            assert all(len(b) == _BLOCK for b, _ in blocks[:-1])
-            assert np.array_equal(_bits(np.concatenate([b for b, _ in blocks])), _bits(xs))
-            assert np.array_equal(_bits(np.concatenate([y for _, y in blocks])), _bits(ys))
+                rec = _Recorder(case.fn)
+                result = brute_force_minimum(rec, iv, points)
+            assert all(len(b) == _BLOCK for b in rec.blocks[:-1])
+            assert np.array_equal(_bits(np.concatenate(rec.blocks)), _bits(xs))
+            assert np.array_equal(_bits(np.concatenate(rec.values)), _bits(ys))
             k = int(np.argmin(ys))
             assert np.array_equal(_bits(result), _bits((xs[k], ys[k])))
 
@@ -287,40 +278,10 @@ class TestBlockedScan:
         points = _BLOCK + 1
         for iv in (Interval(0.0, 4.0), Interval(-1.0, 1.0), Interval(0.0, 1.0)):
             xs, ys = _whole_grid(f, iv, points)
-            assert [len(b) for b, _ in _blocks(f, iv, points)] == [_BLOCK, 1]
+            rec = _Recorder(f)
             k = int(np.argmin(ys))
-            assert brute_force_minimum(f, iv, points) == (xs[k], ys[k])
-            assert is_unimodal(f, iv, points) == _reference_unimodal(f, iv, points)
-
-    def test_is_unimodal_across_blocks(self):
-        n = 3 * _BLOCK + 5
-        iv, points = _integer_grid(n)
-        c = float(2 * _BLOCK + 7)
-        edge = float(_BLOCK)        # the first point of the second block
-        dip = float(3 * _BLOCK)     # the first point of the last block
-
-        cases = [
-            ((lambda x: (x - c) ** 2), True),
-            # one strict rise before the minimizer, across the first block boundary
-            ((lambda x: (x - c) ** 2 + np.where(x == edge, 4.0 * c, 0.0)), False),
-            # a rise at the last point of a block, a fall at the first of the next
-            ((lambda x: (x - c) ** 2 + np.where(x == edge - 1, 4.0 * c, 0.0)), False),
-            # one strict fall after the minimizer, across the last block boundary
-            ((lambda x: (x - c) ** 2 - np.where(x == dip, 4.0 * n, 0.0) + 4.0 * n), False),
-            # the minimizer either side of a block boundary
-            ((lambda x: (x - (edge - 1)) ** 2), True),
-            ((lambda x: (x - edge) ** 2), True),
-            # a plateau across a block boundary: before the minimizer, at it,
-            # and after it with a fall later
-            ((lambda x: np.where(abs(x - edge) <= 3, (edge - 3 - c) ** 2, (x - c) ** 2)),
-             True),
-            ((lambda x: np.maximum(abs(x - edge) - 3, 0.0)), True),
-            ((lambda x: np.where(x < dip, np.minimum(abs(x - 5.0), abs(edge - 5.0)),
-                                 0.0)), False),
-            ((lambda x: np.sin(x / 1000.0)), False),
-        ]
-        for f, verdict in cases:
-            assert is_unimodal(f, iv, points) == _reference_unimodal(f, iv, points) == verdict
+            assert brute_force_minimum(rec, iv, points) == (xs[k], ys[k])
+            assert [len(b) for b in rec.blocks] == [_BLOCK, 1]
 
     def test_t1_14_oracle_answer(self):
         # the default 10^6-point grid at verify's inset, as at the rewrite of
@@ -339,18 +300,3 @@ class TestBlockedScan:
             tracemalloc.stop()
         # one block of temporaries, not the 8 MB float64 grid
         assert peak < 1e6
-
-    def test_peak_memory_of_a_full_unimodality_scan(self):
-        case = find_case("t1_04")
-        iv = _verify_bracket(case)
-        peaks = []
-        for scan in (brute_force_minimum, is_unimodal):
-            tracemalloc.start()
-            try:
-                scan(case.fn, iv, 1_000_001)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # one block, as the minimum scan: not the grid, not every sample
-        assert peaks[1] < 1e6
-        assert peaks[1] < peaks[0] + _BLOCK * 8

@@ -40,31 +40,33 @@ dumps one record per line:
   10**400)`` under budget 5, and Fibonacci on ``Interval(0, 1)`` under ε
   1e-320; an error raised while building the ``Interval`` is part of the
   record;
+* ``minimize`` on the brackets of t1_02 and t2_01 given as np.float64 and
+  as np.float32 endpoints: every method under ε 1e-6 and budget 20;
 * ``minimize`` on t1_02 and t2_01, every method under ε 1e-6 and budgets
   20 and 21, with NaN returned at call k for every k from 1 to the clean
   run's ``n_evals``: the ``NonFiniteValue`` failure path;
 * ``minimize`` on t1_02 and t2_01 with one Objective across runs: every
   method under budget 20 and then ε 1e-6, and, under each of the two, a run
   with NaN returned at call 1 or 5 followed by the same clean run;
-* ``brute_force_minimum`` and ``is_unimodal`` on the 23 registry cases at
-  3, 8191, 8192, 8193, 16385, 10,001 and 1,000,001 grid points, each with
-  inset 0 and ``VERIFY_INSET`` (1e-9) times the bracket length, verify's
-  grid among them, and every one of those grids itself;
-* the same scans of ``|x|``, and the grids, on a bracket 1,000 subnormals
+* ``brute_force_minimum`` on the 23 registry cases at 3, 8191, 8192,
+  8193, 16385, 10,001 and 1,000,001 grid points, each with inset 0 and
+  ``VERIFY_INSET`` (1e-9) times the bracket length, verify's grid among
+  them, and every one of those grids itself;
+* the same scan of ``|x|``, and the grids, on a bracket 1,000 subnormals
   wide, where ``np.linspace``'s step underflows to 0 at every grid size but
   3, with inset 0 and one subnormal.
 
 An inset grid is passed as the bracket ``Interval(lo + inset, hi - inset)``
 and ``points``.
 
-A run is written with floats (and the int endpoints of an int bracket) as
-``float.hex``: ``x_min``, ``f_min``,
+A run is written with Python floats as ``float.hex`` and any other value, a
+NumPy scalar among them, as its ``repr``: ``x_min``, ``f_min``,
 ``n_evals``, ``n_iters``, the final interval and every trace event.  A failed
 run is written as the exception type, message and ``partial_trace``.
 ``Objective.count`` is written for both.  Runs on one Objective are written
 together, each with the count after it, once the last of them is done.  An
-oracle scan is written as the minimizer and its value as ``float.hex``, or
-the verdict; a failed one as the exception type, message and ``x``.  A grid
+oracle scan is written as the minimizer and its value as ``float.hex``; a
+failed one as the exception type, message and ``x``.  A grid
 is written as the SHA-256 of its float64 bytes, in scan order.  The tool
 prints the first differing records, then how many records of each kind
 differ (a kind is a record key's first element, and the subcommand for
@@ -107,14 +109,15 @@ FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
 FIB_BUDGETS = (1400, 1401, 5000)
 NAN_CASES = ("t1_02", "t2_01")
+NUMPY_CASES = NAN_CASES     # whose brackets are also run as NumPy scalars
 INT_HIS = {"1": 1, "10**400": 10 ** 400}    # hi of the int brackets [0, hi]
 REUSE_NAN_AT = (1, 5)    # the NaN call of a run followed by a clean one
 SHOWN = 5                # differing records printed
 
 
 def _h(value):
-    # an int endpoint of an int bracket is written as the float it equals
-    return float(value).hex() if isinstance(value, float) or type(value) is int else repr(value)
+    # a NumPy scalar prints as its repr, so a change of type shows
+    return value.hex() if type(value) is float else repr(value)
 
 
 def _events(trace):
@@ -157,13 +160,13 @@ def _nan_at(f, k):
     return fn
 
 
-def _oracle(scan, f, grid):
+def _oracle(brute_force_minimum, f, grid):
     try:
         with np.errstate(all="ignore"):     # the poles at inset 0 warn
-            res = scan(f, *grid)
+            res = brute_force_minimum(f, *grid)
     except Exception as e:     # a failure is part of the record
         return ["error", type(e).__name__, str(e), _h(getattr(e, "x", None))]
-    return [_h(v) for v in res] if isinstance(res, tuple) else res
+    return [_h(v) for v in res]
 
 
 def _grid(brute_force_minimum, grid):
@@ -254,7 +257,7 @@ def dump() -> None:
     from unisearch import cli
     from unisearch.bench import VERIFY_INSET, all_cases
     from unisearch.core import Interval, Objective, StopRule
-    from unisearch.oracle import brute_force_minimum, is_unimodal
+    from unisearch.oracle import brute_force_minimum
     from unisearch.solvers import Method, minimize
 
     out = sys.stdout
@@ -290,9 +293,8 @@ def dump() -> None:
             for inset in insets:
                 grid = (Interval(iv.lo + inset, iv.hi - inset), points)
                 write(["grid", name, points, _h(inset)], _grid(brute_force_minimum, grid))
-                for scan in (brute_force_minimum, is_unimodal):
-                    write(["oracle", scan.__name__, name, points, _h(inset)],
-                          _oracle(scan, fn, grid))
+                write(["oracle", "brute_force_minimum", name, points, _h(inset)],
+                      _oracle(brute_force_minimum, fn, grid))
 
     floor_stops = ([StopRule(epsilon=e) for e in FLOOR_EPSILONS]
                    + [StopRule(budget=n) for n in FLOOR_BUDGETS])
@@ -327,6 +329,14 @@ def dump() -> None:
         write(["int", method.value, hi, repr(stop)], int_bracket(method, hi, stop))
 
     by_id = {case.id: case for case in cases}
+    for case in map(by_id.get, NUMPY_CASES):
+        for scalar in (np.float64, np.float32):
+            iv = Interval(scalar(case.interval.lo), scalar(case.interval.hi))
+            for method in Method:
+                for stop in (StopRule(epsilon=1e-6), StopRule(budget=20)):
+                    write(["numpy", case.id, scalar.__name__, method.value, repr(stop)],
+                          _solve(minimize, method, Objective(case.fn), iv, stop))
+
     for case in map(by_id.get, NAN_CASES):
         for method in Method:
             for stop in (StopRule(epsilon=1e-6), StopRule(budget=20), StopRule(budget=21)):
