@@ -1,5 +1,6 @@
 """Grid oracle: brute-force minima, watched through a recording objective."""
 import inspect
+import itertools
 import math
 import tracemalloc
 
@@ -195,6 +196,25 @@ def _grids(draw):
     return iv, d, points
 
 
+_NONFINITE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+
+
+def _failing_scans():
+    """Integer grids (point count, {x: non-finite value}, whether ``f`` refuses
+    an array) whose scan must stop at the least such x.  Around them ``f`` is
+    (x - 3)**2, so a +inf lies behind a finite block minimum."""
+    places = {"block 0 first": (4 * _BLOCK, 0), "block 0 last": (4 * _BLOCK, _BLOCK - 1),
+              "block 2": (4 * _BLOCK, 2 * _BLOCK + 7),
+              "one-point last block": (2 * _BLOCK + 1, 2 * _BLOCK)}
+    for (name, value), (place, (points, at)) in itertools.product(_NONFINITE.items(),
+                                                                  places.items()):
+        yield pytest.param(points, {float(at): value}, False, id=f"{name} at {place}")
+    for first, second in (("+inf", "nan"), ("nan", "-inf"), ("-inf", "+inf")):
+        bad = {float(_BLOCK + 5): _NONFINITE[first], float(_BLOCK + 9): _NONFINITE[second]}
+        yield pytest.param(4 * _BLOCK, bad, False, id=f"{first} before {second}")
+    yield pytest.param(3 * _BLOCK, {float(_BLOCK + 3): math.inf}, True, id="scalar-only +inf")
+
+
 class TestBlockedScan:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(_grids())
@@ -263,6 +283,29 @@ class TestBlockedScan:
         assert info.value.x == nan_at
         assert str(info.value) == f"objective returned nan at grid point x={nan_at!r}"
         assert max(seen) < 3 * _BLOCK       # the fourth block is never evaluated
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("points, bad, scalar_only", _failing_scans())
+    def test_scan_stops_at_the_first_nonfinite_point(self, points, bad, scalar_only):
+        iv, points = _integer_grid(points)
+
+        def f(x):
+            if not isinstance(x, np.ndarray):
+                return bad.get(x, (x - 3.0) ** 2)
+            if scalar_only:
+                raise TypeError("scalar only")
+            y = (x - 3.0) ** 2      # block 0's finite minimum is x = 3
+            for at, value in bad.items():
+                y[x == at] = value
+            return y
+
+        rec = _Recorder(f)
+        with pytest.raises(NonFiniteValue) as info:
+            brute_force_minimum(rec, iv, points)
+        at = min(bad)
+        assert type(info.value.x) is float and info.value.x == at
+        assert str(info.value) == f"objective returned {bad[at]!r} at grid point x={at!r}"
+        assert len(rec.blocks) == int(at) // _BLOCK + 1     # no later block evaluated
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_message_prints_python_floats(self):

@@ -54,7 +54,14 @@ dumps one record per line:
   them, and every one of those grids itself;
 * the same scan of ``|x|``, and the grids, on a bracket 1,000 subnormals
   wide, where ``np.linspace``'s step underflows to 0 at every grid size but
-  3, with inset 0 and one subnormal.
+  3, with inset 0 and one subnormal;
+* ``brute_force_minimum``'s failure path on the integer grids 0, 1, ...,
+  n - 1 of 8,193 and 1,000,001 points: (x - 3)**2 with one NaN, +inf or
+  -inf at the first and the last point of block 0, at a point of block 2
+  and at the grid's last point (at 8,193 points a one-point last block);
+  with two in block 0, +inf before NaN, NaN before -inf and -inf before
+  +inf; and, from a function that refuses an array, one +inf at the first
+  point of block 1.
 
 An inset grid is passed as the bracket ``Interval(lo + inset, hi - inset)``
 and ``points``.
@@ -108,6 +115,8 @@ SUBNORMAL_BRACKET = (-3 * TINY, 997 * TINY)
 FLOOR_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300)
 FLOOR_BUDGETS = (2, 10, 30, 60, 100, 200, 400, 1400)
 FIB_BUDGETS = (1400, 1401, 5000)
+NONFINITE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+NONFINITE_POINTS = (8193, 1_000_001)
 NAN_CASES = ("t1_02", "t2_01")
 NUMPY_CASES = NAN_CASES     # whose brackets are also run as NumPy scalars
 INT_HIS = {"1": 1, "10**400": 10 ** 400}    # hi of the int brackets [0, hi]
@@ -179,6 +188,37 @@ def _grid(brute_force_minimum, grid):
 
     brute_force_minimum(identity, *grid)
     return digest.hexdigest()
+
+
+def _nonfinite_at(bad, scalar_only=False):
+    """(x - 3)**2, except the value ``bad[x]`` at each x in ``bad``; with
+    ``scalar_only`` it refuses an array, so the oracle calls it per point."""
+    def fn(x):
+        if not isinstance(x, np.ndarray):
+            return bad.get(float(x), (x - 3.0) ** 2)
+        if scalar_only:
+            raise TypeError("scalar only")
+        y = (x - 3.0) ** 2
+        for at, value in bad.items():
+            y[x == at] = value
+        return y
+
+    return fn
+
+
+def _nonfinite_scans(points):
+    """(label, objective) of each failure-path scan of the integer grid of
+    ``points`` points."""
+    places = {"block 0 first": 0, "block 0 last": 8191, "block 2": 2 * 8192 + 7,
+              "last point": points - 1}
+    for name, value in NONFINITE.items():
+        for place, at in places.items():
+            if at < points:
+                yield f"{name} at {place}", _nonfinite_at({float(at): value})
+    for first, second in (("+inf", "nan"), ("nan", "-inf"), ("-inf", "+inf")):
+        yield (f"{first} before {second}",
+               _nonfinite_at({5.0: NONFINITE[first], 9.0: NONFINITE[second]}))
+    yield "scalar-only +inf", _nonfinite_at({8192.0: math.inf}, scalar_only=True)
 
 
 def _cli_commands(cases, methods):
@@ -295,6 +335,12 @@ def dump() -> None:
                 write(["grid", name, points, _h(inset)], _grid(brute_force_minimum, grid))
                 write(["oracle", "brute_force_minimum", name, points, _h(inset)],
                       _oracle(brute_force_minimum, fn, grid))
+
+    for points in NONFINITE_POINTS:
+        grid = (Interval(0.0, float(points - 1)), points)
+        for label, fn in _nonfinite_scans(points):
+            write(["oracle", "nonfinite", points, label],
+                  _oracle(brute_force_minimum, fn, grid))
 
     floor_stops = ([StopRule(epsilon=e) for e in FLOOR_EPSILONS]
                    + [StopRule(budget=n) for n in FLOOR_BUDGETS])
