@@ -17,12 +17,7 @@ from .solvers import (
     Method,
     minimize,
 )
-from .bounds import (
-    DomainError,
-    IterationBound,
-    accuracy_bound,
-    iteration_bound,
-)
+from .bounds import IterationBound, accuracy_bound, iteration_bound
 from .oracle import brute_force_minimum
 from .bench import (
     BenchmarkCase,
@@ -41,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkCase",
-    "DomainError",
     "Interval",
     "IterationBound",
     "Method",

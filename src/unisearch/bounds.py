@@ -6,7 +6,10 @@ formula charges it 4 evaluations an iteration.  From those ratios follow a
 minimum iteration count to reach a target half-width (:func:`iteration_bound`,
 an :class:`IterationBound` of the classical and the exact count) and a
 guaranteed accuracy after a fixed number of evaluations (:func:`accuracy_bound`,
-a plain float, with the paper's charges).
+a plain float, with the paper's charges).  Both check their numbers as
+:class:`~unisearch.core.StopRule` does and compute with the Python float or
+int each equals, so a NumPy length or count gives the bound of the same
+Python value; a number outside a formula's domain raises ``ValueError``.
 
 Trichotomy itself spends at most 4 evaluations in its first iteration and
 at most 3 in each later one, so after N evaluations it attains the tighter
@@ -19,10 +22,6 @@ from dataclasses import dataclass
 
 from .core import _check_count, _check_positive
 from .solvers import Method
-
-
-class DomainError(ValueError):
-    """Inputs outside the domain of a bound formula."""
 
 
 # each method's shrink base per iteration and the evaluations the paper
@@ -57,18 +56,16 @@ def iteration_bound(method: Method | str, length: float, epsilon: float) -> Iter
 
     Requires 1 < length/(2*epsilon) < inf; smaller ratios are outside the
     formula's domain, and a ratio that overflows float64 cannot be computed:
-    both raise :class:`DomainError`.
+    both raise ``ValueError``.
     """
     base, _ = _shrink(method)
-    _check_positive(length, "length", DomainError)
-    _check_positive(epsilon, "epsilon", DomainError)
+    length, epsilon = _check_positive(length, "length"), _check_positive(epsilon, "epsilon")
     ratio = length / (2 * epsilon)
     if ratio <= 1:
-        raise DomainError(
-            f"length/(2*epsilon) must exceed 1, got {ratio!r}: the start bracket already satisfies the target"
-        )
+        raise ValueError(f"length/(2*epsilon) must exceed 1, got {ratio!r}: "
+                         "the start bracket already satisfies the target")
     if ratio == math.inf:
-        raise DomainError(f"length/(2*epsilon) overflows float64 for length={length!r}, epsilon={epsilon!r}")
+        raise ValueError(f"length/(2*epsilon) overflows float64 for length={length!r}, epsilon={epsilon!r}")
     k = math.ceil(math.log(ratio) / math.log(base))
     # the float log can land just off an integer; an int power compares
     # exactly with the ratio, so move k to the least one with base**k >= ratio
@@ -85,17 +82,16 @@ def accuracy_bound(method: Method | str, length: float, n_evals: int) -> float:
     Exponents are real-valued (no flooring).  For any n > 1 the halving bound
     is strictly smaller; the two coincide at n = 1.  A bound below the
     smallest float64, which would round to 0.0 and so claim an exact answer,
-    raises :class:`DomainError`; so does a denominator that overflows.
+    raises ``ValueError``; so does a denominator that overflows.
     """
     base, charge = _shrink(method)
-    _check_positive(length, "length", DomainError)
-    _check_count(n_evals, 1, "n_evals", DomainError)
+    length, n_evals = _check_positive(length, "length"), _check_count(n_evals, 1, "n_evals")
     exponent = (n_evals - 1) / charge
     try:
         bound = length / (2 * base**exponent)
     except OverflowError:   # base**exponent beyond float64
         bound = 0.0
     if not bound > 0.0:
-        raise DomainError(f"the bound length/(2*{base:g}**{exponent!r}) underflows float64 "
-                          f"to 0 for length={length!r}, n_evals={n_evals}")
+        raise ValueError(f"the bound length/(2*{base:g}**{exponent!r}) underflows float64 "
+                         f"to 0 for length={length!r}, n_evals={n_evals}")
     return bound

@@ -13,15 +13,15 @@ its own.
 Argparse checks an argument's form: a choice, and a number that ``float`` or
 ``int`` can parse; a malformed one ends in its usage message.  A number's
 value is checked once, by the library call it reaches (:class:`StopRule`
-for ``run``, ``iteration_bound`` and ``accuracy_bound`` for ``bounds``).
-Every other error is mapped to an exit code in one place, :func:`main`: a
-non-finite objective value is a failed run (3, ``run failed: ...``); an
-unknown case id, a value the library rejects (``ValueError``, including
-``DomainError``: a ``--tol`` that is not finite and positive, a ``run``
-budget below 2, a ``--tol`` whose Fibonacci plan would pass float64's
-Fibonacci numbers and one whose dichotomous offset underflows), ``run
---trace --format csv`` (a csv row has no trace) or an ``--out`` path that
-cannot be written is a usage error (2, ``error: ...``).
+for ``run``, ``iteration_bound`` and ``accuracy_bound`` for ``bounds``),
+which computes with the Python float or int parsed, unchanged.  Every other
+error is mapped to an exit code in one place, :func:`main`: a non-finite
+objective value is a failed run (3, ``run failed: ...``); an unknown case
+id, a value the library rejects (``ValueError``: a ``--tol`` that is not
+finite and positive, a ``run`` budget below 2, a ``--tol`` whose Fibonacci
+plan would pass float64's Fibonacci numbers and one whose dichotomous offset
+underflows), ``run --trace --format csv`` (a csv row has no trace) or an
+``--out`` path that cannot be written is a usage error (2, ``error: ...``).
 
 A ``run`` command in the order of its usage line skips argparse: exactly
 ``run METHOD CASE``, then ``--tol V`` or ``--budget N``, then an optional

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable
 
 
@@ -42,17 +43,28 @@ class NonFiniteValue(ValueError):
         self.partial_trace: tuple[TraceEvent, ...] = ()
 
 
-def _check_count(value, minimum: int, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is an int, not a bool, and >= ``minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+def _check_count(value, minimum: int, what: str) -> int:
+    """``value`` as the Python int it equals.  ``ValueError`` unless it is an
+    integer (a NumPy one too) but not a bool (a NumPy bool is no
+    ``Integral``), and at least ``minimum``."""
+    # int first: it spares a Python int the ABC check, which costs about 0.35 µs
+    if not isinstance(value, (int, Integral)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
-def _check_positive(value: float, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is finite and > 0 (NaN fails too), and
-    not a bool."""
-    if isinstance(value, bool) or not 0 < value < math.inf:
-        raise error(f"{what} must be positive and finite, got {value!r}")
+def _check_positive(value, what: str) -> float:
+    """``value`` as the Python float it equals, as :class:`Interval` stores an
+    endpoint.  ``ValueError`` unless it is a real number (a NumPy one too) but
+    not a bool, and that float is positive and finite: NaN, 0 or less, a value
+    that rounds to 0.0 and one above the largest float64 all fail."""
+    try:    # float first, as int in _check_count
+        if (isinstance(value, (float, Real)) and not isinstance(value, bool)
+                and 0.0 < float(value) < math.inf):
+            return float(value)
+    except OverflowError:   # an int beyond float64
+        pass
+    raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -111,8 +123,9 @@ class Objective:
     attaches a fresh log when its run starts, detaches it when the run ends,
     however it ends, and refuses with ``RuntimeError`` a run started while
     another is in progress.  Outside a run the log is the class's shared
-    sink, which keeps nothing, so direct calls keep no pairs, and a copy or
-    an unpickled Objective is outside a run as well.
+    sink, which keeps nothing, so direct calls keep no pairs.  A copy, deep or
+    shallow, and an unpickled Objective carry only ``fn`` and ``count``, so
+    they are outside any run, even when taken during one.
     """
 
     _log = _SINK    # a run sets its own log on the instance and deletes it at the end
@@ -120,6 +133,9 @@ class Objective:
     def __init__(self, fn: Callable[[float], float]):
         self.fn = fn
         self.count = 0
+
+    def __getstate__(self) -> dict:    # what copy and pickle keep: never a run's log
+        return {"fn": self.fn, "count": self.count}
 
     def evaluate(self, x: float) -> float:
         if x - x != 0.0:    # a non-finite x: in a run, the probe sum overflowed
@@ -154,6 +170,13 @@ class StopRule:
       bracket ends the run, as an event on the bracket it started from.
       That happens at the float64 floor, or near delta for dichotomous
       search.
+
+    ``epsilon`` is stored as the Python float it equals and ``budget`` as the
+    Python int, as :class:`Interval` stores its endpoints, so an ``np.float32``
+    epsilon or an ``np.int64`` budget runs exactly as the Python number of the
+    same value.  Anything else raises ``ValueError``: a bool, an epsilon that
+    is NaN, at most 0 or above the largest float64, and a budget that is not
+    an integer or is below 2.
     """
 
     epsilon: float | None = None
@@ -163,9 +186,9 @@ class StopRule:
         if (self.epsilon is None) == (self.budget is None):
             raise ValueError("provide exactly one of epsilon or budget")
         if self.epsilon is not None:
-            _check_positive(self.epsilon, "epsilon")
+            object.__setattr__(self, "epsilon", _check_positive(self.epsilon, "epsilon"))
         if self.budget is not None:
-            _check_count(self.budget, 2, "budget")
+            object.__setattr__(self, "budget", _check_count(self.budget, 2, "budget"))
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -57,7 +57,7 @@ def brute_force_minimum(
     either check is scanned with ``np.isfinite`` for its first non-finite
     point, which raises NonFiniteValue before any later block is evaluated.
     """
-    _check_count(points, 3, "grid points")
+    points = _check_count(points, 3, "grid points")
     div = points - 1
     delta = iv.hi - iv.lo
     step = delta / div

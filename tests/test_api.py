@@ -1,9 +1,9 @@
 """The public API: the names ``unisearch`` exports and nothing else."""
 import unisearch
+import unisearch.bounds
 
 PUBLIC = [
     "BenchmarkCase",
-    "DomainError",
     "Interval",
     "IterationBound",
     "Method",
@@ -31,7 +31,7 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert unisearch.__all__ == PUBLIC
-    assert len(PUBLIC) == 24
+    assert len(PUBLIC) == 23
 
 
 def test_every_name_resolves():
@@ -43,3 +43,9 @@ def test_star_import_binds_exactly_all():
     exec("from unisearch import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(PUBLIC)
+
+
+def test_bound_errors_are_plain_value_errors():
+    # DomainError, a ValueError subclass, is gone: `except ValueError` still catches
+    assert not hasattr(unisearch, "DomainError")
+    assert not hasattr(unisearch.bounds, "DomainError")

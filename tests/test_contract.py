@@ -15,6 +15,15 @@ item 9); brackets a few ulps wide at the float64 floor, where a run may
 probe an endpoint (item 3); and brackets near overflow, whose probe sums
 overflow float64 (item 4).
 
+Each drawn run is also replayed with exact rationals: every float64 is one
+(Goldberg 1991), so ``fractions`` computes the objective exactly at the
+probes the run paid.  At the first event whose bracket no longer holds the
+minimizer c, the loss must be explained by the float64 floor: either two
+probes strictly inside the bracket that event started from have values whose
+float order differs from their exact order, a float tie of unequal values or
+the reverse included (the value floor), or two probes coincide or a new probe
+lies on an endpoint (the x floor).  Any other loss is a logic defect.
+
 Two exact relations hold for all five methods, dichotomous search included:
 multiplying by a power of two is exact in float64 away from overflow and
 subnormals, so a run of u -> f(2^k*u) on [a/2^k, b/2^k] with epsilon/2^k
@@ -22,6 +31,8 @@ pays f's run on [a, b] probe for probe, divided by 2^k, and a run of 2^j*f
 pays the same probes with every value times 2^j.
 """
 import math
+from fractions import Fraction
+from itertools import combinations, pairwise
 
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +83,33 @@ def attained(method: Method, length: float, stop: StopRule) -> float:
     }[method]
 
 
+def _sign(d) -> int:
+    return (d > 0) - (d < 0)
+
+
+def lost_minimizer(log, marks, c, length, p, k):
+    """Why the run recorded in ``log`` and ``marks`` first lost c, replayed
+    with the exact values |(x - c)/length|^p + k: None when every bracket
+    holds c; "order" when two probes strictly inside the bracket the losing
+    event started from are ordered by their float values unlike their exact
+    ones, ties included; "x floor" when two probes in that bracket coincide
+    or one the event paid lies on its endpoint; "unexplained" otherwise."""
+    c_exact, length_exact, k_exact = Fraction(c), Fraction(length), Fraction(k)
+    for (lo0, hi0, start), (lo, hi, end) in pairwise(marks):
+        if lo <= c <= hi:
+            continue
+        inside = [(y, abs((Fraction(x) - c_exact) / length_exact) ** p + k_exact)
+                  for x, y in log[:end] if lo0 < x < hi0]
+        if any(_sign(y1 - y2) != _sign(e1 - e2)
+               for (y1, e1), (y2, e2) in combinations(inside, 2)):
+            return "order"
+        xs = [x for x, _ in log[:end] if lo0 <= x <= hi0]
+        if len(set(xs)) < len(xs) or any(x in (lo0, hi0) for x, _ in log[start:end]):
+            return "x floor"
+        return "unexplained"
+    return None
+
+
 @given(runs())
 @settings(derandomize=True, deadline=None, max_examples=1000)
 def test_run_contract(run):
@@ -83,6 +121,7 @@ def test_run_contract(run):
 
     obj = Objective(f)
     res = minimize(method, obj, iv, stop)
+    log, marks = _trace_record(res)     # the record, before the trace replaces it
     trace = res.trace
     check_trace(iv, trace)
     assert all(ev.evals_this_iter == len(ev.probes) for ev in trace)
@@ -106,6 +145,7 @@ def test_run_contract(run):
     noise = 4 * length * (_U * abs(k)) ** (1 / p)
     slack = 4 * math.ulp(max(abs(iv.lo), abs(iv.hi)))
     assert abs(res.x_min - c) <= attained(method, length, stop) + noise + slack
+    assert lost_minimizer(log, marks, c, length, p, k) in (None, "order", "x floor")
 
 
 @st.composite

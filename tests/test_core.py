@@ -6,12 +6,13 @@ import math
 import pickle
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from unisearch import solvers
+from unisearch import core, solvers
 from unisearch.core import (
     Interval,
     NonFiniteValue,
@@ -21,6 +22,23 @@ from unisearch.core import (
     TraceEvent,
 )
 from unisearch.solvers import Method, minimize
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+class _CopyingOnFirstCall:
+    """(x - 0.3)**2 that takes one ``clone`` of its Objective ``obj`` on its
+    first call, so inside that Objective's run; picklable, as the Objective is."""
+
+    def __init__(self, clone):
+        self.clone, self.obj, self.copies = clone, None, []
+
+    def __call__(self, x):
+        if not self.copies:
+            self.copies.append(self.clone(self.obj))
+        return (x - 0.3) ** 2
 
 
 class TestInterval:
@@ -192,6 +210,28 @@ class TestObjective:
             twin.evaluate(math.nan)
         assert str(info.value) == "x=nan is not a finite float"
 
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_taken_in_a_run_is_outside_it(self, clone):
+        # the copy once carried the run's log: it stayed in a run for good,
+        # its direct calls joined the finished run's record (shared by a
+        # shallow copy) and a NaN was named a probe overflow
+        fn = _CopyingOnFirstCall(clone)
+        obj = fn.obj = Objective(fn)
+        iv, stop = Interval(0.0, 1.0), StopRule(budget=10)
+        res = minimize(Method.GOLDEN, obj, iv, stop)
+        log, _ = solvers._trace_record(res)
+        twin, = fn.copies
+        assert sorted(vars(twin)) == ["count", "fn"] and twin.count == 0
+        twin.evaluate(0.5)
+        assert len(log) == res.n_evals == 10
+        with pytest.raises(ValueError) as info:
+            twin.evaluate(math.nan)
+        assert str(info.value) == "x=nan is not a finite float"
+        again = minimize(Method.GOLDEN, twin, iv, stop)
+        assert again.trace == res.trace
+        assert twin.count == 11 and obj.count == 10
+
     def test_a_deep_copy_runs_on_its_own_count(self):
         obj = Objective(abs)
         obj.evaluate(0.5)
@@ -250,6 +290,64 @@ class TestStopRule:
             StopRule(budget=10.0)
         with pytest.raises(ValueError):
             StopRule(budget=True)
+
+    @pytest.mark.parametrize("scalar", [np.float32, np.float64], ids=lambda t: t.__name__)
+    def test_numpy_epsilon_is_its_python_float(self, scalar):
+        stop = StopRule(epsilon=scalar(1e-6))
+        assert type(stop.epsilon) is float and stop.epsilon == float(scalar(1e-6))
+        assert stop == StopRule(epsilon=float(scalar(1e-6)))
+
+    @pytest.mark.parametrize("scalar", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
+    def test_numpy_budget_is_its_python_int(self, scalar):
+        # a NumPy integer budget was once refused
+        stop = StopRule(budget=scalar(20))
+        assert type(stop.budget) is int and stop == StopRule(budget=20)
+
+    def test_refuses_bools_and_numbers_beyond_float64(self):
+        # an epsilon above the largest float64, or a NumPy bool, was once taken
+        # as given; each is refused, as a bool is, with the one message
+        for bad in (10**400, 2**1024 - 2**970, np.longdouble("1e400"), Fraction(10**400),
+                    np.True_, True, "1e-6", 1j):
+            with pytest.raises(ValueError, match="^epsilon must be positive and finite, got "):
+                StopRule(epsilon=bad)
+        # a positive number that rounds to 0.0 would be an epsilon of 0
+        with pytest.raises(ValueError):
+            StopRule(epsilon=Fraction(1, 10**400))
+        for bad in (np.True_, np.False_, True, np.float64(20.0), "20"):
+            with pytest.raises(ValueError, match="^budget must be an integer >= 2, got "):
+                StopRule(budget=bad)
+        # the largest float64 and the least subnormal are both epsilons
+        assert StopRule(epsilon=10**308).epsilon == 1e308
+        assert StopRule(epsilon=Fraction(5e-324)).epsilon == 5e-324
+
+    def test_check_helpers_raise_value_error_only(self):
+        # the one error of each, with no error-type option to swap it
+        assert list(inspect.signature(core._check_positive).parameters) == ["value", "what"]
+        assert list(inspect.signature(core._check_count).parameters) == \
+               ["value", "minimum", "what"]
+
+    def test_numpy_epsilon_runs_as_its_python_float(self):
+        # probe for probe and type for type, for every method: a NumPy
+        # epsilon once ran dichotomous search in NumPy scalar arithmetic
+        def f(x):
+            return (x - 0.7123456789) ** 2
+
+        def run(method, iv, epsilon):
+            res = minimize(method, Objective(f), iv, StopRule(epsilon=epsilon))
+            return repr((res, solvers._trace_record(res)))
+
+        differ = [(method.value, iv, scalar.__name__, e) for method in Method
+                  for iv in (Interval(0.0, 1.0), Interval(-0.3, 2.9))
+                  for scalar in (np.float32, np.float64) for e in (1e-3, 1e-6, 1e-9, 1e-12)
+                  if run(method, iv, scalar(e)) != run(method, iv, float(scalar(e)))]
+        assert differ == []
+
+    def test_float32_epsilon_finds_the_minimizer(self):
+        # at float32's floor this run once answered 3.05e-8 after 61 evaluations
+        res = minimize(Method.DICHOTOMOUS, Objective(lambda x: (x - 0.7123456789) ** 2),
+                       Interval(0.0, 1.0), StopRule(epsilon=np.float32(1e-9)))
+        assert abs(res.x_min - 0.7123456789) <= 2e-10
+        assert type(res.x_min) is float
 
 
 class TestTraceEvent:

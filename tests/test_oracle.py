@@ -84,6 +84,18 @@ class TestPoints:
         assert str(info.value) == f"grid points must be an integer >= 3, got {bad!r}"
         assert calls == []
 
+    def test_numpy_integer_is_its_python_int(self):
+        # a NumPy integer count was once refused; a NumPy bool stays refused
+        def f(x):
+            return (x - 0.3) ** 2
+
+        iv = Interval(0.0, 1.0)
+        got = brute_force_minimum(f, iv, points=np.int64(10_001))
+        assert repr(got) == repr(brute_force_minimum(f, iv, points=10_001))
+        assert brute_force_minimum(f, iv, points=np.uint16(3)) == brute_force_minimum(f, iv, 3)
+        with pytest.raises(ValueError):
+            brute_force_minimum(f, iv, points=np.True_)
+
 
 class TestBruteForceMinimum:
     def test_square_hits_zero_exactly(self):

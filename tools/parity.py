@@ -42,6 +42,18 @@ dumps one record per line:
   record;
 * ``minimize`` on the brackets of t1_02 and t2_01 given as np.float64 and
   as np.float32 endpoints: every method under ε 1e-6 and budget 20;
+* the rule for NumPy numbers: every method on t1_02 and t2_01 under
+  ``StopRule(epsilon=np.float32(1e-6))``, ``StopRule(epsilon=np.float64(1e-6))``
+  and ``StopRule(budget=np.int64(20))``, an error raised while building the
+  ``StopRule`` being part of the record; ``brute_force_minimum`` on the 23
+  registry cases at ``points=np.int64(10_001)``; and, for halving and
+  trichotomy, ``iteration_bound`` at epsilon 1e-3 and ``accuracy_bound`` at
+  an np.int64 count of 10 and 2,000, each with np.float32 lengths 0.1, 2 and
+  1e-30;
+* a copy taken in a run: every method on t1_02 and t2_01 under budget 20,
+  whose function takes a ``copy.copy`` or a ``copy.deepcopy`` of its own
+  Objective on its first call, then the same run on the copy, then the copy
+  called directly on NaN (the outcome of that call and both counts);
 * ``minimize`` on t1_02 and t2_01, every method under ε 1e-6 and budgets
   20 and 21, with NaN returned at call k for every k from 1 to the clean
   run's ``n_evals``: the ``NonFiniteValue`` failure path;
@@ -84,6 +96,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import copy
 import hashlib
 import io
 import itertools
@@ -120,6 +133,10 @@ NONFINITE_POINTS = (8193, 1_000_001)
 NAN_CASES = ("t1_02", "t2_01")
 NUMPY_CASES = NAN_CASES     # whose brackets are also run as NumPy scalars
 INT_HIS = {"1": 1, "10**400": 10 ** 400}    # hi of the int brackets [0, hi]
+NUMPY_STOPS = {"np.float32(1e-6)": {"epsilon": np.float32(1e-6)},
+               "np.float64(1e-6)": {"epsilon": np.float64(1e-6)},
+               "np.int64(20)": {"budget": np.int64(20)}}
+NUMPY_LENGTHS = (0.1, 2.0, 1e-30)     # np.float32 lengths of the bound records
 REUSE_NAN_AT = (1, 5)    # the NaN call of a run followed by a clean one
 SHOWN = 5                # differing records printed
 
@@ -167,6 +184,37 @@ def _nan_at(f, k):
         return math.nan if calls[0] == k else f(x)
 
     return fn
+
+
+def _bound(bound, *args):
+    try:
+        return _h(bound(*args))
+    except Exception as e:     # a failure is part of the record
+        return ["error", type(e).__name__, str(e)]
+
+
+def _copy_in_run(minimize, Objective, method, case, stop, clone):
+    """A run whose function takes a ``clone`` of its Objective on its first
+    call, then a run on that copy, then a direct call of the copy on NaN:
+    both runs with the count after each, the call's outcome and both final
+    counts."""
+    copies = []
+
+    def fn(x):
+        if not copies:
+            copies.append(clone(obj))
+        return case.fn(x)
+
+    obj = Objective(fn)
+    first = _solve(minimize, method, obj, case.interval, stop)
+    twin = copies[0]
+    again = _solve(minimize, method, twin, case.interval, stop)
+    try:
+        twin.evaluate(math.nan)
+        call = "no error"
+    except Exception as e:     # a failure is part of the record
+        call = [type(e).__name__, str(e)]
+    return [first, again, call, obj.count, twin.count]
 
 
 def _oracle(brute_force_minimum, f, grid):
@@ -296,6 +344,7 @@ def dump() -> None:
     import unisearch
     from unisearch import cli
     from unisearch.bench import VERIFY_INSET, all_cases
+    from unisearch.bounds import accuracy_bound, iteration_bound
     from unisearch.core import Interval, Objective, StopRule
     from unisearch.oracle import brute_force_minimum
     from unisearch.solvers import Method, minimize
@@ -382,6 +431,37 @@ def dump() -> None:
                 for stop in (StopRule(epsilon=1e-6), StopRule(budget=20)):
                     write(["numpy", case.id, scalar.__name__, method.value, repr(stop)],
                           _solve(minimize, method, Objective(case.fn), iv, stop))
+
+    def numpy_stop(method, case, label):
+        try:
+            stop = StopRule(**NUMPY_STOPS[label])
+        except Exception as e:     # a failure is part of the record
+            return ["error", type(e).__name__, str(e)]
+        return _solve(minimize, method, Objective(case.fn), case.interval, stop)
+
+    for case in map(by_id.get, NUMPY_CASES):
+        for method in Method:
+            for label in NUMPY_STOPS:
+                write(["numpy stop", case.id, method.value, label],
+                      numpy_stop(method, case, label))
+    for case in cases:
+        write(["numpy oracle", case.id, "np.int64(10_001)"],
+              _oracle(brute_force_minimum, case.fn, (case.interval, np.int64(10_001))))
+    for method in (Method.HALVING, Method.TRICHOTOMY):
+        for length in NUMPY_LENGTHS:
+            write(["numpy bounds", "iteration_bound", method.value, f"np.float32({length})"],
+                  _bound(iteration_bound, method, np.float32(length), 1e-3))
+            for n in (10, 2000):
+                write(["numpy bounds", "accuracy_bound", method.value, f"np.float32({length})",
+                       f"np.int64({n})"],
+                      _bound(accuracy_bound, method, np.float32(length), np.int64(n)))
+
+    for case in map(by_id.get, NUMPY_CASES):
+        for method in Method:
+            for name, clone in (("copy", copy.copy), ("deepcopy", copy.deepcopy)):
+                write(["copy in run", case.id, method.value, name],
+                      _copy_in_run(minimize, Objective, method, case, StopRule(budget=20),
+                                   clone))
 
     for case in map(by_id.get, NAN_CASES):
         for method in Method:
