@@ -4,7 +4,7 @@ Everything here is plain float64: intervals, an instrumented objective
 wrapper, stop rules, and the run/trace records the solvers emit.  The
 objective wrapper is the one evaluation path of a run: it refuses an
 overflowed probe, counts the call, checks the value and appends the pair to
-the probe log of the run in progress, in one frame per evaluation.
+the probe log the run passes it, in one frame per evaluation.
 
 A run builds one :class:`TraceEvent`, its last, and reading its trace
 builds one more event and one :class:`Interval` per iteration, so the
@@ -70,19 +70,24 @@ def _check_positive(value, what: str) -> float:
 @dataclass(frozen=True, slots=True, init=False)
 class Interval:
     """A non-degenerate closed interval [lo, hi] with a finite length.  Each
-    endpoint is stored as a Python float: an int as the float64 it rounds to,
-    refused when float64 cannot hold it, and a NumPy scalar as its value, so
-    a float32 bracket runs in float64 arithmetic."""
+    endpoint is stored as the Python float it equals, by the rule of
+    :func:`_check_positive`: an int as the float64 it rounds to, refused when
+    float64 cannot hold it, and a NumPy scalar as its value, so a float32
+    bracket runs in float64 arithmetic.  A bool (NumPy's too), a string and
+    anything else that is not a real number raise ``ValueError``."""
 
     lo: float
     hi: float
 
     def __init__(self, lo: float, hi: float) -> None:
-        try:
-            # `* 1.0`, unlike float() alone, refuses a string
-            lo, hi = float(lo * 1.0), float(hi * 1.0)
-        except OverflowError:
-            raise ValueError(f"interval endpoints must fit in float64, got [{lo}, {hi}]") from None
+        if type(lo) is not float or type(hi) is not float:  # a Python float is its own value
+            # int first, as in _check_count; a NumPy bool is no Real
+            if not all(isinstance(v, (int, Real)) and type(v) is not bool for v in (lo, hi)):
+                raise ValueError(f"interval endpoints must be real numbers, got [{lo!r}, {hi!r}]")
+            try:
+                lo, hi = float(lo), float(hi)
+            except OverflowError:
+                raise ValueError(f"interval endpoints must fit in float64, got [{lo}, {hi}]") from None
         # a positive finite length implies lo < hi and finite endpoints, and
         # keeps probes at lo + t*(hi - lo) finite; NaN fails the comparison
         if not 0.0 < hi - lo < math.inf:
@@ -98,7 +103,7 @@ class Interval:
 
 _set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
 
-_SINK = deque((), 0)    # an Objective's log outside a run: appends keep nothing
+_SINK = deque((), 0)    # the log of a direct call: appends keep nothing
 
 
 class Objective:
@@ -116,37 +121,27 @@ class Objective:
     the message says so.  ``count`` increases by exactly one per performed
     evaluation and is never reset or decremented.  A non-finite result
     raises :class:`NonFiniteValue` (the invocation still counts: it
-    happened).  Every other ``(x, f(x))`` joins the probe log of the run in
-    progress.
-
-    An Objective is in one run at a time: :func:`~unisearch.solvers.minimize`
-    attaches a fresh log when its run starts, detaches it when the run ends,
-    however it ends, and refuses with ``RuntimeError`` a run started while
-    another is in progress.  Outside a run the log is the class's shared
-    sink, which keeps nothing, so direct calls keep no pairs.  A copy, deep or
-    shallow, and an unpickled Objective carry only ``fn`` and ``count``, so
-    they are outside any run, even when taken during one.
+    happened).  Every other ``(x, f(x))`` is appended to ``log``: a run
+    passes its own probe log, and a direct call, which passes none, writes to
+    a sink that keeps nothing.  So an Objective holds only ``fn`` and
+    ``count``, runs on it may nest, and a direct call never joins a run's
+    record.
     """
-
-    _log = _SINK    # a run sets its own log on the instance and deletes it at the end
 
     def __init__(self, fn: Callable[[float], float]):
         self.fn = fn
         self.count = 0
 
-    def __getstate__(self) -> dict:    # what copy and pickle keep: never a run's log
-        return {"fn": self.fn, "count": self.count}
-
-    def evaluate(self, x: float) -> float:
+    def evaluate(self, x: float, log=_SINK) -> float:
         if x - x != 0.0:    # a non-finite x: in a run, the probe sum overflowed
-            raise ValueError(f"x={x!r} is not a finite float" if self._log is _SINK else
+            raise ValueError(f"x={x!r} is not a finite float" if log is _SINK else
                              f"probe x={x!r} overflowed float64: the bracket's endpoints "
                              "are too large in magnitude for its probe arithmetic")
         y = float(self.fn(x))
         self.count += 1
         if y - y != 0.0:    # inf - inf and nan - nan are nan
             raise NonFiniteValue(f"objective returned {y!r} at x={x!r}", x=x)
-        self._log.append((x, y))
+        log.append((x, y))
         return y
 
 

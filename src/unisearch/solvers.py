@@ -60,16 +60,17 @@ A run records its evaluations once, in one probe log of ``(x, f(x))`` pairs,
 and in marks of ``(lo, hi, end)``: mark 0 is the input bracket with end 0,
 then one mark per event, the bracket the event left and the length of the
 log when it closed.  So event i runs from mark i-1 to mark i.  Every probe
-is one call of :meth:`~unisearch.core.Objective.evaluate`, one frame per
-evaluation, which appends the pair to the log the run attached to its
-Objective; :func:`minimize` detaches the log on every exit, so a finished
-run's record never changes afterwards.  ``n_evals``, ``n_iters``, the final bracket and
-the last trace event are derived from that record when the run ends, and so
-is a :class:`NonFiniteValue`'s partial trace.  The record itself, which
-holds no objective, is the result's pending trace: it builds the other
-events on the first read of ``RunResult.trace``.  ``run --trace`` renders
-the record itself while the trace is pending, so it builds no event beyond
-the last.
+is one call ``probe(x, log)`` of :meth:`~unisearch.core.Objective.evaluate`,
+one frame per evaluation, which appends the pair to the run's own log.  The
+Objective holds no log, so a run started inside another run's function
+keeps its own record, a direct call never joins one, and a finished run's
+record never changes afterwards.  ``n_evals``, ``n_iters``, the final
+bracket and the last trace event are derived from that record when the run
+ends, and so is a :class:`NonFiniteValue`'s partial trace.  The record
+itself, which holds no objective, is the result's pending trace: it builds
+the other events on the first read of ``RunResult.trace``.  ``run --trace``
+renders the record itself while the trace is pending, so it builds no event
+beyond the last.
 
 Every probe must be finite.  Halving, trichotomy, dichotomous search and
 the answer probe compute probes as sums of bracket points, such as
@@ -108,12 +109,12 @@ class Method(StrEnum):
 class _Run:
     """Per-run record: one probe log, the input bracket, one mark per event.
 
-    ``log`` holds ``(x, f(x))`` for each paid evaluation, in order: the run
-    attaches it to its Objective, whose ``evaluate`` appends each pair, and
-    :func:`minimize` detaches it when the run ends.  ``marks`` holds ``(lo,
-    hi, end)``: mark 0 is the input bracket ``iv`` with end 0, then one mark
-    per event, the bracket it left and ``len(log)`` when it closed, so event
-    i holds ``log[marks[i-1][2]:marks[i][2]]``.  The trace, the counts and
+    ``log`` holds ``(x, f(x))`` for each paid evaluation, in order: each
+    probe passes it to ``Objective.evaluate``, which appends the pair.
+    ``marks`` holds ``(lo, hi, end)``: mark 0 is the input bracket ``iv``
+    with end 0, then one mark per event, the bracket it left and
+    ``len(log)`` when it closed, so event i holds
+    ``log[marks[i-1][2]:marks[i][2]]``.  The trace, the counts and
     the final bracket are all derived from these two lists.  Once the run
     ends it is its result's pending trace: called on the first read of
     ``RunResult.trace``, it builds the events.
@@ -121,10 +122,8 @@ class _Run:
 
     __slots__ = ("log", "marks", "final")
 
-    def __init__(self, obj: Objective, iv: Interval):
-        if type(obj._log) is list:  # logs of two runs must not interleave
-            raise RuntimeError("the objective is already in a run")
-        self.log = obj._log = []   # (x, f(x)) pairs, appended by obj.evaluate
+    def __init__(self, iv: Interval):
+        self.log: list[tuple[float, float]] = []    # appended by Objective.evaluate
         self.marks: list[tuple[float, float, int]] = [(iv.lo, iv.hi, 0)]
 
     def answer(self, probe) -> tuple[float, float]:
@@ -132,7 +131,7 @@ class _Run:
         probe joins that event."""
         lo, hi, _ = self.marks[-1]
         xm = (lo + hi) / 2
-        fm = probe(xm)
+        fm = probe(xm, self.log)
         self.marks[-1] = (lo, hi, len(self.log))
         return xm, fm
 
@@ -206,20 +205,22 @@ def _halving(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float
     evaluations.
     """
 
+    log = r.log
+
     def step(a, b, state):
         x2, f2 = state
         x1 = (a + x2) / 2
-        f1 = probe(x1)
+        f1 = probe(x1, log)
         if f1 <= f2:
             return a, x2, (x1, f1)
         x3 = (x2 + b) / 2
-        f3 = probe(x3)
+        f3 = probe(x3, log)
         if f2 <= f3:
             return x1, x3, state
         return x2, b, (x3, f3)
 
     x2 = (iv.lo + iv.hi) / 2
-    return _drive(r, iv, step, (x2, probe(x2)), stop.epsilon, stop.budget)
+    return _drive(r, iv, step, (x2, probe(x2, log)), stop.epsilon, stop.budget)
 
 
 def _trichotomy(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
@@ -238,28 +239,30 @@ def _trichotomy(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, fl
     spent).
     """
 
+    log = r.log
+
     def step(a, b, state):
         x3, f3 = state
         x2 = (a + 2 * x3) / 3
-        f2 = probe(x2)
+        f2 = probe(x2, log)
         if f2 <= f3:
             x1 = (a + x2) / 2
-            f1 = probe(x1)
+            f1 = probe(x1, log)
             if f1 <= f2:
                 return a, x2, (x1, f1)        # keep [a, x2]
             return x1, x3, (x2, f2)           # keep [x1, x3]
         x4 = (b + 2 * x3) / 3
-        f4 = probe(x4)
+        f4 = probe(x4, log)
         if f4 <= f3:
             x5 = (2 * b + x3) / 3
-            f5 = probe(x5)
+            f5 = probe(x5, log)
             if f5 <= f4:
                 return x4, b, (x5, f5)        # keep [x4, b]
             return x3, x5, (x4, f4)           # keep [x3, x5]
         return x2, x4, state                  # keep [x2, x4], x3 stays
 
     x3 = (iv.lo + iv.hi) / 2
-    return _drive(r, iv, step, (x3, probe(x3)), stop.epsilon, stop.budget)
+    return _drive(r, iv, step, (x3, probe(x3, log)), stop.epsilon, stop.budget)
 
 
 def _dichotomous(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, float]:
@@ -286,11 +289,13 @@ def _dichotomous(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, f
                  else f"epsilon/2 at epsilon={epsilon!r}")
         raise ValueError(f"dichotomous delta = {cause} underflows to 0.0")
 
+    log = r.log
+
     def step(a, b, state):
         m = (a + b) / 2
         xl, xr = m - delta / 2, m + delta / 2
-        f_l = probe(xl)
-        f_r = probe(xr)
+        f_l = probe(xl, log)
+        f_r = probe(xr, log)
         if f_l <= f_r:
             return a, xr, (xl, f_l)
         return xl, b, (xr, f_r)
@@ -300,7 +305,7 @@ def _dichotomous(r: _Run, probe, iv: Interval, stop: StopRule) -> tuple[float, f
     budget = None if stop.budget is None else stop.budget - 1
     state = _drive(r, iv, step, None, stop.epsilon, budget)
     # the answer probe, or else the better probe of the last pair
-    return r.answer(probe) if budget is None or len(r.log) <= budget else state
+    return r.answer(probe) if budget is None or len(log) <= budget else state
 
 
 def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios,
@@ -322,16 +327,16 @@ def _two_probe(r: _Run, probe, iv: Interval, t_open: float, ratios,
     a, b = iv.lo, iv.hi
     log, marks = r.log, r.marks
     x = a + t_open * (b - a)
-    fx = probe(x)
+    fx = probe(x, log)
     low = False
     for t_low, t_high in ratios:
         if low:
             xl = a + t_low * (b - a)
-            f_l = probe(xl)
+            f_l = probe(xl, log)
             xh, f_h = x, fx
         else:
             xh = a + t_high * (b - a)
-            f_h = probe(xh)
+            f_h = probe(xh, log)
             xl, f_l = x, fx
         if f_l <= f_h:
             na, nb = a, xh
@@ -463,7 +468,7 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
         body = _METHODS[method]
     except (KeyError, TypeError):   # not a Method or its value: Method() says why
         body = _METHODS[Method(method)]
-    r = _Run(obj, iv)
+    r = _Run(iv)
     try:
         return r.result(*body(r, obj.evaluate, iv, stop))
     except NonFiniteValue as e:
@@ -472,5 +477,3 @@ def minimize(method: Method | str, obj: Objective, iv: Interval, stop: StopRule)
             r.marks.append((lo, hi, len(r.log)))
         e.partial_trace = tuple(_events(r.log, r.marks))
         raise
-    finally:                    # a finished run's record never changes again
-        del obj._log            # back to the class's sink

@@ -490,17 +490,25 @@ _LEAVES = _FLOATS | _FLOATS.map(np.float64)
 @st.composite
 def _run_results(draw):
     """RunResults whose bracket ends are mostly probe points of the run:
-    probes and brackets draw from one small pool, which often holds both 0.0
-    and -0.0 and the same value as float and np.float64.  As in every run
-    record, the events are numbered 1, 2, ... and each one's
-    ``evals_this_iter`` is its number of probes."""
+    probes, their values and brackets draw from one small pool, which often
+    holds both 0.0 and -0.0 and the same value as float and np.float64.  As
+    in every run record, the events are numbered 1, 2, ... and each one's
+    ``evals_this_iter`` is its number of probes.
+
+    A pair of pool values is drawn as one index into the pool's pairs, and
+    an event's probes as one list of such indices: Hypothesis spends its
+    time per draw, so a draw per value would cost most of the test."""
     pool = draw(st.lists(_LEAVES, min_size=1, max_size=8))
     pool += draw(st.sampled_from([[], [0.0, -0.0], [np.float64(-0.0), 0.0]]))
     pool += [np.float64(v) for v in draw(st.lists(st.sampled_from(pool), max_size=2))]
-    points = st.sampled_from(pool)
+    k = len(pool)
+    pairs = st.integers(0, k * k - 1)
+
+    def pair(i):
+        return pool[i // k], pool[i % k]
 
     def bracket():
-        lo, hi = sorted(draw(st.tuples(points, points)), key=float)
+        lo, hi = sorted(pair(draw(pairs)), key=float)
         if not 0.0 < float(hi) - float(lo) < math.inf:
             # equal ends, or a length that overflows: a one-ulp bracket at lo
             hi = math.nextafter(float(lo), math.inf)
@@ -509,11 +517,11 @@ def _run_results(draw):
         return Interval(lo, hi)
 
     def event(iteration):
-        probes = draw(st.lists(st.tuples(points, _LEAVES), min_size=1, max_size=8))
-        return TraceEvent(iteration, bracket(), len(probes), tuple(probes))
+        probes = tuple(map(pair, draw(st.lists(pairs, min_size=1, max_size=8))))
+        return TraceEvent(iteration, bracket(), len(probes), probes)
 
     trace = tuple(event(i) for i in range(1, draw(st.integers(1, 40)) + 1))
-    return RunResult(draw(points), draw(_LEAVES), draw(st.integers(0, 10**6)),
+    return RunResult(draw(st.sampled_from(pool)), draw(_LEAVES), draw(st.integers(0, 10**6)),
                      draw(st.integers(0, 10**6)), bracket(), trace)
 
 

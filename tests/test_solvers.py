@@ -933,9 +933,9 @@ class TestCallerWall:
 
 
 class TestRunIsolation:
-    """One Objective across runs: each run has its own probe log, attached
-    while it runs and detached on every exit, so counts add up and a finished
-    run's record never changes, whatever the Objective does afterwards."""
+    """One Objective across runs: each run passes its own probe log to every
+    evaluation, so counts add up, runs may nest, and a finished run's record
+    never changes, whatever the Objective does afterwards."""
 
     @staticmethod
     def switchable():
@@ -974,22 +974,41 @@ class TestRunIsolation:
             minimize(method, obj, iv, stops[0])
         assert records == want
         assert [res.trace for res in results] == [res.trace for res in fresh]
-        mode[0] = "ok"                      # the failed runs left no log attached
+        mode[0] = "ok"                      # the failed runs left nothing behind
         again = minimize(method, obj, iv, stops[0])
         assert again.trace == fresh[0].trace
 
     @pytest.mark.parametrize("method", list(Method))
-    def test_reentering_with_the_same_objective_is_refused(self, method):
+    def test_a_run_inside_its_objectives_function_keeps_its_own_record(self, method):
+        # the Objective holds no log: the outer run and the nested one, which
+        # starts on the outer run's first call, each record their own probes
         iv, stop = Interval(0.0, 1.0), StopRule(budget=20)
+        f, inner = quadratic(0.3), []
 
         def fn(x):
-            minimize(method, obj, iv, stop)
-            return x * x
+            if not inner:
+                inner.append(None)          # set first: the nested run does not nest again
+                inner[0] = minimize(method, obj, iv, stop)
+            return f(x)
 
         obj = Objective(fn)
-        with pytest.raises(RuntimeError, match="already in a run"):
-            minimize(method, obj, iv, stop)
-        assert obj.count == 0               # the refusal raised from the first call
-        obj.fn = quadratic(0.3)             # the outer run detached its log
-        res = minimize(method, obj, iv, stop)
-        assert res.trace == minimize(method, Objective(quadratic(0.3)), iv, stop).trace
+        outer = minimize(method, obj, iv, stop)
+        fresh = minimize(method, Objective(f), iv, stop)
+        assert outer.trace == fresh.trace and inner[0].trace == fresh.trace
+        assert obj.count == outer.n_evals + inner[0].n_evals
+
+    def test_a_direct_call_during_a_run_stays_out_of_its_record(self):
+        iv, stop = Interval(0.0, 1.0), StopRule(budget=10)
+        f, called = quadratic(0.3), []
+
+        def fn(x):
+            if not called:
+                called.append(None)         # set first: the direct call does not call again
+                obj.evaluate(0.9)
+            return f(x)
+
+        obj = Objective(fn)
+        res = minimize(Method.GOLDEN, obj, iv, stop)
+        assert res.n_evals == 10
+        assert res.trace == minimize(Method.GOLDEN, Objective(f), iv, stop).trace
+        assert obj.count == 11

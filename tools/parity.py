@@ -60,6 +60,13 @@ dumps one record per line:
 * ``minimize`` on t1_02 and t2_01 with one Objective across runs: every
   method under budget 20 and then ε 1e-6, and, under each of the two, a run
   with NaN returned at call 1 or 5 followed by the same clean run;
+* a run inside a run: every method on t1_02 and t2_01 under budget 20,
+  whose function, on its first call, starts the same run on its own
+  Objective or calls it directly at the bracket's midpoint (the outer run,
+  the inner run or call and the final count);
+* ``Interval`` endpoints that are no real number or a bool: ``(True, 2)``,
+  ``(np.False_, np.True_)`` and ``("0", "1")`` (the endpoints it stores, or
+  the error it raises);
 * ``brute_force_minimum`` on the 23 registry cases at 3, 8191, 8192,
   8193, 16385, 10,001 and 1,000,001 grid points, each with inset 0 and
   ``VERIFY_INSET`` (1e-9) times the bracket length, verify's grid among
@@ -138,6 +145,8 @@ NUMPY_STOPS = {"np.float32(1e-6)": {"epsilon": np.float32(1e-6)},
                "np.int64(20)": {"budget": np.int64(20)}}
 NUMPY_LENGTHS = (0.1, 2.0, 1e-30)     # np.float32 lengths of the bound records
 REUSE_NAN_AT = (1, 5)    # the NaN call of a run followed by a clean one
+BRACKET_ENDS = {"True, 2": (True, 2), "np.False_, np.True_": (np.False_, np.True_),
+                "'0', '1'": ("0", "1")}
 SHOWN = 5                # differing records printed
 
 
@@ -215,6 +224,33 @@ def _copy_in_run(minimize, Objective, method, case, stop, clone):
     except Exception as e:     # a failure is part of the record
         call = [type(e).__name__, str(e)]
     return [first, again, call, obj.count, twin.count]
+
+
+def _in_run(minimize, Objective, method, case, stop, inner):
+    """A run whose function, on its first call, starts the same run on its
+    own Objective (``inner`` "run") or calls it directly at the bracket's
+    midpoint ("call"): the outer run, the inner outcome and the final count."""
+    done = []
+
+    def fn(x):
+        if not done:
+            done.append(None)   # first: neither the inner run nor the call nests again
+            iv = case.interval
+            done[0] = (_solve(minimize, method, obj, iv, stop) if inner == "run"
+                       else _h(obj.evaluate((iv.lo + iv.hi) / 2)))
+        return case.fn(x)
+
+    obj = Objective(fn)
+    outer = _solve(minimize, method, obj, case.interval, stop)
+    return [outer, done[0], obj.count]
+
+
+def _interval(Interval, ends):
+    try:
+        iv = Interval(*ends)
+    except Exception as e:     # a failure is part of the record
+        return ["error", type(e).__name__, str(e)]
+    return [_h(iv.lo), _h(iv.hi)]
 
 
 def _oracle(brute_force_minimum, f, grid):
@@ -482,6 +518,14 @@ def dump() -> None:
                     write(["reuse", case.id, method.value, repr(stop), "nan", k],
                           _runs(minimize, method, Objective(_nan_at(case.fn, k)),
                                 case.interval, [stop, stop]))
+
+    for case in map(by_id.get, NAN_CASES):
+        for method in Method:
+            for inner in ("run", "call"):
+                write(["in run", case.id, method.value, inner],
+                      _in_run(minimize, Objective, method, case, StopRule(budget=20), inner))
+    for label, ends in BRACKET_ENDS.items():
+        write(["endpoints", label], _interval(Interval, ends))
 
 
 def _records(tree: str) -> list[str]:
