@@ -1,34 +1,39 @@
-"""Record a source tree's benchmark runs, and its claims against a parent, in JSON.
+"""Measure a change against its parent with the benchmark, and record the runs in JSON.
 
-    python3 tools/bench_record.py TREE OUT.json [--parent PARENT --claim WORKLOAD ...]
+    python3 tools/bench_record.py PARENT TREE OUT.json
 
-Runs ``perfbench/run.py`` of a tree from that tree, one run at a time, at
-seed 1 and for ``run_seconds`` of ``TREE/BENCHMARK.json``.
+PARENT and TREE are git checkouts.  For each workload of
+``TREE/BENCHMARK.json``, in file order, ``perfbench/run.py`` of a tree runs
+from that tree, one run at a time, at seed 1 and for ``run_seconds`` of
+``TREE/BENCHMARK.json``:
 
-* Each workload of ``TREE/BENCHMARK.json`` that is not claimed runs once in
-  TREE with ``--trace 0`` and once with ``--trace 1``.
-* Each claimed workload runs in 10 alternating pairs of
-  PARENT and TREE with ``--trace 0``; odd pairs run the parent first
-  and even pairs the change first, so drift of a shared host falls on both
-  sides alike.  Then it runs once with ``--trace 1`` in each tree, so the
-  per-layer figures of both sides are in the record too.
+* 10 alternating pairs with ``--trace 0``: odd pairs run PARENT first and
+  even pairs TREE first, so drift of a shared host falls on both sides alike;
+* then one run with ``--trace 1`` in each tree, so that the per-layer
+  figures of both sides are in the record too.
 
-OUT.json holds ``commit`` and ``dirty`` of TREE (``dirty`` is true when ``git
-status --porcelain`` is not empty, so the measured files may not be the
-commit's), the same for ``parent`` when a workload is claimed, the seed, the
-seconds and one entry per run: its tree (``change`` or ``parent``), its pair
-number (null outside the pairs), its workload, its trace flag, the machine
-line it printed first and the JSON object it printed last.  ``claims`` maps each
-claimed workload to its pair count and, per end-to-end metric of
-``TREE/BENCHMARK.json``, the direction in which it is better, each side's
-min, quartiles, median and max over the pairs, the change's median over the
-parent's, the distance between the parent's quartiles and the pairs the
-change won (a tie counts for neither side).  A run that exits non-zero stops
-the tool with that run's stderr; nothing is written then.
+Prints each pair's end-to-end metrics and failed ops per side and, after
+each workload, per end-to-end metric of ``TREE/BENCHMARK.json``: the median
+of each side, TREE/PARENT of the medians, the distance between the quartiles
+of PARENT's runs (its IQR) and the pairs TREE won (a tie counts for neither
+side).
+
+OUT.json holds ``commit`` and ``dirty`` of TREE and, under ``parent``, of
+PARENT (``dirty`` is true when ``git status --porcelain`` is not empty, so
+the measured files may not be the commit's), the seed, the seconds and one
+entry per run: its tree (``change`` or ``parent``), its pair number (null
+for the traced runs), its workload, its trace flag, the machine line it
+printed first and the JSON object it printed last.  ``summary`` maps each
+workload to its pair count and, per end-to-end metric, the direction in
+which it is better, each side's min, quartiles, median and max over the
+pairs, the change's median over the parent's, the distance between the
+parent's quartiles and the pairs the change won.
+
+A run that exits non-zero stops the tool with that run's stderr; nothing is
+written then.  Exits 1 when any run reports ``correct`` false, else 0.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -37,6 +42,7 @@ import sys
 
 SEED = 1
 PAIRS = 10     # the fewest pairs that can support a claim
+SIDES = {"old": "parent", "new": "change"}
 
 
 def _git(tree: str, *args: str) -> str:
@@ -95,53 +101,64 @@ def summarize(old: list[dict], new: list[dict], metrics: list[tuple[str, str]]) 
     return out
 
 
+def _print_run(side: str, r: dict, metrics: list[tuple[str, str]]) -> None:
+    values = "  ".join(f"{name}={r['metrics'][name]['value']:.6g}" for name, _ in metrics)
+    print(f"  {SIDES[side]}: {values}  failed {r['failed']}/{r['attempted']}"
+          f"{'' if r['correct'] else '  INCORRECT'}", flush=True)
+
+
+def _print_summary(workload: str, seconds: float, summary: dict) -> None:
+    print(f"\n{workload}: {PAIRS} pairs of {seconds:g} s")
+    print(f"{'metric':16s} {'better':6s} {'parent median':>14s} {'change median':>14s} "
+          f"{'ratio':>8s} {'parent IQR':>12s} {'wins':>6s}")
+    for name, m in summary.items():
+        ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+        print(f"{name:16s} {m['better']:6s} {m['old']['median']:14.6g} "
+              f"{m['new']['median']:14.6g} {ratio:>8s} {m['old_iqr']:12.4g} "
+              f"{m['new_wins']:>3d}/{PAIRS}")
+    print(flush=True)
+
+
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("tree")
-    p.add_argument("out")
-    p.add_argument("--parent", help="the parent tree the claimed workloads are paired with")
-    p.add_argument("--claim", action="append", default=[], metavar="WORKLOAD")
-    args = p.parse_args(argv)
-    if bool(args.claim) != bool(args.parent):
-        p.error("--parent and --claim go together")
-    tree = os.path.abspath(args.tree)
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 3:
+        sys.exit("usage: bench_record.py PARENT TREE OUT.json")
+    parent, tree = os.path.abspath(argv[0]), os.path.abspath(argv[1])
     with open(os.path.join(tree, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    names = [w["name"] for w in spec["workloads"]]
-    unknown = sorted(set(args.claim) - set(names))
-    if unknown:
-        p.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(names)}")
     seconds = spec["run_seconds"]
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
 
-    record = {**_commit(tree), "seed": SEED, "seconds": seconds}
-    if args.claim:
-        parent = os.path.abspath(args.parent)
-        record["parent"] = _commit(parent)
-    runs, claims = [], {}
-    sides = {"old": "parent", "new": "change"}
-    for name in names:
-        if name not in args.claim:
-            runs += [{"tree": "change", "pair": None, **run_benchmark(tree, name, seconds, t)}
-                     for t in (0, 1)]
-            continue
+    record = {**_commit(tree), "parent": _commit(parent), "seed": SEED, "seconds": seconds}
+    runs, summary = [], {}
+    for w in spec["workloads"]:
+        name = w["name"]
         paired = {"old": [], "new": []}
         for i, order, pair in run_pairs(parent, tree, name, PAIRS, seconds):
+            print(f"{name} pair {i} ({SIDES[order[0]]} first)")
             for side in order:
-                runs.append({"tree": sides[side], "pair": i, **pair[side]})
+                runs.append({"tree": SIDES[side], "pair": i, **pair[side]})
                 paired[side].append(pair[side]["result"])
-        runs += [{"tree": sides[side], "pair": None, **run_benchmark(t, name, seconds, 1)}
+                _print_run(side, pair[side]["result"], metrics)
+        runs += [{"tree": SIDES[side], "pair": None, **run_benchmark(t, name, seconds, 1)}
                  for side, t in (("old", parent), ("new", tree))]
-        claims[name] = {"pairs": PAIRS,
-                        "metrics": summarize(paired["old"], paired["new"], metrics)}
-    record["runs"] = runs
-    if args.claim:
-        record["claims"] = claims
-    with open(args.out, "w") as fh:
+        summary[name] = {"pairs": PAIRS,
+                         "metrics": summarize(paired["old"], paired["new"], metrics)}
+        _print_summary(name, seconds, summary[name]["metrics"])
+    record["runs"], record["summary"] = runs, summary
+    with open(argv[2], "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    return 0
+    return 0 if all(run["result"]["correct"] for run in runs) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early: send what is left to devnull, so that the
+        # flush at exit does not raise again (the recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
