@@ -12,11 +12,11 @@ from that tree, one run at a time, at seed 1 and for ``run_seconds`` of
 * then one run with ``--trace 1`` in each tree, so that the per-layer
   figures of both sides are in the record too.
 
-Prints each pair's end-to-end metrics and failed ops per side and, after
-each workload, per end-to-end metric of ``TREE/BENCHMARK.json``: the median
-of each side, TREE/PARENT of the medians, the distance between the quartiles
-of PARENT's runs (its IQR) and the pairs TREE won (a tie counts for neither
-side).
+Prints each pair's end-to-end metrics and failed ops per side, each traced
+run's failed ops and, after each workload, per end-to-end metric of
+``TREE/BENCHMARK.json``: the median of each side, TREE/PARENT of the
+medians, the distance between the quartiles of PARENT's runs (its IQR) and
+the pairs TREE won (a tie counts for neither side).
 
 OUT.json holds ``commit`` and ``dirty`` of TREE and, under ``parent``, of
 PARENT (``dirty`` is true when ``git status --porcelain`` is not empty, so
@@ -101,9 +101,10 @@ def summarize(old: list[dict], new: list[dict], metrics: list[tuple[str, str]]) 
     return out
 
 
-def _print_run(side: str, r: dict, metrics: list[tuple[str, str]]) -> None:
-    values = "  ".join(f"{name}={r['metrics'][name]['value']:.6g}" for name, _ in metrics)
-    print(f"  {SIDES[side]}: {values}  failed {r['failed']}/{r['attempted']}"
+def _print_run(run: dict, metrics: list[tuple[str, str]]) -> None:
+    r = run["result"]
+    values = "".join(f"{name}={r['metrics'][name]['value']:.6g}  " for name, _ in metrics)
+    print(f"  {run['tree']}: {values}failed {r['failed']}/{r['attempted']}"
           f"{'' if r['correct'] else '  INCORRECT'}", flush=True)
 
 
@@ -139,9 +140,11 @@ def main(argv=None) -> int:
             for side in order:
                 runs.append({"tree": SIDES[side], "pair": i, **pair[side]})
                 paired[side].append(pair[side]["result"])
-                _print_run(side, pair[side]["result"], metrics)
-        runs += [{"tree": SIDES[side], "pair": None, **run_benchmark(t, name, seconds, 1)}
-                 for side, t in (("old", parent), ("new", tree))]
+                _print_run(runs[-1], metrics)
+        print(f"{name} traced")
+        for side, t in (("old", parent), ("new", tree)):
+            runs.append({"tree": SIDES[side], "pair": None, **run_benchmark(t, name, seconds, 1)})
+            _print_run(runs[-1], [])
         summary[name] = {"pairs": PAIRS,
                          "metrics": summarize(paired["old"], paired["new"], metrics)}
         _print_summary(name, seconds, summary[name]["metrics"])
